@@ -1,7 +1,8 @@
 // E13 — healing racing churn: the discrete-event core (sim/event/) swept
-// over message-loss rate x mean link latency. The sync engine's lockstep
-// fiction — every batch applies and fully heals before the next one is
-// drawn — is exactly what this bench relaxes: with uniform:A,B links each
+// over message-loss rate x mean link latency. The lockstep fiction of the
+// sync regime (the same core at fixed:0, loss 0, period 1) — every batch
+// applies and fully heals before the next one is drawn — is exactly what
+// this bench relaxes: with uniform:A,B links each
 // churn batch is airborne for several ticks, later injections race it, and
 // a loss rate p turns each delivery into a geometric retransmit sequence.
 //
@@ -56,8 +57,8 @@ sim::ScenarioSpec base_spec(const char* latency, double loss) {
 }
 
 /// Mean settle lag in ticks over the trial's trace: how far behind its
-/// injection each step finalized. Zero in the lockstep limit by the
-/// sync-equivalence contract (tests/test_event_engine.cpp).
+/// injection each step finalized. Zero in the lockstep limit (fixed:0,
+/// loss 0), which is the sync regime itself.
 double mean_settle_lag(const sim::ScenarioResult& res, std::uint64_t period) {
   if (res.trace.empty()) return 0.0;
   double lag = 0.0;

@@ -38,9 +38,11 @@
 //            --ops-per-step=N --keys=K --zipf=S --read-frac=P
 //                             traffic knobs (requests/step, keyspace, zipf
 //                             exponent, read share)
-//            --engine=NAME    sync (lockstep rounds, default) or event
-//                             (deterministic discrete-event core with
-//                             latency/loss/stragglers, sim/event/)
+//            --engine=NAME    sync (default) or event: both run the one
+//                             deterministic discrete-event core (sim/event/);
+//                             sync pins it to lockstep rounds (latency
+//                             fixed:0, loss 0, period 1), event takes the
+//                             latency/loss/straggler knobs below
 //            --latency=MODEL  per-message latency: fixed:T, uniform:A,B,
 //                             exp:MEAN (virtual ticks; event engine only)
 //            --loss=P --stragglers=F --straggler-factor=K --period=T
@@ -219,8 +221,8 @@ void print_usage(std::FILE* out) {
       "  --campaign 'flash-crowd:0-50;mass-failure:50-60,rate=0.3;burst:60-'\n"
       "Steps covered by no phase are quiet (no churn, unit load). The\n"
       "campaign string is archived in the summary's campaign field, and all\n"
-      "byte-determinism contracts (--jobs/--trial-jobs/--shards, engine\n"
-      "equivalence at fixed:0/loss 0) hold under campaigns unchanged.\n"
+      "byte-determinism contracts (--jobs/--trial-jobs/--shards) hold\n"
+      "under campaigns unchanged.\n"
       "\n"
       "--workload serves key-value traffic through every overlay between\n"
       "churn steps (requests route via p-cycle paths on DEX, BFS on the\n"
@@ -230,16 +232,18 @@ void print_usage(std::FILE* out) {
       "failed_lookups/stretch/moved_keys/rehash_messages columns and the\n"
       "summary their totals.\n"
       "\n"
-      "--engine event runs the same trial through the deterministic\n"
-      "discrete-event core: churn constituents, walk settlement and KV\n"
-      "requests become timestamped deliveries under --latency (fixed:T,\n"
+      "Every trial runs on one deterministic discrete-event core: churn\n"
+      "constituents, walk settlement and KV requests are timestamped\n"
+      "deliveries. --engine sync (the default) is that core at latency\n"
+      "fixed:0, loss 0, period 1 — exactly lockstep rounds, not a second\n"
+      "loop. --engine event opens the regime up: --latency (fixed:T,\n"
       "uniform:A,B or exp:MEAN ticks), i.i.d. --loss (lost deliveries\n"
       "retransmit and count in the dropped column), --stragglers fraction\n"
       "of nodes at --straggler-factor x latency, and --period ticks between\n"
       "batch injections — latency above the period makes healing race\n"
-      "churn. The trace gains vtime/in_flight/dropped columns; at\n"
-      "--latency fixed:0 --loss 0 the output byte-matches the sync engine,\n"
-      "and every --jobs/--trial-jobs value stays byte-identical.\n"
+      "churn. The vtime/in_flight/dropped columns fill in, the summary\n"
+      "archives the regime, and every --jobs/--trial-jobs value stays\n"
+      "byte-identical.\n"
       "\n"
       "--serve (event engine + workload only) replaces the per-step request\n"
       "batches with the concurrent serving front-end: --clients closed-loop\n"

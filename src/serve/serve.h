@@ -4,8 +4,8 @@
 /// The serving front-end's deterministic core: ServeSpec (the knobs the
 /// CLI/ExperimentPlan carry) and ServeState (per-home-node bounded queues
 /// with admission control, shard-merged tail-latency histograms, and the
-/// per-epoch window counters the trace columns report). The event engine
-/// (sim/event/engine.cpp) drives this state from closed-loop client events
+/// per-epoch window counters the trace columns report). The runner's event
+/// loop (sim/event/engine.cpp) drives this state from closed-loop client events
 /// on its virtual clock; everything here is a pure function of the call
 /// sequence — no RNG, no wall clock — so serve-mode traces stay
 /// byte-identical across --jobs/--trial-jobs and shard counts.
@@ -41,8 +41,8 @@
 namespace dex::serve {
 
 /// Declarative description of the serving front-end regime. Disabled by
-/// default; only meaningful on the event engine (closed-loop clients are
-/// timed actors — the lockstep loop has no clock for them to live on).
+/// default; requires `--engine event` (closed-loop clients are timed
+/// actors, and the sync engine pins the lockstep regime).
 struct ServeSpec {
   /// Engine selector (`--serve`). Everything below needs it.
   bool enabled = false;

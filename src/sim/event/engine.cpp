@@ -3,11 +3,13 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <unordered_set>
 #include <utility>
 
 #include "graph/spectral.h"
 #include "serve/serve.h"
 #include "sim/experiment.h"
+#include "sim/scenario.h"
 #include "support/assert.h"
 
 namespace dex::sim {
@@ -15,7 +17,7 @@ namespace dex::sim {
 // The event stream must be its own per-trial stream: colliding with the
 // adversary's (raw seed), the overlay's or the traffic engine's derivation
 // would entangle the delivery schedule with the churn/request draws and
-// break the sync-equivalence-at-zero-latency pin.
+// break the stream-separation pins (tests/test_event_engine.cpp).
 // This block is the salt *registry*: tools/det_lint.py (DET005) requires
 // every pair of k*SeedSalt constants to be pinned distinct by an exact
 // `a != b` static_assert here — add one when introducing a new stream.
@@ -54,6 +56,9 @@ struct PendingStep {
   /// Traffic requests this step owes (batch traffic mode): ops_per_step,
   /// scaled by the campaign load curve when one is active.
   std::size_t ops_expected = 0;
+  /// Steps applied before this one was injected; if the count is unchanged
+  /// at apply time, nothing could have raced its constituents.
+  std::size_t applied_before = 0;
   std::uint64_t dropped = 0;
   bool batch_step = false;  ///< want > 1 (parallel_steps accounting)
   StepRecord rec;
@@ -66,31 +71,95 @@ struct PendingStep {
 /// index alone addresses all per-op state.
 struct ServeClient {
   TrafficEngine::IssuedOp op;
+  /// The key's home at issue time — the station the request queues at.
+  /// Execution re-resolves the *current* home, so a churn-moved key is
+  /// still served correctly; only the queueing placement is pinned.
+  graph::NodeId home = graph::kInvalidNode;
   std::uint64_t issued_at = 0;
   std::uint64_t remaining = 0;  ///< ops this client may still issue
   bool shed = false;            ///< current op rejected by admission
 };
 
+/// Sanity checks on a strategy-produced batch before it reaches the
+/// overlay: the per-event contract of ChurnBatch (alive, distinct victims,
+/// attach points surviving) plus the runner's own never-empty-the-network
+/// rule. Feasibility for DEX's parallel path is *not* required here — the
+/// overlay falls back to the sequential path on its own.
+void validate_batch(const HealingOverlay& overlay, const ChurnBatch& batch) {
+  DEX_ASSERT_MSG(overlay.n() > batch.victims.size() + 2,
+                 "batch would delete the network away");
+  std::unordered_set<graph::NodeId> seen;
+  seen.reserve(batch.victims.size());
+  for (graph::NodeId v : batch.victims) {
+    DEX_ASSERT_MSG(overlay.alive(v), "strategy chose a dead victim");
+    DEX_ASSERT_MSG(seen.insert(v).second,
+                   "strategy chose the same victim twice in one batch");
+  }
+  for (graph::NodeId a : batch.attach_to) {
+    DEX_ASSERT_MSG(overlay.alive(a), "strategy chose a dead attach point");
+    DEX_ASSERT_MSG(!seen.contains(a),
+                   "strategy attached a newcomer to a batch victim");
+  }
+}
+
+/// Applies one single churn event (the warmup path).
+void apply_action(HealingOverlay& overlay, const adversary::ChurnAction& a) {
+  DEX_ASSERT_MSG(overlay.alive(a.target),
+                 a.insert ? "strategy chose a dead attach point"
+                          : "strategy chose a dead victim");
+  if (a.insert) {
+    overlay.insert(a.target);
+  } else {
+    DEX_ASSERT_MSG(overlay.n() > 2, "scenario would delete the network away");
+    overlay.remove(a.target);
+  }
+}
+
+/// One batch step through the unified apply() surface; fills the record's
+/// per-event fields when the batch happens to be a single event (so
+/// batch_size=1 traces keep the PR-1 shape) and returns the outcome for
+/// aggregate bookkeeping.
+BatchOutcome apply_batch_step(HealingOverlay& overlay, const ChurnBatch& batch,
+                              StepRecord& rec) {
+  validate_batch(overlay, batch);
+  const BatchOutcome out = overlay.apply(batch);
+  rec.cost = out.cost;
+  rec.batch_inserts = batch.attach_to.size();
+  rec.batch_deletes = batch.victims.size();
+  rec.walk_epochs = out.walk_epochs;
+  rec.used_type2 = out.used_type2;
+  if (batch.size() == 1) {
+    rec.insert = !batch.attach_to.empty();
+    rec.target = rec.insert ? batch.attach_to.front() : batch.victims.front();
+    rec.new_node = rec.insert ? out.inserted.front() : graph::kInvalidNode;
+  } else {
+    rec.insert = false;
+    rec.target = graph::kInvalidNode;
+    rec.new_node = graph::kInvalidNode;
+  }
+  return out;
+}
+
 }  // namespace
 
-EventEngine::EventEngine(HealingOverlay& overlay,
-                         adversary::Strategy& strategy, ScenarioSpec spec)
-    : overlay_(overlay), strategy_(strategy), spec_(std::move(spec)) {}
-
-ScenarioResult EventEngine::run() {
-  DEX_ASSERT_MSG(spec_.event.enabled,
-                 "EventEngine invoked with the sync engine selected");
-  DEX_ASSERT_MSG(spec_.event.valid(), "event spec out of range");
-  // The adversary stream is the raw seed — the very draws the sync engine
-  // makes, in the very same order (injections run in step order), so the
-  // churn sequence is engine-invariant. Latency/loss/backoff draws live on
-  // the salted stream.
+ScenarioResult ScenarioRunner::run() {
+  // Lockstep is a delivery regime, not a second loop: with the event engine
+  // off the trial runs under the default EventSpec — fixed:0 latency, no
+  // loss, no stragglers, period 1 — whose schedule is exactly synchronous
+  // rounds (one step injected, applied, settled and served per tick).
+  const EventSpec regime = spec_.event.enabled ? spec_.event : EventSpec{};
+  DEX_ASSERT_MSG(regime.valid(), "event spec out of range");
+  DEX_ASSERT_MSG(!spec_.serve.enabled || spec_.event.enabled,
+                 "serve mode needs the event engine's clock");
+  // The adversary stream is the raw seed, drawn at injections in step
+  // order, so the churn sequence is regime-invariant. Latency/loss/backoff
+  // draws live on the salted stream (none at all under lockstep).
   support::Rng rng(spec_.seed);
   support::Rng ev_rng(spec_.seed ^ kEventSeedSalt);
   const std::uint64_t straggler_salt =
       support::mix64(spec_.seed ^ kEventSeedSalt);
-  const double loss = spec_.event.loss_rate;
-  const std::uint64_t period = spec_.event.period;
+  const double loss = regime.loss_rate;
+  const std::uint64_t period = regime.period;
 
   const std::size_t base = overlay_.n();
   const auto bounds = resolve_bounds(spec_, base);
@@ -100,6 +169,9 @@ ScenarioResult EventEngine::run() {
 
   CachedView cache(overlay_);
   const adversary::AdversaryView& view = cache.view();
+  // Lend the maintained CSR back to the overlay for opportunistic reads
+  // (batch preflight connectivity probes). The provider outlives nothing:
+  // the guard detaches it before `cache` dies, exceptions included.
   overlay_.set_live_view_provider(
       [&cache] { return cache.live_csr_if_valid(); });
   struct ProviderGuard {
@@ -122,6 +194,9 @@ ScenarioResult EventEngine::run() {
                  .count();
   };
 
+  // The traffic engine's RNG is salted off the spec seed, so serving
+  // requests never perturbs the adversary stream: the same spec with
+  // traffic off replays the identical churn.
   std::unique_ptr<TrafficEngine> traffic;
   if (spec_.traffic.enabled()) {
     traffic =
@@ -172,13 +247,11 @@ ScenarioResult EventEngine::run() {
   if (spec_.record_trace) result.trace.reserve(spec_.steps);
 
   // Warmup stays synchronous by definition: it models the pre-attack
-  // steady state, not the asynchronous regime under test.
+  // steady state, not the delivery regime under test.
   if (spec_.warmup_steps > 0) {
     adversary::RandomChurn warmup(spec_.warmup_insert_prob);
     for (std::size_t t = 0; t < spec_.warmup_steps; ++t) {
-      StepRecord scratch;
-      detail::apply_action(overlay_, warmup.next(view, rng, min_n, max_n),
-                           scratch);
+      apply_action(overlay_, warmup.next(view, rng, min_n, max_n));
       cache.advance();
     }
   }
@@ -192,7 +265,7 @@ ScenarioResult EventEngine::run() {
   // joiners get a verdict too and no RNG stream is consumed. 53-bit
   // comparison sidesteps the fraction*2^64 overflow at f = 1.
   const auto is_straggler = [&](graph::NodeId u) {
-    const double f = spec_.event.straggler_fraction;
+    const double f = regime.straggler_fraction;
     if (f <= 0.0) return false;
     if (f >= 1.0) return true;
     const std::uint64_t h = support::mix64(
@@ -200,8 +273,8 @@ ScenarioResult EventEngine::run() {
     return (h >> 11) < static_cast<std::uint64_t>(f * 9007199254740992.0);
   };
   const auto link_latency = [&](graph::NodeId dest) {
-    std::uint64_t d = spec_.event.latency.sample(ev_rng);
-    if (is_straggler(dest)) d *= spec_.event.straggler_factor;
+    std::uint64_t d = regime.latency.sample(ev_rng);
+    if (is_straggler(dest)) d *= regime.straggler_factor;
     return d;
   };
 
@@ -210,6 +283,8 @@ ScenarioResult EventEngine::run() {
   /// Churn deliveries currently in the air across all steps — the
   /// healing-racing-churn signal the trace's in_flight column reports.
   std::size_t in_flight = 0;
+  /// Steps applied so far (the strategy-contract check in apply_step).
+  std::size_t applied_steps = 0;
 
   for (std::size_t t = 0; t < spec_.steps; ++t) {
     queue.push(static_cast<std::uint64_t>(t) * period, kInject, t);
@@ -259,6 +334,9 @@ ScenarioResult EventEngine::run() {
       result.max_degree = std::max(result.max_degree, rec.max_degree);
     }
     if (spec_.gap_every > 0 && t % spec_.gap_every == 0) {
+      // Clamp at 0: near-disconnection the solver's Rayleigh estimate can
+      // round to a tiny negative, which would collide with the -1 "not
+      // sampled" sentinel.
       rec.gap = std::max(
           0.0, graph::spectral_gap(view.snapshot(), view.alive_mask()).gap);
       result.min_gap = std::min(result.min_gap, rec.gap);
@@ -269,6 +347,9 @@ ScenarioResult EventEngine::run() {
     result.total += rec.cost;
     if (observer_) {
       observer_(rec, overlay_);
+      // The observer holds a mutable overlay reference; advance (not plain
+      // invalidate) so its mutations drain from the journal rather than
+      // leaking into the next step's delta against a rebuilt base.
       cache.advance();
     }
     if (spec_.record_trace) result.trace.push_back(rec);
@@ -286,19 +367,19 @@ ScenarioResult EventEngine::run() {
     open_epoch = kNoEpoch;
   };
 
-  // One serve-mode network leg (request to the home, or response back to
-  // the origin): the same geometric loss-retransmit discipline churn
-  // deliveries pay, with drops charged to the window in progress.
-  const auto serve_leg = [&](graph::NodeId dest) {
+  // One network leg: the geometric loss-retransmit discipline every
+  // delivery pays. Each lost copy is a dropped delivery charged to
+  // `dropped`, costing a 1-tick timeout plus a fresh latency sample before
+  // the resend.
+  const auto leg = [&](graph::NodeId dest, std::uint64_t& dropped) {
     std::uint64_t delay = 0;
     if (loss > 0) {
       while (ev_rng.chance(loss)) {
-        ++pending[open_epoch].dropped;
+        ++dropped;
         delay += 1 + link_latency(dest);
       }
     }
-    delay += link_latency(dest);
-    return delay;
+    return delay + link_latency(dest);
   };
 
   const auto apply_step = [&](std::size_t t, std::uint64_t now) {
@@ -309,7 +390,11 @@ ScenarioResult EventEngine::run() {
     // that would now push the population below the overlay's structural
     // floor (HealingOverlay::min_population — the flip chain, for one,
     // cannot rewire a departure below d+2 alive nodes). Each filtered
-    // event is a dropped delivery — the overlay never sees it.
+    // event is a dropped delivery — the overlay never sees it. If no other
+    // step applied since the injection (lockstep, always), nothing raced
+    // the batch, so a dead constituent is a strategy bug and aborts; the
+    // floor trim stays a clamp.
+    const bool raced = applied_steps != p.applied_before;
     ChurnBatch live;
     live.victims.reserve(p.batch.victims.size());
     live.attach_to.reserve(p.batch.attach_to.size());
@@ -317,6 +402,7 @@ ScenarioResult EventEngine::run() {
       if (overlay_.alive(v)) {
         live.victims.push_back(v);
       } else {
+        DEX_ASSERT_MSG(raced, "strategy chose a dead victim");
         ++p.dropped;
       }
     }
@@ -330,13 +416,15 @@ ScenarioResult EventEngine::run() {
       if (overlay_.alive(a)) {
         live.attach_to.push_back(a);
       } else {
+        DEX_ASSERT_MSG(raced, "strategy chose a dead attach point");
         ++p.dropped;
       }
     }
     p.batch = ChurnBatch{};  // the buffers are dead weight from here on
     tic();
-    const BatchOutcome out = detail::apply_batch_step(overlay_, live, p.rec);
+    const BatchOutcome out = apply_batch_step(overlay_, live, p.rec);
     toc(result.churn_us);
+    ++applied_steps;
     tic();
     cache.advance();
     toc(result.view_us);
@@ -345,7 +433,7 @@ ScenarioResult EventEngine::run() {
     // Walk settlement: the healing protocol's completion notice pays one
     // more link traversal (no straggler multiplier — it aggregates over the
     // whole repair neighborhood) before traffic resumes against the step.
-    queue.push(now + spec_.event.latency.sample(ev_rng), kSettle, t);
+    queue.push(now + regime.latency.sample(ev_rng), kSettle, t);
   };
 
   while (!queue.empty()) {
@@ -359,6 +447,10 @@ ScenarioResult EventEngine::run() {
       case kInject: {
         PendingStep& p = pending[t];
         p.rec.step = t;
+        p.applied_before = applied_steps;
+        // Burst pattern: every step is a batch when burst_every is 0;
+        // otherwise only every burst_every-th step bursts and the rest are
+        // single events.
         const bool burst =
             spec_.burst_every == 0 || t % spec_.burst_every == 0;
         const std::size_t want =
@@ -369,6 +461,9 @@ ScenarioResult EventEngine::run() {
           // batches are how quiet phases and rate gates manifest.
           batch = strategy_.next_batch(view, rng, min_n, max_n, want);
         } else if (want <= 1) {
+          // Single-event steps keep the PR-1 decision path (one next()
+          // draw, so legacy specs replay the same strategy stream) but the
+          // event goes through the same apply() surface as every batch.
           const adversary::ChurnAction a =
               strategy_.next(view, rng, min_n, max_n);
           if (a.insert) {
@@ -379,6 +474,8 @@ ScenarioResult EventEngine::run() {
         } else {
           batch = strategy_.next_batch(view, rng, min_n, max_n, want);
         }
+        // The hotspot workload notes the region about to churn (adjacency
+        // from the maintained pre-churn view).
         if (traffic) traffic->observe_churn(batch, view);
         p.batch_step = want > 1;
         p.expected = batch.size();
@@ -388,18 +485,9 @@ ScenarioResult EventEngine::run() {
           break;
         }
         // One delivery per constituent, in ChurnBatch's canonical order
-        // (victims, then attach points). Loss draws a geometric retransmit
-        // count up front: each lost copy is a dropped delivery paying a
-        // 1-tick timeout plus a fresh latency sample before the resend.
+        // (victims, then attach points).
         const auto launch = [&](graph::NodeId dest) {
-          std::uint64_t delay = 0;
-          if (loss > 0) {
-            while (ev_rng.chance(loss)) {
-              ++p.dropped;
-              delay += 1 + link_latency(dest);
-            }
-          }
-          delay += link_latency(dest);
+          const std::uint64_t delay = leg(dest, p.dropped);
           ++in_flight;
           queue.push(ev.time + delay, kChurnArrive, t);
         };
@@ -416,13 +504,17 @@ ScenarioResult EventEngine::run() {
       }
       case kSettle: {
         PendingStep& p = pending[t];
-        if (serving) {
-          // Adopt the post-churn view (re-homes keys) and turn every moved
-          // key into a rehash job at its new home — the rehash storm that
-          // backpressures client traffic through the shared stations.
+        if (traffic) {
+          // Adopt the post-churn view: re-home displaced keys and refresh
+          // the hotspot targets.
           tic();
           p.traffic = traffic->begin_step(view);
           toc(result.traffic_us);
+        }
+        if (serving) {
+          // Every moved key becomes a rehash job at its new home — the
+          // rehash storm that backpressures client traffic through the
+          // shared stations.
           close_epoch(ev.time);
           open_epoch = t;
           const KvStore& store = traffic->store();
@@ -440,9 +532,6 @@ ScenarioResult EventEngine::run() {
           break;
         }
         if (traffic) {
-          tic();
-          p.traffic = traffic->begin_step(view);
-          toc(result.traffic_us);
           p.ops_expected =
               campaign ? campaign->scaled_ops(spec_.traffic.ops_per_step, t)
                        : spec_.traffic.ops_per_step;
@@ -465,12 +554,12 @@ ScenarioResult EventEngine::run() {
           // a fresh latency draw. The op is delayed, not failed — failures
           // stay what they always were, routing/lookup outcomes.
           ++p.dropped;
-          queue.push(ev.time + 1 + spec_.event.latency.sample(ev_rng),
-                     kTrafficOp, t);
+          queue.push(ev.time + 1 + regime.latency.sample(ev_rng), kTrafficOp,
+                     t);
           break;
         }
         tic();
-        traffic->serve_one(p.traffic);
+        traffic->complete_op(traffic->issue_op(), p.traffic);
         toc(result.traffic_us);
         if (++p.ops_done == p.ops_expected) finalize(t, ev.time);
         break;
@@ -484,15 +573,17 @@ ScenarioResult EventEngine::run() {
         --c.remaining;
         tic();
         c.op = traffic->issue_op();
+        c.home = traffic->store().home(c.op.key);
         toc(result.traffic_us);
         c.issued_at = ev.time;
         c.shed = false;
-        queue.push(ev.time + serve_leg(c.op.home), kOpArrive, t);
+        queue.push(ev.time + leg(c.home, pending[open_epoch].dropped),
+                   kOpArrive, t);
         break;
       }
       case kOpArrive: {
         ServeClient& c = clients[t];
-        const auto adm = serve_state->admit(c.op.home, ev.time);
+        const auto adm = serve_state->admit(c.home, ev.time);
         if (adm.admitted) {
           queue.push(adm.done_at, kOpDone, t);
         } else {
@@ -500,7 +591,8 @@ ScenarioResult EventEngine::run() {
           // immediate rejection response (the trip back still costs a leg).
           c.shed = true;
           serve_state->record_shed();
-          queue.push(ev.time + serve_leg(c.op.origin), kOpResponse, t);
+          queue.push(ev.time + leg(c.op.origin, pending[open_epoch].dropped),
+                     kOpResponse, t);
         }
         break;
       }
@@ -509,17 +601,18 @@ ScenarioResult EventEngine::run() {
         // store *as it is now* — churn and other clients may have moved
         // things since issue — and send the response home.
         ServeClient& c = clients[t];
-        serve_state->depart(c.op.home);
+        serve_state->depart(c.home);
         tic();
         traffic->complete_op(c.op, pending[open_epoch].traffic);
         toc(result.traffic_us);
-        queue.push(ev.time + serve_leg(c.op.origin), kOpResponse, t);
+        queue.push(ev.time + leg(c.op.origin, pending[open_epoch].dropped),
+                   kOpResponse, t);
         break;
       }
       case kOpResponse: {
         ServeClient& c = clients[t];
         if (!c.shed) {
-          serve_state->record_completion(c.op.home, ev.time - c.issued_at);
+          serve_state->record_completion(c.home, ev.time - c.issued_at);
         }
         if (c.remaining > 0) {
           queue.push(ev.time + spec_.serve.think_ticks, kOpIssue, t);

@@ -1,29 +1,28 @@
 #pragma once
 
 /// \file engine.h
-/// The event-driven simulation core: EventEngine drives the same
-/// overlay/strategy/spec triple as the synchronous ScenarioRunner, but
-/// through a deterministic discrete-event loop — churn constituents,
-/// walk settlement and KV requests are timestamped deliveries in a min-heap,
-/// subject to the EventSpec's latency distribution, i.i.d. loss and
-/// straggler injection. This expresses regimes the lockstep loop cannot:
+/// The event-driven simulation core. ScenarioRunner::run (defined in
+/// engine.cpp) is one deterministic discrete-event loop: churn
+/// constituents, walk settlement and KV requests are timestamped deliveries
+/// in the EventQueue below, subject to the EventSpec's latency
+/// distribution, i.i.d. loss and straggler injection. This expresses
 /// healing racing churn (batch t+1's deliveries land before batch t's walks
-/// settle), partially-invalidated batches, loss-driven retransmit storms.
+/// settle), partially-invalidated batches and loss-driven retransmit
+/// storms. The `sync` engine is not a second loop: it is this one under the
+/// default EventSpec (latency fixed:0, loss 0, no stragglers, period 1),
+/// whose schedule is exactly the lockstep rounds the paper assumes (pinned
+/// byte for byte by tests/test_lockstep_golden.sh).
 ///
 /// Determinism contract (the same one the rest of the tree honors): spec +
 /// seed reproduce the byte-exact trace, whatever --jobs/--trial-jobs says.
 /// Three independent RNG streams keep the axes orthogonal — the adversary's
-/// (raw seed, identical draws to the sync engine), the traffic engine's
-/// (kTrafficSeedSalt) and the event stream's (kEventSeedSalt) — so at
-/// latency fixed:0 / loss 0 the engine replays the synchronous schedule and
-/// the per-step trace CSV byte-matches ScenarioRunner's (pinned by
-/// tests/test_event_engine.cpp).
+/// (raw seed), the traffic engine's (kTrafficSeedSalt) and the event
+/// stream's (kEventSeedSalt) — so latency, loss and straggler knobs never
+/// perturb the churn or request draws (tests/test_event_engine.cpp).
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
-
-#include "sim/scenario.h"
 
 namespace dex::sim {
 
@@ -65,32 +64,6 @@ class EventQueue {
 
   std::vector<Item> heap_;
   std::uint64_t seq_ = 0;
-};
-
-/// Runs one trial under the EventSpec delivery regime. Constructed and
-/// invoked by ScenarioRunner::run() whenever spec.event.enabled — callers
-/// keep talking to the runner (and the Executor/CLI above it) and the
-/// engine choice stays a pure ScenarioSpec field.
-class EventEngine {
- public:
-  EventEngine(HealingOverlay& overlay, adversary::Strategy& strategy,
-              ScenarioSpec spec);
-
-  void set_observer(ScenarioRunner::StepObserver observer) {
-    observer_ = std::move(observer);
-  }
-
-  /// Warmup + spec.steps injected batches, drained to quiescence. Records
-  /// finalize in settlement order: under latency a later-injected step can
-  /// settle (and be emitted) before an earlier one — rec.step says which
-  /// step a record is, rec.vtime when it completed.
-  ScenarioResult run();
-
- private:
-  HealingOverlay& overlay_;
-  adversary::Strategy& strategy_;
-  ScenarioSpec spec_;
-  ScenarioRunner::StepObserver observer_;
 };
 
 }  // namespace dex::sim

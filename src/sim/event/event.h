@@ -6,8 +6,8 @@
 /// injection period that turn the lockstep synchronous rounds the paper
 /// assumes into timestamped message deliveries. Everything here is
 /// byte-determining — spec + trial seed reproduce the exact delivery
-/// schedule — and everything degenerates to the synchronous engine at
-/// latency fixed:0 / loss 0 (the equivalence the conformance tests pin).
+/// schedule — and the defaults (latency fixed:0, loss 0, period 1) are the
+/// synchronous rounds themselves.
 ///
 /// This header sits below sim/scenario.h (ScenarioSpec embeds EventSpec) and
 /// deliberately knows nothing about overlays or the runner: it is the
@@ -25,8 +25,7 @@ namespace dex::sim {
 /// (latency samples, loss trials, retransmit backoff). A distinct stream id
 /// from the adversary's (raw seed), the overlay's (kOverlaySeedSalt) and the
 /// traffic generator's (kTrafficSeedSalt) streams, so turning asynchrony on
-/// never perturbs the churn or request draws — the zero-latency/zero-loss
-/// event trace byte-matches the synchronous one.
+/// never perturbs the churn or request draws.
 inline constexpr std::uint64_t kEventSeedSalt = 0x2545f4914f6cdd1dULL;
 
 /// Per-message link latency distribution, in virtual ticks. Parsed from the
@@ -59,12 +58,14 @@ struct LatencyModel {
       const std::string& text);
 };
 
-/// Declarative description of the asynchronous delivery regime. Disabled by
-/// default: the ScenarioRunner then runs the classic lockstep loop, and none
-/// of these knobs is consulted.
+/// Declarative description of the delivery regime. The ScenarioRunner has
+/// one loop; a default-constructed EventSpec (latency fixed:0, loss 0, no
+/// stragglers, period 1) is the lockstep schedule, and that is the regime
+/// the runner uses whenever `enabled` is false (`--engine sync`), whatever
+/// the other fields hold.
 struct EventSpec {
-  /// Engine selector (`--engine sync|event`). Everything below is only
-  /// meaningful when true.
+  /// Engine selector (`--engine sync|event`): whether the knobs below are
+  /// used, and whether the summary archives them. Adds no code path.
   bool enabled = false;
   /// Per-message link latency (ticks); fixed:0 means instant delivery.
   LatencyModel latency;
@@ -81,8 +82,8 @@ struct EventSpec {
   std::uint64_t straggler_factor = 4;
   /// Virtual ticks between churn-batch injections. With latency above one
   /// period, batch t+1 is drawn (and its deliveries launched) before batch
-  /// t's walks settle — the healing-racing-churn regime the synchronous
-  /// engine cannot express.
+  /// t's walks settle — the healing-racing-churn regime lockstep rounds
+  /// cannot express.
   std::uint64_t period = 1;
 
   /// Bounds the engine refuses to run outside (loss < 1, period >= 1,

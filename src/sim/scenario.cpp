@@ -1,14 +1,10 @@
 #include "sim/scenario.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
-#include <unordered_set>
 #include <utility>
 
-#include "graph/spectral.h"
 #include "metrics/emit.h"
-#include "sim/event/engine.h"
 #include "support/assert.h"
 
 namespace dex::sim {
@@ -113,83 +109,6 @@ void CachedView::advance() {
 
 // --------------------------------------------------------- ScenarioRunner
 
-namespace {
-
-/// Sanity checks on a strategy-produced batch before it reaches the
-/// overlay: the per-event contract of ChurnBatch (alive, distinct victims,
-/// attach points surviving) plus the runner's own never-empty-the-network
-/// rule. Feasibility for DEX's parallel path is *not* required here — the
-/// overlay falls back to the sequential path on its own.
-void validate_batch(const HealingOverlay& overlay,
-                    const sim::ChurnBatch& batch) {
-  DEX_ASSERT_MSG(overlay.n() > batch.victims.size() + 2,
-                 "batch would delete the network away");
-  std::unordered_set<graph::NodeId> seen;
-  seen.reserve(batch.victims.size());
-  for (graph::NodeId v : batch.victims) {
-    DEX_ASSERT_MSG(overlay.alive(v), "strategy chose a dead victim");
-    DEX_ASSERT_MSG(seen.insert(v).second,
-                   "strategy chose the same victim twice in one batch");
-  }
-  for (graph::NodeId a : batch.attach_to) {
-    DEX_ASSERT_MSG(overlay.alive(a), "strategy chose a dead attach point");
-    DEX_ASSERT_MSG(!seen.contains(a),
-                   "strategy attached a newcomer to a batch victim");
-  }
-}
-
-}  // namespace
-
-// Shared with the event engine (sim/event/engine.h): both engines mutate
-// the overlay and fill StepRecords through exactly these two functions.
-namespace detail {
-
-void apply_action(HealingOverlay& overlay, const adversary::ChurnAction& a,
-                  StepRecord& rec) {
-  rec.insert = a.insert;
-  rec.target = a.target;
-  if (a.insert) {
-    DEX_ASSERT_MSG(overlay.alive(a.target),
-                   "strategy chose a dead attach point");
-    rec.new_node = overlay.insert(a.target);
-    rec.batch_inserts = 1;
-  } else {
-    DEX_ASSERT_MSG(overlay.alive(a.target), "strategy chose a dead victim");
-    DEX_ASSERT_MSG(overlay.n() > 2, "scenario would delete the network away");
-    overlay.remove(a.target);
-    rec.new_node = graph::kInvalidNode;
-    rec.batch_deletes = 1;
-  }
-}
-
-/// One batch step through the unified apply() surface; fills the record's
-/// per-event fields when the batch happens to be a single event (so
-/// batch_size=1 traces keep the PR-1 shape) and returns the outcome for
-/// aggregate bookkeeping.
-BatchOutcome apply_batch_step(HealingOverlay& overlay,
-                              const sim::ChurnBatch& batch,
-                              StepRecord& rec) {
-  validate_batch(overlay, batch);
-  const BatchOutcome out = overlay.apply(batch);
-  rec.cost = out.cost;
-  rec.batch_inserts = batch.attach_to.size();
-  rec.batch_deletes = batch.victims.size();
-  rec.walk_epochs = out.walk_epochs;
-  rec.used_type2 = out.used_type2;
-  if (batch.size() == 1) {
-    rec.insert = !batch.attach_to.empty();
-    rec.target = rec.insert ? batch.attach_to.front() : batch.victims.front();
-    rec.new_node = rec.insert ? out.inserted.front() : graph::kInvalidNode;
-  } else {
-    rec.insert = false;
-    rec.target = graph::kInvalidNode;
-    rec.new_node = graph::kInvalidNode;
-  }
-  return out;
-}
-
-}  // namespace detail
-
 ResolvedBounds resolve_bounds(const ScenarioSpec& spec, std::size_t n0) {
   ResolvedBounds b;
   b.min_n = spec.min_n ? spec.min_n : std::max<std::size_t>(n0 / 2, 4);
@@ -202,206 +121,7 @@ ScenarioRunner::ScenarioRunner(HealingOverlay& overlay,
                                ScenarioSpec spec)
     : overlay_(overlay), strategy_(strategy), spec_(spec) {}
 
-ScenarioResult ScenarioRunner::run() {
-  if (spec_.event.enabled) {
-    // The event engine shares this runner's entire surface (spec, observer,
-    // sinks above), so the Executor/CLI never learn which engine ran — the
-    // choice is data, flowing through ExperimentPlan like any other knob.
-    EventEngine engine(overlay_, strategy_, spec_);
-    engine.set_observer(observer_);
-    return engine.run();
-  }
-  DEX_ASSERT_MSG(!spec_.serve.enabled,
-                 "serve mode needs the event engine's clock");
-  support::Rng rng(spec_.seed);
-  const std::size_t base = overlay_.n();
-  const auto bounds = resolve_bounds(spec_, base);
-  const std::size_t min_n = bounds.min_n;
-  const std::size_t max_n = bounds.max_n;
-  DEX_ASSERT_MSG(bounds.valid(), "degenerate population bounds");
-
-  CachedView cache(overlay_);
-  const adversary::AdversaryView& view = cache.view();
-  // Lend the maintained CSR back to the overlay for opportunistic reads
-  // (batch preflight connectivity probes). The provider outlives nothing:
-  // the guard detaches it before `cache` dies, exceptions included.
-  overlay_.set_live_view_provider(
-      [&cache] { return cache.live_csr_if_valid(); });
-  struct ProviderGuard {
-    HealingOverlay& overlay;
-    ~ProviderGuard() { overlay.set_live_view_provider({}); }
-  } provider_guard{overlay_};
-
-  using Clock = std::chrono::steady_clock;
-  const bool timing = spec_.time_phases;
-  Clock::time_point mark;
-  // det: phase-timing instrumentation — feeds the perf-attribution JSON
-  // only, never simulation state, so wall-clock reads cannot leak.
-  const auto tic = [&] {
-    if (timing) mark = Clock::now();
-  };
-  // det: see tic — instrumentation only.
-  const auto toc = [&](double& acc) {
-    if (timing)
-      acc += std::chrono::duration<double, std::micro>(Clock::now() - mark)
-                 .count();
-  };
-
-  // The traffic engine's RNG is salted off the spec seed, so serving
-  // requests never perturbs the adversary stream: the same spec with
-  // traffic off replays the identical churn.
-  std::unique_ptr<TrafficEngine> traffic;
-  if (spec_.traffic.enabled()) {
-    traffic =
-        std::make_unique<TrafficEngine>(overlay_, spec_.traffic, spec_.seed);
-  }
-
-  // A non-empty campaign reshapes the loop in two ways: every step goes
-  // through next_batch (so rate-gated/quiet phases can express themselves
-  // as empty batches), and the traffic budget follows the per-step load
-  // curve. The spec is re-parsed here only for the load curve — the
-  // strategy object the caller handed us already embodies the phases.
-  std::optional<adversary::CampaignSpec> campaign;
-  if (!spec_.campaign.empty()) {
-    std::string campaign_err;
-    campaign = parse_campaign_spec(spec_.campaign, &campaign_err);
-    DEX_ASSERT_MSG(campaign.has_value(), "invalid campaign spec");
-  }
-
-  ScenarioResult result;
-  result.backend = overlay_.name();
-  result.spec = spec_;
-  result.start_n = base;
-  if (spec_.record_trace) result.trace.reserve(spec_.steps);
-
-  if (spec_.warmup_steps > 0) {
-    adversary::RandomChurn warmup(spec_.warmup_insert_prob);
-    for (std::size_t t = 0; t < spec_.warmup_steps; ++t) {
-      StepRecord scratch;
-      detail::apply_action(overlay_, warmup.next(view, rng, min_n, max_n),
-                           scratch);
-      cache.advance();
-    }
-  }
-
-  std::vector<double> rounds, messages, topology;
-  rounds.reserve(spec_.steps);
-  messages.reserve(spec_.steps);
-  topology.reserve(spec_.steps);
-
-  for (std::size_t t = 0; t < spec_.steps; ++t) {
-    StepRecord rec;
-    rec.step = t;
-    // Lockstep virtual time: one tick per step, so the sync engine's vtime
-    // column coincides with the event engine's at latency fixed:0 (whose
-    // default period is also 1 tick).
-    rec.vtime = t;
-    // Burst pattern: every step is a batch when burst_every is 0; otherwise
-    // only every burst_every-th step bursts and the rest are single events.
-    const bool burst = spec_.burst_every == 0 || t % spec_.burst_every == 0;
-    const std::size_t want =
-        burst ? std::max<std::size_t>(spec_.batch_size, 1) : 1;
-    sim::ChurnBatch batch;
-    if (campaign) {
-      // Campaign steps are batch-first even at want == 1: empty batches are
-      // how quiet phases and rate gates manifest, and next() cannot say
-      // "nothing this step".
-      batch = strategy_.next_batch(view, rng, min_n, max_n, want);
-    } else if (want <= 1) {
-      // Single-event steps keep the PR-1 decision path (one next() draw, so
-      // legacy specs replay the same strategy stream) but the event goes
-      // through the same apply() surface as every batch — one churn
-      // entry point, and backend-attributed fields (used_type2) populate
-      // on single-event traces too.
-      const adversary::ChurnAction a = strategy_.next(view, rng, min_n, max_n);
-      if (a.insert) {
-        batch.attach_to.push_back(a.target);
-      } else {
-        batch.victims.push_back(a.target);
-      }
-    } else {
-      batch = strategy_.next_batch(view, rng, min_n, max_n, want);
-    }
-    // The hotspot workload notes the region about to churn (adjacency from
-    // its own cached pre-churn topology).
-    if (traffic) traffic->observe_churn(batch, view);
-    tic();
-    const BatchOutcome out = detail::apply_batch_step(overlay_, batch, rec);
-    toc(result.churn_us);
-    tic();
-    cache.advance();
-    toc(result.view_us);
-    if (want > 1 && out.parallel) ++result.parallel_steps;
-
-    rec.n = overlay_.n();
-    if (traffic) {
-      tic();
-      TrafficStepStats ts;
-      if (campaign) {
-        // Scale the step's op budget by the campaign load curve through the
-        // documented begin_step + N × serve_one ≡ step equivalence, so a
-        // flat load=1 campaign stays byte-identical to no campaign at all.
-        ts = traffic->begin_step(view);
-        const std::size_t ops =
-            campaign->scaled_ops(spec_.traffic.ops_per_step, t);
-        for (std::size_t i = 0; i < ops; ++i) traffic->serve_one(ts);
-      } else {
-        ts = traffic->step(view);
-      }
-      toc(result.traffic_us);
-      rec.ops = ts.ops;
-      rec.op_hops = ts.op_hops;
-      rec.opt_hops = ts.opt_hops;
-      rec.failed_lookups = ts.failed_lookups;
-      rec.failed_writes = ts.failed_writes;
-      rec.moved_keys = ts.moved_keys;
-      rec.rehash_messages = ts.rehash_messages;
-      result.total_ops += ts.ops;
-      result.total_op_hops += ts.op_hops;
-      result.total_opt_hops += ts.opt_hops;
-      result.total_failed_lookups += ts.failed_lookups;
-      result.total_failed_writes += ts.failed_writes;
-      result.total_moved_keys += ts.moved_keys;
-      result.total_rehash_messages += ts.rehash_messages;
-    }
-    result.total_inserts += rec.batch_inserts;
-    result.total_deletes += rec.batch_deletes;
-    result.total_walk_epochs += rec.walk_epochs;
-    if (rec.used_type2) ++result.type2_steps;
-    if (spec_.measure_degree) {
-      rec.max_degree = overlay_.max_degree();
-      result.max_degree = std::max(result.max_degree, rec.max_degree);
-    }
-    if (spec_.gap_every > 0 && t % spec_.gap_every == 0) {
-      // Clamp at 0: near-disconnection the solver's Rayleigh estimate can
-      // round to a tiny negative, which would collide with the -1 "not
-      // sampled" sentinel.
-      rec.gap = std::max(
-          0.0, graph::spectral_gap(view.snapshot(), view.alive_mask()).gap);
-      result.min_gap = std::min(result.min_gap, rec.gap);
-    }
-
-    rounds.push_back(static_cast<double>(rec.cost.rounds));
-    messages.push_back(static_cast<double>(rec.cost.messages));
-    topology.push_back(static_cast<double>(rec.cost.topology_changes));
-    result.total += rec.cost;
-
-    if (observer_) {
-      observer_(rec, overlay_);
-      // The observer holds a mutable overlay reference; advance (not plain
-      // invalidate) so its mutations drain from the journal rather than
-      // leaking into the next step's delta against a rebuilt base.
-      cache.advance();
-    }
-    if (spec_.record_trace) result.trace.push_back(rec);
-  }
-
-  result.rounds = metrics::summarize(std::move(rounds));
-  result.messages = metrics::summarize(std::move(messages));
-  result.topology = metrics::summarize(std::move(topology));
-  result.final_n = overlay_.n();
-  return result;
-}
+// ScenarioRunner::run() is the discrete-event loop in sim/event/engine.cpp.
 
 // ------------------------------------------------------- strategy factory
 

@@ -69,12 +69,13 @@ struct ScenarioSpec {
   /// Disabled by default (traffic.workload empty); the request stream uses
   /// its own RNG, so enabling it replays the same churn byte-for-byte.
   TrafficSpec traffic;
-  /// The delivery regime (sim/event/event.h): with event.enabled the trial
-  /// runs on the event engine — churn constituents, walk settlement and KV
-  /// requests become timestamped deliveries under the spec's latency/loss/
-  /// straggler model — instead of the lockstep loop. At latency fixed:0 /
-  /// loss 0 the two engines emit byte-identical traces; the knobs ride the
-  /// spec, so they flow through ExperimentPlan/Executor untouched.
+  /// The delivery regime (sim/event/event.h). Every trial runs on the one
+  /// discrete-event loop; with event.enabled false (the `sync` engine) the
+  /// loop uses a default EventSpec — latency fixed:0, loss 0, no
+  /// stragglers, period 1 — which is exactly lockstep rounds, and these
+  /// knobs are ignored. event.enabled also archives the regime: only then
+  /// does the summary carry the engine fields. The knobs ride the spec, so
+  /// they flow through ExperimentPlan/Executor untouched.
   EventSpec event;
   /// The serving front-end (serve/serve.h): with serve.enabled (requires
   /// event.enabled and a traffic workload) requests stop firing as per-step
@@ -90,12 +91,12 @@ struct ScenarioSpec {
   bool time_phases = false;
   /// Phased adversary campaign (adversary/campaign.h), as the compact
   /// string `--campaign` accepts. Empty (the default) = drive the single
-  /// strategy the classic way. Non-empty: the engines route *every* step
+  /// strategy the classic way. Non-empty: the runner routes *every* step
   /// through Strategy::next_batch — rate-gated and quiet phases come back
   /// as legal empty batches — and scale the traffic stream by the
   /// campaign's per-step load curve. A plain string so it flows through
   /// ExperimentPlan/Executor untouched; it is archived in the summary.
-  /// Malformed specs abort inside the engines — validate up front with
+  /// Malformed specs abort inside the runner — validate up front with
   /// parse_campaign_spec (the CLI does).
   std::string campaign;
   /// Free-form scenario/strategy label identifying the workload in the
@@ -159,7 +160,7 @@ struct StepRecord {
   /// Keys re-homed by this step's churn, and the transfer messages charged.
   std::size_t moved_keys = 0;
   std::uint64_t rehash_messages = 0;
-  // --- event-engine fields (sync engine: vtime == step, the rest 0) ---
+  // --- delivery fields (lockstep: vtime == step, the rest 0) ---
   /// Virtual time (ticks) when the step finalized. Injection happens at
   /// step * event.period; the difference is the step's settle lag.
   std::uint64_t vtime = 0;
@@ -209,7 +210,7 @@ struct ScenarioResult {
   std::size_t total_failed_writes = 0;
   std::size_t total_moved_keys = 0;
   std::uint64_t total_rehash_messages = 0;
-  /// Event-engine aggregates (both 0 on the sync engine).
+  /// Delivery aggregates (both 0 under lockstep).
   std::uint64_t total_dropped = 0;
   std::size_t max_in_flight = 0;
   /// Serving front-end aggregates (all 0/empty unless spec.serve.enabled).
@@ -226,25 +227,11 @@ struct ScenarioResult {
   /// Wall-clock phase totals in microseconds, summed over the measured
   /// steps; all 0 unless spec.time_phases. Deliberately absent from
   /// trace_csv/summary_json so timing can never perturb byte-identity.
-  double churn_us = 0.0;    ///< strategy decision + overlay apply (healing)
+  /// Overlay apply (healing); the strategy draw is not timed.
+  double churn_us = 0.0;
   double view_us = 0.0;     ///< CachedView::advance — journal drain + patch
   double traffic_us = 0.0;  ///< key re-homing + request serving
 };
-
-/// Churn-application internals shared by the synchronous runner loop and
-/// the event engine (sim/event/engine.h), so both fill StepRecords through
-/// the very same apply surface — the zero-latency byte-equivalence between
-/// the engines depends on it.
-namespace detail {
-/// Applies one single churn event (the warmup path) and records it.
-void apply_action(HealingOverlay& overlay, const adversary::ChurnAction& a,
-                  StepRecord& rec);
-/// Validates a strategy-produced batch (alive, distinct victims, network
-/// never emptied), applies it through HealingOverlay::apply and fills the
-/// record's per-event/batch fields.
-BatchOutcome apply_batch_step(HealingOverlay& overlay, const ChurnBatch& batch,
-                              StepRecord& rec);
-}  // namespace detail
 
 /// AdversaryView over an overlay whose expensive components (alive_nodes,
 /// snapshot, alive_mask) are materialized at most once per step, however
@@ -327,10 +314,10 @@ class ScenarioRunner {
 
   /// Runs warmup + spec.steps strategy steps and returns the trace with
   /// aggregates. Deterministic: same overlay state + spec + strategy state
-  /// in, byte-identical trace out. With spec.event.enabled the run is
-  /// delegated to the EventEngine (sim/event/engine.h) — same surface, same
-  /// determinism, but records finalize (and reach the observer) in
-  /// settlement order rather than step order.
+  /// in, byte-identical trace out. One discrete-event loop
+  /// (sim/event/engine.cpp) under the spec's delivery regime; records
+  /// finalize (and reach the observer) in settlement order, which is step
+  /// order under lockstep and may not be once latency outruns the period.
   ScenarioResult run();
 
  private:
@@ -382,7 +369,7 @@ struct StrategyOptions {
 /// op_hops/opt_hops, blank when no routed op — matching the summary JSON,
 /// which omits mean_stretch in that case; the traffic columns are 0/blank
 /// when the spec carries no workload; the trailing event columns read
-/// vtime == step, 0, 0 on the sync engine).
+/// vtime == step, 0, 0 under lockstep).
 /// Shared by trace_csv below and the streaming CsvTraceSink (sim/sinks.h)
 /// so the two emission paths can never drift.
 [[nodiscard]] const std::vector<std::string>& trace_csv_header();

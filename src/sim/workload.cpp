@@ -372,51 +372,17 @@ TrafficStepStats TrafficEngine::begin_step(
   return st;
 }
 
-void TrafficEngine::serve_one(TrafficStepStats& st) {
-  // The origin pool is the store's ascending alive list — identical content
-  // to view.alive_nodes() (every backend scans ids ascending), minus the
-  // per-step vector copy that call would hand back.
-  const auto& nodes = kv_.alive();
-  DEX_ASSERT(!nodes.empty());
-  const std::uint64_t key = pick_key();
-  const NodeId origin = nodes[rng_.below(nodes.size())];
-  const auto known = acked_.find(key);
-  const bool read = known != acked_.end() && rng_.chance(spec_.read_fraction);
-  KvStore::OpResult r;
-  if (read) {
-    r = kv_.get(key, origin);
-    if (!r.ok || !r.value || *r.value != known->second) ++st.failed_lookups;
-  } else {
-    const std::uint64_t value = support::mix64(key ^ ++write_seq_);
-    r = kv_.put(key, value, origin);
-    if (r.ok) {
-      acked_[key] = value;
-    } else {
-      // The write never reached the key's home: no ack, no stored value.
-      // It used to vanish from every failure metric.
-      ++st.failed_writes;
-    }
-  }
-  ++st.ops;
-  // Hop totals cover completed ops only — a request that never got a
-  // reply has no round trip to account, and folding its hops into the
-  // stretch ratio would reward losing requests.
-  if (r.ok) {
-    st.op_hops += r.hops;
-    st.opt_hops += r.optimal_hops;
-  }
-}
-
 TrafficEngine::IssuedOp TrafficEngine::issue_op() {
-  // Same draws in the same order as serve_one's front half: key, origin,
-  // read coin (the coin only when the key is acknowledged right now).
+  // Draws in this order: key, origin, read coin (the coin only when the key
+  // is acknowledged right now). The origin pool is the store's ascending
+  // alive list — identical content to view.alive_nodes() (every backend
+  // scans ids ascending), minus the per-step vector copy.
   const auto& nodes = kv_.alive();
   DEX_ASSERT(!nodes.empty());
   IssuedOp op;
   op.key = pick_key();
   op.origin = nodes[rng_.below(nodes.size())];
   op.read = acked_.contains(op.key) && rng_.chance(spec_.read_fraction);
-  op.home = kv_.home(op.key);
   return op;
 }
 
@@ -436,20 +402,18 @@ void TrafficEngine::complete_op(const IssuedOp& op, TrafficStepStats& st) {
     if (r.ok) {
       acked_[op.key] = value;
     } else {
+      // The write never reached the key's home: no ack, no stored value.
       ++st.failed_writes;
     }
   }
   ++st.ops;
+  // Hop totals cover completed ops only — a request that never got a
+  // reply has no round trip to account, and folding its hops into the
+  // stretch ratio would reward losing requests.
   if (r.ok) {
     st.op_hops += r.hops;
     st.opt_hops += r.optimal_hops;
   }
-}
-
-TrafficStepStats TrafficEngine::step(const adversary::AdversaryView& view) {
-  TrafficStepStats st = begin_step(view);
-  for (std::size_t i = 0; i < spec_.ops_per_step; ++i) serve_one(st);
-  return st;
 }
 
 }  // namespace dex::sim

@@ -25,9 +25,9 @@
 ///    sees after a rebuild).
 ///
 ///  * TrafficEngine — one trial's traffic state (store + generator + an RNG
-///    independent of the adversary's), stepped by the ScenarioRunner after
-///    each applied ChurnBatch; its per-step tallies flow into StepRecord
-///    and from there through every sink.
+///    independent of the adversary's), synced by the ScenarioRunner after
+///    each applied ChurnBatch and driven one op at a time; its per-step
+///    tallies flow into StepRecord and from there through every sink.
 ///
 /// Serving cost per op is amortized ~O(1) in the live view size: the store
 /// keeps a flat CSR snapshot of the step's topology (graph/csr.h, taken
@@ -264,10 +264,11 @@ class KvStore {
 
 /// One trial's traffic state: the store, the request generator and a traffic
 /// RNG derived from the trial seed (independent of the adversary stream).
-/// The ScenarioRunner calls observe_churn just before each batch is applied
-/// (the hotspot workload notes which region is about to churn, reading
-/// adjacency from the store's cached pre-churn live view) and step right
-/// after, against the post-churn view.
+/// The ScenarioRunner calls observe_churn when each batch is drawn (the
+/// hotspot workload notes which region is about to churn, reading adjacency
+/// from the pre-churn live view) and begin_step once the batch has settled,
+/// against the post-churn view; every request then goes through the one op
+/// path, issue_op + complete_op.
 class TrafficEngine {
  public:
   TrafficEngine(const HealingOverlay& overlay, TrafficSpec spec,
@@ -279,39 +280,21 @@ class TrafficEngine {
   void observe_churn(const ChurnBatch& batch,
                      const adversary::AdversaryView& view);
 
-  TrafficStepStats step(const adversary::AdversaryView& view);
-
-  /// The churn-bookkeeping half of step(): adopts the post-churn view
-  /// (KvStore::sync + hotspot target refresh) without serving anything; the
-  /// returned stats carry only moved_keys/rehash_messages. The event engine
-  /// calls this when a step's walks settle, then spreads the serving over
-  /// scheduled per-request events.
+  /// Adopts the post-churn view (KvStore::sync + hotspot target refresh)
+  /// without serving anything; the returned stats carry only
+  /// moved_keys/rehash_messages, and the step's ops fold into them after.
   TrafficStepStats begin_step(const adversary::AdversaryView& view);
 
-  /// Serves exactly one request against the view adopted by the last
-  /// begin_step()/step(), folding the outcome into `st`. Consumes the same
-  /// RNG draws in the same order as one iteration of step()'s serving loop,
-  /// so begin_step + N × serve_one ≡ step with ops_per_step = N, byte for
-  /// byte — the equivalence the engine-conformance tests lean on.
-  void serve_one(TrafficStepStats& st);
-
-  /// One request split across time for the serving front-end (src/serve/):
-  /// issue_op() draws the request *now* (the client's decision point) and
-  /// pins the key's home for admission queueing; complete_op() executes it
-  /// *later*, at the service-completion event, against the store state of
-  /// that moment. serve_one == issue_op + immediate complete_op draw-for-
-  /// draw; the split exists so churn and other requests can land in
-  /// between. issue_op's home lookup can pay an O(alive) rendezvous scan
-  /// for never-placed keys — acceptable on the serve path, which is why
-  /// the hot batch path keeps calling serve_one instead.
+  /// One request, split across time: issue_op() draws it (key, origin, read
+  /// coin) at the client's decision point; complete_op() executes it
+  /// against the store state of *its* moment. Lockstep and batch traffic
+  /// complete each op right after issuing it (complete_op(issue_op(), st));
+  /// the serving front-end (src/serve/) lets churn and other requests land
+  /// in between, and resolves the queueing home itself via store().home().
   struct IssuedOp {
     std::uint64_t key = 0;
     graph::NodeId origin = graph::kInvalidNode;
     bool read = false;
-    /// The key's home at issue time — the station the request queues at.
-    /// Execution re-resolves the *current* home, so a churn-moved key is
-    /// still served correctly; only the queueing placement is pinned.
-    graph::NodeId home = graph::kInvalidNode;
   };
   [[nodiscard]] IssuedOp issue_op();
 

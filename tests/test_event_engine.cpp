@@ -1,9 +1,11 @@
 // The event-driven simulation core (sim/event/): deterministic heap
-// tie-breaking, the sync-vs-event byte-equivalence at zero latency/loss on
-// every backend, RNG stream separation (latency/loss/straggler knobs never
+// tie-breaking, RNG stream separation (latency/loss/straggler knobs never
 // perturb the churn/traffic draws), exact straggler latency arithmetic, the
-// healing-racing-churn regime's in_flight/dropped accounting, and the
-// jobs-1-vs-8 byte-identity contract with the event engine selected.
+// healing-racing-churn regime's in_flight/dropped accounting, the strategy
+// contract (a dead victim aborts unless another step raced it), and the
+// jobs-1-vs-8 byte-identity contract with the event engine selected. The
+// lockstep schedule itself (the default regime) is pinned byte for byte by
+// tests/test_lockstep_golden.sh.
 
 #include <gtest/gtest.h>
 
@@ -23,9 +25,6 @@
 using namespace dex;
 
 namespace {
-
-const char* kAllBackends[] = {"dex-amortized", "dex-worstcase", "flood",
-                              "lawsiu",        "randomflip",    "xheal"};
 
 sim::ScenarioSpec traffic_spec(std::uint64_t seed) {
   sim::ScenarioSpec spec;
@@ -97,29 +96,7 @@ TEST(EventQueue, MatchesReferenceOrderUnderRandomizedInsertions) {
   EXPECT_TRUE(q.empty());
 }
 
-// ------------------------------------------- sync-vs-event equivalence
-
-TEST(EventEngine, ZeroLatencyZeroLossMatchesSyncOnAllBackends) {
-  // At latency fixed:0 / loss 0 / period 1 the event schedule degenerates
-  // to the lockstep schedule, and because the adversary/traffic/event RNG
-  // streams are separate, the traces must be byte-identical — CSV, summary
-  // aggregates, everything except the summary's engine descriptor fields.
-  for (const char* backend : kAllBackends) {
-    SCOPED_TRACE(backend);
-    const sim::ScenarioSpec spec = traffic_spec(11);
-    sim::ScenarioSpec event_spec = spec;
-    event_spec.event.enabled = true;  // latency fixed:0, loss 0 defaults
-    const auto sync_result = run_backend(backend, spec);
-    const auto event_result = run_backend(backend, event_spec);
-    EXPECT_EQ(sim::trace_csv(sync_result), sim::trace_csv(event_result));
-    EXPECT_EQ(sync_result.total.messages, event_result.total.messages);
-    EXPECT_EQ(sync_result.total_ops, event_result.total_ops);
-    EXPECT_EQ(sync_result.total_op_hops, event_result.total_op_hops);
-    EXPECT_EQ(sync_result.final_n, event_result.final_n);
-    EXPECT_EQ(event_result.total_dropped, 0u);
-    EXPECT_EQ(event_result.max_in_flight, 0u);
-  }
-}
+// ---------------------------------------------------- stream separation
 
 TEST(EventEngine, StragglerMembershipConsumesNoSharedRandomness) {
   // Straggler injection multiplies latency samples; at fixed:0 the product
@@ -160,6 +137,65 @@ TEST(EventEngine, FixedLatencyAndStragglerFactorSetExactSettleLag) {
   // Six injections are airborne before the first batch applies — the
   // healing-racing-churn regime is actually exercised, not just allowed.
   EXPECT_TRUE(racing);
+}
+
+// ---------------------------------------------------- strategy contract
+
+namespace {
+
+/// Deletes the same node every step: alive the first time, dead after —
+/// a strategy bug the runner must catch rather than absorb.
+class RepeatVictim : public adversary::Strategy {
+ public:
+  adversary::ChurnAction next(const adversary::AdversaryView& /*view*/,
+                              support::Rng& /*rng*/, std::size_t /*min_n*/,
+                              std::size_t /*max_n*/) override {
+    adversary::ChurnAction a;
+    a.insert = false;
+    a.target = 5;
+    return a;
+  }
+};
+
+sim::ScenarioResult run_repeat_victim(const sim::ScenarioSpec& spec) {
+  auto overlay = sim::make_overlay("lawsiu", 32, 1);
+  RepeatVictim strategy;
+  sim::ScenarioRunner runner(*overlay, strategy, spec);
+  return runner.run();
+}
+
+}  // namespace
+
+TEST(EventEngineDeathTest, DeadVictimAbortsUnderLockstep) {
+  // Nothing races a lockstep step, so the apply-time filter must not
+  // swallow the dead victim as a "racing" drop.
+  sim::ScenarioSpec spec;
+  spec.steps = 3;
+  EXPECT_DEATH(run_repeat_victim(spec), "strategy chose a dead victim");
+}
+
+TEST(EventEngineDeathTest, DeadVictimAbortsWhenLatencyIsBelowThePeriod) {
+  // fixed:1 links, a batch every 4 ticks: each step applies before the next
+  // is injected, so a dead victim is still the strategy's fault.
+  sim::ScenarioSpec spec;
+  spec.steps = 3;
+  spec.event.enabled = true;
+  spec.event.latency = *sim::LatencyModel::parse("fixed:1");
+  spec.event.period = 4;
+  EXPECT_DEATH(run_repeat_victim(spec), "strategy chose a dead victim");
+}
+
+TEST(EventEngine, RacedDeadVictimIsADroppedDelivery) {
+  // fixed:3 links, a batch every tick: steps 1 and 2 are injected before
+  // step 0 deletes the victim, so their copies of it lost a genuine race
+  // and are filtered as dropped deliveries, not aborted on.
+  sim::ScenarioSpec spec;
+  spec.steps = 3;
+  spec.event.enabled = true;
+  spec.event.latency = *sim::LatencyModel::parse("fixed:3");
+  const auto result = run_repeat_victim(spec);
+  EXPECT_EQ(result.total_deletes, 1u);
+  EXPECT_EQ(result.total_dropped, 2u);
 }
 
 TEST(LatencyModel, ParsesAndRoundTrips) {
