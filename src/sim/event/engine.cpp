@@ -117,8 +117,8 @@ void apply_action(HealingOverlay& overlay, const adversary::ChurnAction& a) {
 
 /// One batch step through the unified apply() surface; fills the record's
 /// per-event fields when the batch happens to be a single event (so
-/// batch_size=1 traces keep the PR-1 shape) and returns the outcome for
-/// aggregate bookkeeping.
+/// batch_size=1 traces keep their insert/delete rows) and returns the
+/// outcome for aggregate bookkeeping.
 BatchOutcome apply_batch_step(HealingOverlay& overlay, const ChurnBatch& batch,
                               StepRecord& rec) {
   validate_batch(overlay, batch);
@@ -461,9 +461,10 @@ ScenarioResult ScenarioRunner::run() {
           // batches are how quiet phases and rate gates manifest.
           batch = strategy_.next_batch(view, rng, min_n, max_n, want);
         } else if (want <= 1) {
-          // Single-event steps keep the PR-1 decision path (one next()
-          // draw, so legacy specs replay the same strategy stream) but the
-          // event goes through the same apply() surface as every batch.
+          // Single-event steps keep the per-event decision path (one
+          // next() draw, so single-event specs replay the same strategy
+          // stream) but the event goes through the same apply() surface as
+          // every batch.
           const adversary::ChurnAction a =
               strategy_.next(view, rng, min_n, max_n);
           if (a.insert) {
