@@ -256,9 +256,9 @@ class CorrelatedFailure final : public Strategy {
 /// and attach points across as many distinct topology regions as possible —
 /// candidates are ringed by BFS distance from a random epicenter and
 /// consumed round-robin across rings, farthest rings first. Each event then
-/// re-homes keys and forces route queries rooted in a different region, so
-/// the DistanceOracle's fixed-size root memo (sim/oracle.h) keeps missing
-/// instead of amortizing — the access pattern the memo is worst at.
+/// re-homes keys onto homes in a different region, so the DistanceOracle's
+/// fixed-size root memo (sim/oracle.h), which prices those transfers, keeps
+/// missing instead of amortizing — the access pattern the memo is worst at.
 class OracleBuster final : public Strategy {
  public:
   /// Single-event fallback: uniform churn (the scatter pattern only exists

@@ -1,8 +1,5 @@
 #include "dex/pcycle.h"
 
-#include <algorithm>
-#include <unordered_map>
-
 namespace dex {
 
 PCycle::PCycle(std::uint64_t p) : p_(p) {
@@ -27,107 +24,118 @@ void PCycle::build_inv_table() const {
   }
 }
 
+void PCycle::begin_search(Vertex x, Vertex y) const {
+  if (on_path_.size() != p_ || ++epoch_ == 0) {
+    // First search, or a stamp wrap: one real clear every 2^32 searches.
+    for (Ball& b : ball_) b.seen.assign(p_, {});
+    on_path_.assign(p_, 0);
+    epoch_ = 1;
+  }
+  const Vertex roots[2] = {x, y};
+  for (int side = 0; side < 2; ++side) {
+    Ball& b = ball_[side];
+    b.seen[roots[side]] = {epoch_, 0};
+    b.frontier.assign(1, roots[side]);
+    b.radius = 0;
+  }
+}
+
+void PCycle::grow_until_met(Vertex x, Vertex y) const {
+  begin_search(x, y);
+  while (true) {
+    // The smaller frontier grows by one whole level. Balls disjoint before
+    // the level and intersecting after it pin d(x, y) = a + b exactly.
+    const int side =
+        ball_[0].frontier.size() <= ball_[1].frontier.size() ? 0 : 1;
+    Ball& mine = ball_[side];
+    DEX_ASSERT_MSG(!mine.frontier.empty(),
+                   "p-cycle search exhausted without meeting");
+    const std::uint32_t depth = ++mine.radius;
+    bool met = false;
+    next_.clear();
+    for (const Vertex v : mine.frontier) {
+      for (const Vertex w : ports(v)) {
+        if (in_ball(side, w)) continue;
+        mine.seen[w] = {epoch_, depth};
+        next_.push_back(w);
+        met = met || in_ball(1 - side, w);
+      }
+    }
+    mine.frontier.swap(next_);
+    if (met) return;
+  }
+}
+
 std::uint32_t PCycle::distance(Vertex x, Vertex y) const {
   if (x == y) return 0;
-  // Bidirectional BFS with hash-map distance tables (p can be large, the
-  // explored region is ~O(sqrt p) on an expander).
-  std::unordered_map<Vertex, std::uint32_t> dist_x{{x, 0}}, dist_y{{y, 0}};
-  std::vector<Vertex> frontier_x{x}, frontier_y{y};
-  std::uint32_t depth_x = 0, depth_y = 0;
-
-  auto expand = [&](std::vector<Vertex>& frontier,
-                    std::unordered_map<Vertex, std::uint32_t>& mine,
-                    const std::unordered_map<Vertex, std::uint32_t>& other,
-                    std::uint32_t& depth) -> std::int64_t {
-    std::vector<Vertex> next;
-    ++depth;
-    for (Vertex v : frontier) {
-      for (Vertex w : ports(v)) {
-        if (mine.contains(w)) continue;
-        mine.emplace(w, depth);
-        auto it = other.find(w);
-        if (it != other.end())
-          return static_cast<std::int64_t>(depth + it->second);
-        next.push_back(w);
-      }
-    }
-    frontier.swap(next);
-    return -1;
-  };
-
-  // Expand the smaller frontier each turn. The graph is connected, so the
-  // loop terminates.
-  while (true) {
-    DEX_ASSERT_MSG(!frontier_x.empty() || !frontier_y.empty(),
-                   "p-cycle BFS exhausted without meeting");
-    std::int64_t met;
-    if (!frontier_x.empty() &&
-        (frontier_y.empty() || frontier_x.size() <= frontier_y.size())) {
-      met = expand(frontier_x, dist_x, dist_y, depth_x);
-    } else {
-      met = expand(frontier_y, dist_y, dist_x, depth_y);
-    }
-    if (met >= 0) {
-      // The first meeting gives a path; it may overshoot the true distance
-      // by at most 1 level per side — tighten by scanning both tables.
-      std::uint32_t best = static_cast<std::uint32_t>(met);
-      // det: min over all meeting vertices — commutative, order cannot leak.
-      for (const auto& [v, dv] : dist_x) {
-        auto it = dist_y.find(v);
-        if (it != dist_y.end()) best = std::min(best, dv + it->second);
-      }
-      return best;
-    }
-  }
+  grow_until_met(x, y);
+  return ball_[0].radius + ball_[1].radius;
 }
 
 std::vector<Vertex> PCycle::shortest_path(Vertex x, Vertex y) const {
   if (x == y) return {x};
-  // Forward BFS from x until y is discovered. Same discovery discipline as
-  // ever (frontier in order, ports {succ, pred, inv}, first discoverer is
-  // the parent) — only the bookkeeping changed, from per-call hash maps to
-  // flat epoch-stamped arrays: ~an order of magnitude less work per op on
-  // the traffic hot path, where this runs for every distinct (origin, home)
-  // pair of a step.
-  if (seen_epoch_.size() != p_) {
-    seen_epoch_.assign(p_, 0);
-    seen_parent_.assign(p_, 0);
-    epoch_ = 0;
+  grow_until_met(x, y);
+  const Ball& bx = ball_[0];
+  const Ball& by = ball_[1];
+  const std::uint32_t a = bx.radius;
+  const std::uint32_t d = a + by.radius;
+
+  // The meeting set: x's outermost level ∩ y's ball. Those vertices have
+  // d(y, ·) = b exactly, and every shortest path crosses one of them.
+  auto& level = marked_[0];
+  auto& prev = marked_[1];
+  level.clear();
+  for (const Vertex v : bx.frontier) {
+    if (in_ball(1, v)) {
+      on_path_[v] = epoch_;
+      level.push_back(v);
+    }
   }
-  if (++epoch_ == 0) {  // stamp wrap: one real clear every 2^32 calls
-    seen_epoch_.assign(p_, 0);
-    epoch_ = 1;
-  }
-  auto& frontier = frontier_scratch_[0];
-  auto& next = frontier_scratch_[1];
-  frontier.clear();
-  frontier.push_back(x);
-  seen_epoch_[x] = epoch_;
-  seen_parent_[x] = x;
-  while (!frontier.empty()) {
-    next.clear();
-    for (const Vertex v : frontier) {
+  // Walk back towards x: a vertex one level in lies on a shortest path iff
+  // it neighbors a marked vertex (the graph is undirected).
+  for (std::uint32_t depth = a; depth > 0; --depth) {
+    prev.clear();
+    for (const Vertex v : level) {
       for (const Vertex w : ports(v)) {
-        if (seen_epoch_[w] == epoch_) continue;
-        seen_epoch_[w] = epoch_;
-        seen_parent_[w] = v;
-        if (w == y) {
-          std::vector<Vertex> path{y};
-          Vertex cur = y;
-          while (cur != x) {
-            cur = seen_parent_[cur];
-            path.push_back(cur);
-          }
-          std::reverse(path.begin(), path.end());
-          return path;
+        if (on_path_[w] == epoch_ || !in_ball(0, w) ||
+            bx.seen[w].depth != depth - 1) {
+          continue;
         }
-        next.push_back(w);
+        on_path_[w] = epoch_;
+        prev.push_back(w);
       }
     }
-    frontier.swap(next);
+    level.swap(prev);
   }
-  DEX_ASSERT_MSG(false, "shortest_path: target unreachable on the p-cycle");
-  return {};
+
+  // Greedy rebuild in port order {succ, pred, inv}: on the x side the first
+  // port to a marked vertex one level deeper, on the y side the first port
+  // one step closer to y — the lexicographically smallest port sequence.
+  std::vector<Vertex> path;
+  path.reserve(d + 1);
+  path.push_back(x);
+  Vertex cur = x;
+  for (std::uint32_t depth = 1; depth <= a; ++depth) {
+    for (const Vertex w : ports(cur)) {
+      if (on_path_[w] == epoch_ && bx.seen[w].depth == depth) {
+        cur = w;
+        break;
+      }
+    }
+    path.push_back(cur);
+  }
+  for (std::uint32_t left = by.radius; left > 0; --left) {
+    for (const Vertex w : ports(cur)) {
+      if (in_ball(1, w) && by.seen[w].depth == left - 1) {
+        cur = w;
+        break;
+      }
+    }
+    path.push_back(cur);
+  }
+  DEX_ASSERT_MSG(cur == y && path.size() == d + 1,
+                 "shortest_path: rebuild left the shortest paths");
+  return path;
 }
 
 void PCycle::ensure_zero_tree() const {

@@ -12,11 +12,14 @@
 /// three ports (a self-loop counting 1), giving an infinite 3-regular family
 /// with a constant spectral gap.
 ///
-/// The adjacency is fully analytic — neighbors cost O(log p) (one modular
-/// inverse) — so the virtual graph is never materialized. Shortest paths
-/// are computed on demand by bidirectional BFS (the graph is an expander,
-/// so frontiers meet after ~diam/2 = O(log p) levels) and, for the
-/// coordinator's fixed target (vertex 0), via a cached BFS tree.
+/// The adjacency is fully analytic — neighbors cost O(1) after a one-time
+/// O(p) inverse table — so the virtual graph is never materialized.
+/// Shortest paths and distances are computed on demand by meet-in-the-middle
+/// search: two balls, around the source and the target, grow a whole level
+/// at a time until they intersect. On an expander each ball stops at radius
+/// ~diam/2, so a query visits ~O(sqrt p) vertices where a one-sided BFS
+/// visits ~p/2. The coordinator's fixed target (vertex 0) is served from a
+/// cached BFS tree instead.
 
 #include <array>
 #include <cstdint>
@@ -59,14 +62,29 @@ class PCycle {
   /// Degree is 3 for every vertex (self-loops count 1).
   [[nodiscard]] static constexpr unsigned degree() { return 3; }
 
-  /// Distance from x to y (bidirectional BFS; O(sqrt p)-ish work).
+  /// Distance from x to y: the same two-sided search as shortest_path,
+  /// stopped as soon as the balls meet (their radii sum to the distance).
+  /// Both share the instance's scratch, so one caller at a time.
   [[nodiscard]] std::uint32_t distance(Vertex x, Vertex y) const;
 
-  /// A shortest path from x to y, inclusive of both endpoints. Forward BFS
-  /// from x over flat epoch-stamped scratch arrays (reused across calls, so
-  /// the traffic hot path runs allocation- and hash-free); the discovery
-  /// order — frontier in order, ports {succ, pred, inv} — is the tie-break
-  /// contract routing depends on, so the returned path never drifts.
+  /// A shortest path from x to y, inclusive of both endpoints.
+  ///
+  /// Tie-break contract (routing, stretch and the golden pins depend on
+  /// it): among all shortest paths, the one whose port sequence — ports
+  /// ranked {succ, pred, inv} — is lexicographically smallest. That is
+  /// exactly the path a forward BFS from x returns when it scans each
+  /// frontier in order, ports in order, and keeps the first discoverer of
+  /// every vertex as its parent.
+  ///
+  /// Found two-sided: the balls around x and y grow (smaller frontier
+  /// first, one whole level at a time) until the first complete level at
+  /// which they intersect, at radii a and b. Every shortest path then
+  /// crosses the meeting set {v : d(x, v) = a, d(y, v) = b}; the x-side
+  /// vertices on some shortest path are marked backwards from it level by
+  /// level, and the path is rebuilt greedily from x — first port to a
+  /// marked vertex one level deeper while on the x side, then first port
+  /// one step closer to y. All scratch is flat, epoch-stamped and reused
+  /// across calls, so the traffic hot path runs allocation- and hash-free.
   [[nodiscard]] std::vector<Vertex> shortest_path(Vertex x, Vertex y) const;
 
   /// Distance to vertex 0 using the cached BFS tree (O(1) after the first
@@ -101,11 +119,35 @@ class PCycle {
   // Lazily built BFS tree rooted at 0: parent pointer per vertex.
   mutable std::vector<std::uint32_t> zero_dist_;
   mutable std::vector<Vertex> zero_parent_;
-  // shortest_path scratch: epoch stamps mark "seen this call" without an
-  // O(p) clear per call; parents are valid where stamp matches epoch.
-  mutable std::vector<std::uint32_t> seen_epoch_;
-  mutable std::vector<Vertex> seen_parent_;
-  mutable std::vector<Vertex> frontier_scratch_[2];
+  /// One side of the two-sided search. `seen[v]` (v's depth in the ball)
+  /// is valid where its epoch matches the search's; `frontier` is the
+  /// outermost level, at depth `radius`.
+  struct Ball {
+    struct Seen {
+      std::uint32_t epoch = 0;
+      std::uint32_t depth = 0;
+    };
+    std::vector<Seen> seen;
+    std::vector<Vertex> frontier;
+    std::uint32_t radius = 0;
+  };
+
+  /// Starts a search: a fresh epoch for both balls (no O(p) clear).
+  void begin_search(Vertex x, Vertex y) const;
+  /// Grows the balls around x and y (ball_[0], ball_[1]) until the first
+  /// complete level at which they intersect; d(x, y) is then the sum of
+  /// their radii. Requires x != y.
+  void grow_until_met(Vertex x, Vertex y) const;
+  [[nodiscard]] bool in_ball(int side, Vertex v) const {
+    return ball_[side].seen[v].epoch == epoch_;
+  }
+
+  mutable Ball ball_[2];
+  mutable std::vector<Vertex> next_;  ///< the level being grown
+  /// Marks x-side vertices that lie on a shortest x–y path (epoch-stamped),
+  /// and the marking walk's current/next level.
+  mutable std::vector<std::uint32_t> on_path_;
+  mutable std::vector<Vertex> marked_[2];
   mutable std::uint32_t epoch_ = 0;
 };
 

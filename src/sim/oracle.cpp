@@ -1,7 +1,5 @@
 #include "sim/oracle.h"
 
-#include <algorithm>
-
 #include "graph/bfs.h"
 #include "support/assert.h"
 
@@ -12,7 +10,6 @@ using graph::NodeId;
 void DistanceOracle::attach(const graph::CsrView& view) {
   view_ = &view;
   by_root_.clear();
-  root_queries_.clear();
   for (auto& s : slots_) {
     s.root = graph::kInvalidNode;
     s.reach_done = false;
@@ -50,31 +47,39 @@ DistanceOracle::Slot& DistanceOracle::materialize(NodeId root) {
 }
 
 std::uint32_t DistanceOracle::probe(NodeId src, NodeId dst) {
-  if (probe_stamp_.size() != view_->node_count()) {
-    probe_stamp_.assign(view_->node_count(), 0);
-    probe_dist_.assign(view_->node_count(), 0);
-    probe_gen_ = 0;
-  }
-  if (++probe_gen_ == 0) {  // stamp wrap: one real clear every 2^32 probes
-    std::fill(probe_stamp_.begin(), probe_stamp_.end(), 0);
+  const std::size_t n = view_->node_count();
+  if (probe_seen_[0].size() != n || ++probe_gen_ == 0) {
+    // New view size, or a stamp wrap: one real clear every 2^32 probes.
+    for (auto& seen : probe_seen_) seen.assign(n, {});
     probe_gen_ = 1;
   }
   ++bfs_runs_;
-  probe_queue_.clear();
-  probe_queue_.push_back(src);
-  probe_stamp_[src] = probe_gen_;
-  probe_dist_[src] = 0;
-  std::size_t head = 0;
-  while (head < probe_queue_.size()) {
-    const NodeId x = probe_queue_[head++];
-    const std::uint32_t d = probe_dist_[x] + 1;
-    for (const NodeId y : view_->neighbors(x)) {
-      if (probe_stamp_[y] == probe_gen_) continue;
-      probe_stamp_[y] = probe_gen_;
-      probe_dist_[y] = d;
-      if (y == dst) return d;
-      probe_queue_.push_back(y);
+  const NodeId roots[2] = {src, dst};
+  std::uint32_t radius[2] = {0, 0};
+  for (int side = 0; side < 2; ++side) {
+    probe_seen_[side][roots[side]] = {probe_gen_, 0};
+    probe_frontier_[side].assign(1, roots[side]);
+  }
+  // Level by level, smaller frontier first. The balls were disjoint before
+  // this level, so the first vertex it finds in the other ball sits at that
+  // ball's full radius and the sum is exact. An empty frontier means its
+  // whole component is explored without meeting: unreachable.
+  while (!probe_frontier_[0].empty() && !probe_frontier_[1].empty()) {
+    const int side =
+        probe_frontier_[0].size() <= probe_frontier_[1].size() ? 0 : 1;
+    auto& mine = probe_seen_[side];
+    const auto& other = probe_seen_[1 - side];
+    const std::uint32_t d = ++radius[side];
+    probe_next_.clear();
+    for (const NodeId x : probe_frontier_[side]) {
+      for (const NodeId y : view_->neighbors(x)) {
+        if (mine[y].gen == probe_gen_) continue;
+        if (other[y].gen == probe_gen_) return d + other[y].depth;
+        mine[y] = {probe_gen_, d};
+        probe_next_.push_back(y);
+      }
     }
+    probe_frontier_[side].swap(probe_next_);
   }
   return graph::kUnreached;
 }
@@ -85,11 +90,7 @@ std::uint32_t DistanceOracle::distance(NodeId u, NodeId v) {
   if (!view_->alive(u) || !view_->alive(v)) return graph::kUnreached;
   if (const Slot* hit = find(v)) return hit->dist[u];
   if (const Slot* hit = find(u)) return hit->dist[v];
-  // Callers pass (origin, home), so v is the repeating side. Memoize on
-  // repeat: the first query for a root takes an early-exit probe, a second
-  // buys the full frontier the rest of the step shares.
-  if (++root_queries_[v] < 2) return probe(v, u);
-  return materialize(v).dist[u];
+  return probe(u, v);
 }
 
 const std::vector<std::uint32_t>& DistanceOracle::from(NodeId src) {

@@ -7,20 +7,20 @@
 /// path, once for the BFS optimum), which is fine at n = 1000 and unusable
 /// at the populations where the paper's O(log n) claims get interesting.
 ///
-/// The oracle exploits two facts about a step's ops:
-///  * BFS distance is symmetric on an undirected multigraph, so
-///    d(origin, home) can be answered from a single-source BFS rooted at
-///    *either* endpoint; and
-///  * homes repeat heavily (Zipf/hotspot traffic concentrates keys, and a
-///    step's displaced keys share destinations), so rooting at the home
-///    side lets one frontier serve every op aimed there.
+/// Its answers are exact BFS distances, whichever way they are computed —
+/// the property tests pin them against graph::bfs_distances across all six
+/// backends. A point query is a meet-in-the-middle probe: two balls, around
+/// each endpoint, grow a whole level at a time (smaller frontier first)
+/// until one discovers a vertex of the other, which on an expander stops
+/// both at radius ~diam/2, ~O(sqrt n) vertices instead of the O(n + m) a
+/// full frontier costs.
 ///
-/// It therefore memoizes whole single-source distance vectors over the
-/// step's CsrView (graph/csr.h), keyed by root, in a small ring of reusable
-/// slots. A query hits if either endpoint is memoized; otherwise one BFS
-/// runs from the preferred root and joins the ring. Eviction is FIFO and
-/// affects only speed — every answer is an exact BFS distance, which the
-/// property tests pin against graph::bfs_distances across all six backends.
+/// Full single-source vectors are still needed by the re-homing transfer
+/// pricing, which reads every survivor's distance from a new home. from()
+/// and reach() memoize those over the step's CsrView (graph/csr.h), keyed
+/// by root, in a small FIFO ring of reusable slots; distance() answers
+/// from a memoized root whenever either endpoint is one, and otherwise
+/// takes exactly one probe. Eviction affects only speed.
 ///
 /// The owner (sim::KvStore) calls attach() once per churn step with the
 /// step's frozen CsrView; attach clears the memo (the topology changed) but
@@ -47,20 +47,15 @@ class DistanceOracle {
 
   /// Exact BFS distance between u and v on the attached view
   /// (graph::kUnreached when disconnected or either endpoint is dead).
-  /// Answered from a memoized vector when either endpoint is a known root.
-  /// On a miss, `v`'s popularity decides the work — callers pass
-  /// (origin, home) so the repeating side drives it: a home seen for the
-  /// first time this step gets a cheap early-exit probe (the cold tail of
-  /// a uniform workload never pays for frontiers nobody will reuse), a
-  /// home seen again is worth a full single-source BFS that joins the memo
-  /// and serves the rest of the step's ops for free.
+  /// Free when either endpoint is a root memoized by from()/reach();
+  /// otherwise one two-sided probe (one bfs_runs()), memoizing nothing.
   [[nodiscard]] std::uint32_t distance(graph::NodeId u, graph::NodeId v);
 
   /// The full distance vector from `src` (memoizing it as a root). Used by
   /// the re-homing transfer pricing, which needs every survivor's distance.
   /// Lifetime: the reference stays valid (and keeps meaning `src`) only
-  /// until the next materializing call — distance()/from()/reach() on a new
-  /// root may recycle the slot — or attach(). Read it before querying on.
+  /// until the next from()/reach() on a new root — which may recycle the
+  /// slot — or attach(). Read it before materializing another root.
   [[nodiscard]] const std::vector<std::uint32_t>& from(graph::NodeId src);
 
   /// Sum/count of finite distances from `src` over the alive set (the
@@ -72,8 +67,8 @@ class DistanceOracle {
   };
   [[nodiscard]] Reach reach(graph::NodeId src);
 
-  /// BFS runs (probes + full frontiers) since attach() — the number the
-  /// sharing saves; exposed so tests can assert it actually happens.
+  /// BFS runs (probes + full frontiers) since attach(); exposed so tests
+  /// can pin the cost contract above.
   [[nodiscard]] std::uint64_t bfs_runs() const { return bfs_runs_; }
 
  private:
@@ -86,22 +81,24 @@ class DistanceOracle {
 
   [[nodiscard]] Slot* find(graph::NodeId root);
   [[nodiscard]] Slot& materialize(graph::NodeId root);
-  /// Early-exit BFS src -> dst over epoch-stamped scratch (no O(n) clear,
-  /// no memo entry): the cold-pair path.
+  /// Meet-in-the-middle BFS between src and dst over epoch-stamped
+  /// scratch (no O(n) clear, no memo entry).
   [[nodiscard]] std::uint32_t probe(graph::NodeId src, graph::NodeId dst);
 
   const graph::CsrView* view_ = nullptr;
   std::vector<Slot> slots_;
   std::size_t next_slot_ = 0;  ///< FIFO ring cursor
   std::unordered_map<graph::NodeId, std::size_t> by_root_;
-  /// Roots queried this step (memoize-on-repeat gating).
-  std::unordered_map<graph::NodeId, std::uint32_t> root_queries_;
   std::vector<graph::NodeId> scratch_;
-  /// probe() scratch: stamps mark "seen this probe" without a per-call
-  /// clear; dist entries are valid where the stamp matches.
-  std::vector<std::uint32_t> probe_stamp_;
-  std::vector<std::uint32_t> probe_dist_;
-  std::vector<graph::NodeId> probe_queue_;
+  /// probe() scratch, one ball per endpoint: an entry's depth is valid
+  /// where its stamp matches the probe's generation.
+  struct Stamp {
+    std::uint32_t gen = 0;
+    std::uint32_t depth = 0;
+  };
+  std::vector<Stamp> probe_seen_[2];
+  std::vector<graph::NodeId> probe_frontier_[2];
+  std::vector<graph::NodeId> probe_next_;
   std::uint32_t probe_gen_ = 0;
   std::uint64_t bfs_runs_ = 0;
 };

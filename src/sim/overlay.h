@@ -396,7 +396,8 @@ class DexOverlay final : public OverlayAdapter<DexNetwork> {
   /// O(log n) local state (the cached view is ignored). Mid-build newcomers
   /// without an owned vertex fall back to the BFS default. Contractions are
   /// memoized per (src, dst) between churn events, so a step's repeated
-  /// origin–home pairs pay the p-cycle BFS once.
+  /// origin–home pairs pay the two-sided p-cycle search
+  /// (PCycle::shortest_path) once.
   [[nodiscard]] std::vector<NodeId> route(
       NodeId src, NodeId dst, const graph::CsrView& live) const override;
 

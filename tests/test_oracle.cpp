@@ -1,19 +1,22 @@
 // The route/placement oracle layer (graph/csr.h + sim/oracle.h): the flat
 // CSR live view must agree with the Multigraph + mask it was built from,
 // and every DistanceOracle answer must equal a fresh graph::bfs_distances
-// on randomized churned views across all six backends — whatever mix of
-// probes, memoized frontiers and FIFO evictions served it. Plus the sweep
-// byte-determinism contract with the oracle on the hot path.
+// on randomized churned views across all six backends. Plus its cost
+// contract (one probe per cold query, memoized roots free), unreachable
+// pairs, and the sweep byte-determinism contract with the oracle on the
+// hot path.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/bfs.h"
 #include "graph/csr.h"
+#include "graph/multigraph.h"
 #include "sim/experiment.h"
 #include "sim/oracle.h"
 #include "sim/overlay.h"
@@ -112,27 +115,78 @@ TEST(DistanceOracle, MatchesBfsOnChurnedViewsAcrossAllSixBackends) {
   }
 }
 
-TEST(DistanceOracle, SharedFrontiersActuallyShare) {
-  sim::FloodRebuildOverlay overlay(32);
+TEST(DistanceOracle, ColdQueriesProbeOnceAndMemoizedRootsAreFree) {
+  sim::LawSiuOverlay overlay(40, /*d=*/3, /*seed=*/5);
   sim::CachedView cache(overlay);
   const auto& live = cache.view().live_csr();
   sim::DistanceOracle oracle;
   oracle.attach(live);
   const auto nodes = overlay.alive_nodes();
   const NodeId home = nodes[0];
-  // Many origins against one home: one probe, then one full frontier —
-  // every later query is a lookup.
-  for (std::size_t i = 1; i < nodes.size(); ++i) {
-    (void)oracle.distance(nodes[i], home);
+  // Cold: every distance() is exactly one probe, repeats included — the
+  // oracle memoizes nothing on its own.
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 1; i < nodes.size(); ++i) {
+      const auto before = oracle.bfs_runs();
+      (void)oracle.distance(nodes[i], home);
+      EXPECT_EQ(oracle.bfs_runs(), before + 1) << "round " << round;
+    }
   }
-  EXPECT_LE(oracle.bfs_runs(), 2u);
-  // from() materializes the root directly and reuses it for reach().
-  const auto before = oracle.bfs_runs();
+  // from() materializes the root with one full frontier; afterwards every
+  // query touching it, either way round, is a lookup.
+  auto before = oracle.bfs_runs();
   const auto& dist = oracle.from(home);
+  EXPECT_EQ(oracle.bfs_runs(), before + 1);
   EXPECT_EQ(dist[home], 0u);
+  before = oracle.bfs_runs();
+  for (const NodeId u : nodes) {
+    EXPECT_EQ(oracle.distance(u, home), dist[u]);
+    EXPECT_EQ(oracle.distance(home, u), dist[u]);
+  }
+  // reach() reuses the root.
   const auto reach = oracle.reach(home);
   EXPECT_EQ(reach.count, nodes.size());
-  EXPECT_EQ(oracle.bfs_runs(), before);  // home was already a root
+  EXPECT_EQ(oracle.bfs_runs(), before);
+  // More roots than the ring holds: the oldest are evicted FIFO and cost a
+  // probe again, with the same exact answer; the newest stay free.
+  ASSERT_GT(nodes.size(), sim::DistanceOracle::kMaxRoots + 1);
+  for (const NodeId r : nodes) (void)oracle.from(r);
+  const auto g = cache.view().snapshot();
+  const auto ref = graph::bfs_distances(g, nodes[1], cache.view().alive_mask());
+  before = oracle.bfs_runs();
+  EXPECT_EQ(oracle.distance(nodes[1], nodes[0]), ref[nodes[0]]);
+  EXPECT_EQ(oracle.bfs_runs(), before + 1);
+  EXPECT_EQ(oracle.distance(nodes[1], nodes.back()), ref[nodes.back()]);
+  EXPECT_EQ(oracle.bfs_runs(), before + 1);
+}
+
+TEST(DistanceOracle, DisconnectedAndDeadPairsAreUnreached) {
+  // Two paths, 0-1-2-3 and 4-5-6, joined only through node 7, which is
+  // dead; node 8 is alive and isolated.
+  graph::Multigraph g(9);
+  for (const auto& [u, v] : {std::pair<NodeId, NodeId>{0, 1}, {1, 2}, {2, 3},
+                            {4, 5}, {5, 6}, {3, 7}, {7, 4}}) {
+    g.add_edge(u, v);
+  }
+  std::vector<bool> alive(9, true);
+  alive[7] = false;
+  graph::CsrView live;
+  live.build(g, alive);
+  sim::DistanceOracle oracle;
+  oracle.attach(live);
+  for (const auto& [u, v] : {std::pair<NodeId, NodeId>{0, 6}, {3, 4}, {1, 5},
+                            {8, 0}, {8, 6}, {0, 7}, {4, 7}, {7, 7}}) {
+    EXPECT_EQ(oracle.distance(u, v), graph::kUnreached) << u << " -> " << v;
+    EXPECT_EQ(oracle.distance(v, u), graph::kUnreached) << v << " -> " << u;
+  }
+  EXPECT_EQ(oracle.distance(0, 3), 3u);
+  EXPECT_EQ(oracle.distance(6, 4), 2u);
+  EXPECT_EQ(oracle.distance(8, 8), 0u);
+  // The same answers from a memoized root.
+  (void)oracle.from(0);
+  EXPECT_EQ(oracle.distance(6, 0), graph::kUnreached);
+  EXPECT_EQ(oracle.distance(0, 7), graph::kUnreached);
+  EXPECT_EQ(oracle.distance(3, 0), 3u);
 }
 
 // ------------------------------------------------------- sweep determinism

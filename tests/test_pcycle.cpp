@@ -2,15 +2,19 @@
 // 3-regularity (self-loops at 0, 1, p−1), inverse-chord symmetry,
 // connectivity, logarithmic diameter, and a directly computed spectral gap
 // bounded away from zero across the family — the property everything else
-// rests on.
+// rests on. Plus the routing contract: the two-sided shortest_path returns
+// exactly the path a forward BFS returns, pinned pair by pair.
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "dex/pcycle.h"
 #include "graph/bfs.h"
 #include "graph/multigraph.h"
 #include "graph/spectral.h"
 #include "support/mathutil.h"
+#include "support/prng.h"
 
 using dex::PCycle;
 using dex::Vertex;
@@ -24,6 +28,41 @@ dex::graph::Multigraph materialize(const PCycle& c) {
                static_cast<dex::graph::NodeId>(y));
   });
   return g;
+}
+
+// The reference tie-break: a forward BFS from x that scans each frontier in
+// order, ports in order {succ, pred, inv}, and keeps the first discoverer
+// of a vertex as its parent. Stops once `stop` is discovered; pass p to
+// fill the whole tree. Undiscovered vertices keep the parent p.
+std::vector<Vertex> forward_bfs_parents(const PCycle& c, Vertex x,
+                                        Vertex stop) {
+  std::vector<Vertex> parent(c.p(), c.p());
+  parent[x] = x;
+  std::vector<Vertex> frontier{x};
+  std::vector<Vertex> next;
+  while (!frontier.empty()) {
+    next.clear();
+    for (const Vertex v : frontier) {
+      for (const Vertex w : c.ports(v)) {
+        if (parent[w] != c.p()) continue;
+        parent[w] = v;
+        if (w == stop) return parent;
+        next.push_back(w);
+      }
+    }
+    frontier.swap(next);
+  }
+  return parent;
+}
+
+std::vector<Vertex> path_from_parents(const std::vector<Vertex>& parent,
+                                      Vertex x, Vertex y) {
+  std::vector<Vertex> path{y};
+  for (Vertex cur = y; cur != x;) {
+    cur = parent[cur];
+    path.push_back(cur);
+  }
+  return {path.rbegin(), path.rend()};
 }
 
 }  // namespace
@@ -125,6 +164,37 @@ TEST(PCycle, ShortestPathIsValidAndShortest) {
             << "hop " << i;
       }
     }
+  }
+}
+
+TEST(PCycle, ShortestPathMatchesForwardBfsOnEveryPairOfSmallPrimes) {
+  for (std::uint64_t p : {5ULL, 7ULL, 11ULL, 13ULL, 101ULL, 211ULL, 1009ULL}) {
+    const PCycle c(p);
+    for (Vertex x = 0; x < p; ++x) {
+      const auto parent = forward_bfs_parents(c, x, p);
+      for (Vertex y = 0; y < p; ++y) {
+        const auto expect = path_from_parents(parent, x, y);
+        ASSERT_EQ(c.shortest_path(x, y), expect)
+            << "p=" << p << " " << x << " -> " << y;
+        ASSERT_EQ(c.distance(x, y), expect.size() - 1)
+            << "p=" << p << " " << x << " -> " << y;
+      }
+    }
+  }
+}
+
+TEST(PCycle, ShortestPathMatchesForwardBfsOnRandomPairsAtScale) {
+  // Close to the cycle size at kv-zipf's n0 = 31623, where the two balls
+  // stop far short of the whole graph.
+  const std::uint64_t p = 126271;
+  ASSERT_TRUE(dex::support::is_prime(p));
+  const PCycle c(p);
+  dex::support::Rng rng(14);
+  for (int i = 0; i < 2000; ++i) {
+    const Vertex x = rng.below(p);
+    const Vertex y = rng.below(p);
+    const auto expect = path_from_parents(forward_bfs_parents(c, x, y), x, y);
+    ASSERT_EQ(c.shortest_path(x, y), expect) << x << " -> " << y;
   }
 }
 
