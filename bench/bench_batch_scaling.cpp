@@ -17,6 +17,8 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_common.h"
 #include "metrics/table.h"
@@ -63,23 +65,31 @@ void seed_by_cell(sim::TrialSpec& t) {
   t.spec.seed = 1000 + t.n0 + t.spec.batch_size;
 }
 
+// Runs the trials on all cores (deterministic regardless) and returns their
+// per-trial aggregates in trial order.
+std::vector<sim::AggregateSink::Row> run_trials(
+    std::vector<sim::TrialSpec> trials) {
+  sim::ExecutorOptions opts;
+  opts.jobs = 0;
+  sim::Executor executor(opts);
+  sim::AggregateSink agg;
+  executor.add_sink(agg);
+  executor.run(std::move(trials));
+  return agg.rows();
+}
+
 }  // namespace
 
 int main() {
   std::printf("=== batch scaling: parallel batch recovery vs sequential "
               "application ===\n\n");
 
-  sim::ExecutorOptions opts;
-  opts.jobs = 0;  // all cores; deterministic regardless
-  opts.stream_steps = false;
-  sim::Executor executor(opts);
-
   // Variant A: the stock dex-amortized overlay (parallel-walk batches).
   // The expanded trial list doubles as the table's row labels below.
   auto plan = dex_plan();
   plan.customize = seed_by_cell;
   const auto trials = plan.expand();
-  const auto par = executor.run(trials);
+  const auto par = run_trials(trials);
 
   // Variant B: identical grid, identical workload, but the overlay factory
   // flips set_parallel_batches(false) — the sequential baseline on the same
@@ -96,14 +106,14 @@ int main() {
       return overlay;
     };
   };
-  const auto seq = executor.run(seq_plan.expand());
+  const auto seq = run_trials(seq_plan.expand());
 
   metrics::Table dex_table({"n0", "batch", "seq rounds/batch",
                             "par rounds/batch", "speedup", "par steps",
                             "type2", "events/batch"});
   for (std::size_t i = 0; i < trials.size(); ++i) {
-    const auto s = stats_of(seq[i]);
-    const auto p = stats_of(par[i]);
+    const auto s = stats_of(seq[i].result);
+    const auto p = stats_of(par[i].result);
     dex_table.add_row(
         {std::to_string(trials[i].n0),
          std::to_string(trials[i].spec.batch_size),
@@ -137,18 +147,9 @@ int main() {
     t.spec.seed = 7 + t.spec.batch_size;
   };
 
-  sim::AggregateSink agg;
-  sim::ExecutorOptions sink_opts;
-  sink_opts.jobs = 0;
-  sink_opts.stream_steps = false;
-  sink_opts.collect_results = false;
-  sim::Executor sink_executor(sink_opts);
-  sink_executor.add_sink(agg);
-  sink_executor.run(all.expand());
-
   metrics::Table bk({"backend", "n0", "batch", "rounds/batch", "msgs/batch",
                      "events/batch"});
-  for (const auto& row : agg.rows()) {
+  for (const auto& row : run_trials(all.expand())) {
     const auto r = stats_of(row.result);
     bk.add_row({row.info.backend, std::to_string(row.info.n0),
                 std::to_string(row.info.batch_size),

@@ -40,8 +40,6 @@ int main() {
     sim::AggregateSink agg;
     sim::ExecutorOptions opts;
     opts.jobs = 0;  // all cores; the output is identical regardless
-    opts.stream_steps = false;
-    opts.collect_results = false;
     sim::Executor executor(opts);
     executor.add_sink(agg);
     executor.run(plan.expand());
@@ -84,8 +82,6 @@ int main() {
     sim::AggregateSink agg;
     sim::ExecutorOptions opts;
     opts.jobs = 0;
-    opts.stream_steps = false;
-    opts.collect_results = false;
     sim::Executor executor(opts);
     executor.add_sink(agg);
     executor.run(plan.expand());

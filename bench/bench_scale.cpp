@@ -160,8 +160,6 @@ int main(int argc, char** argv) {
     sim::JsonSummarySink json_sink(json);
     sim::ExecutorOptions opts;
     opts.jobs = 0;  // all cores; the output is identical regardless
-    opts.stream_steps = false;
-    opts.collect_results = false;
     sim::Executor executor(opts);
     executor.add_sink(agg);
     executor.add_sink(json_sink);

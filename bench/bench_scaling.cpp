@@ -29,17 +29,19 @@ int main() {
 
   sim::ExecutorOptions opts;
   opts.jobs = 0;  // all cores; deterministic regardless
-  opts.stream_steps = false;
   sim::Executor executor(opts);
-  const auto results = executor.run(plan.expand());
+  sim::AggregateSink agg;
+  executor.add_sink(agg);
+  executor.run(plan.expand());
+  const auto& rows = agg.rows();
 
   metrics::Table t({"n", "rounds p50", "rounds p99", "rounds max",
                     "msgs p50", "msgs p99", "msgs max", "topo p99",
                     "topo max", "type2 steps"});
   std::vector<double> log_n, mean_rounds, mean_msgs;
-  for (std::size_t i = 0; i < results.size(); ++i) {
+  for (std::size_t i = 0; i < rows.size(); ++i) {
     const std::size_t n0 = plan.populations[i];
-    const auto& res = results[i];
+    const auto& res = rows[i].result;
     const auto& r = res.rounds;
     const auto& m = res.messages;
     const auto& c = res.topology;

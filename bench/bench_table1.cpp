@@ -66,9 +66,11 @@ int main() {
 
   sim::ExecutorOptions opts;
   opts.jobs = 0;  // all cores; results are byte-deterministic regardless
-  opts.stream_steps = false;
   sim::Executor executor(opts);
-  const auto results = executor.run(plan.expand());
+  sim::AggregateSink agg;
+  executor.add_sink(agg);
+  executor.run(plan.expand());
+  const auto& rows = agg.rows();
 
   metrics::Table t({"algorithm", "n", "expansion", "adversary", "max degree",
                     "recovery rounds p99", "messages p99", "topo changes p99",
@@ -77,7 +79,7 @@ int main() {
   // algorithms per n) by walking populations in the outer loop.
   for (std::size_t pi = 0; pi < plan.populations.size(); ++pi) {
     for (std::size_t bi = 0; bi < plan.backends.size(); ++bi) {
-      const auto& res = results[bi * plan.populations.size() + pi];
+      const auto& res = rows[bi * plan.populations.size() + pi].result;
       const std::size_t n0 = plan.populations[pi];
       t.add_row({display_name(plan.backends[bi]), std::to_string(n0),
                  expansion_kind(plan.backends[bi]),

@@ -112,6 +112,8 @@ struct ScenarioArgs {
   unsigned trial_jobs = 1;
   std::string csv_path;
   std::string json_path;
+  /// --campaign as given; parsed into spec.campaign during validation.
+  std::string campaign;
   dex::sim::ScenarioSpec spec;
   dex::sim::StrategyOptions opts;
   bool trace = true;
@@ -284,7 +286,7 @@ int run_scenario(int argc, char** argv) {
         a.scenarios = split_csv(v);
         scenario_knob = true;
       } else if (parse_flag(argc, argv, i, "campaign", v)) {
-        a.spec.campaign = v;
+        a.campaign = v;
       } else if (parse_flag(argc, argv, i, "n0", v)) {
         a.n0s.clear();
         for (const auto& s : split_csv(v)) a.n0s.push_back(parse_u64(s));
@@ -429,7 +431,7 @@ int run_scenario(int argc, char** argv) {
       return 2;
     }
   }
-  if (!a.spec.campaign.empty()) {
+  if (!a.campaign.empty()) {
     // The campaign's phases name their own strategies, so a scenario axis
     // next to it would be dead weight at best and contradictory at worst.
     if (scenario_knob) {
@@ -437,8 +439,11 @@ int run_scenario(int argc, char** argv) {
                    "--campaign replaces --scenario; give one or the other\n");
       return 2;
     }
+    // Parsed once, here: replay traces are read now, and every trial gets
+    // the parsed spec.
     std::string campaign_err;
-    if (!dex::sim::parse_campaign_spec(a.spec.campaign, &campaign_err)) {
+    a.spec.campaign = dex::sim::parse_campaign_spec(a.campaign, &campaign_err);
+    if (!a.spec.campaign) {
       std::fprintf(stderr, "bad --campaign: %s\n", campaign_err.c_str());
       return 2;
     }
@@ -548,9 +553,9 @@ int run_scenario(int argc, char** argv) {
   // A campaign supersedes the scenario axis: the unused default scenario
   // name must not leak into the archived label (the campaign string itself
   // is echoed as the summary's `campaign` field).
-  if (!a.spec.campaign.empty()) plan.base.label = "campaign";
+  if (a.spec.campaign) plan.base.label = "campaign";
   plan.customize = [&a](dex::sim::TrialSpec& t) {
-    if (t.spec.campaign.empty() &&
+    if (!t.spec.campaign &&
         (t.scenario == "churn" || t.scenario == "burst")) {
       char buf[48];
       std::snprintf(buf, sizeof(buf), "(insert_prob=%g)", a.opts.insert_prob);
@@ -579,7 +584,8 @@ int run_scenario(int argc, char** argv) {
   }
 
   // Streaming emission: rows/summaries leave through the sinks as trials
-  // deliver — no trace, and with --no-trace no per-step buffering at all.
+  // deliver — no trace. --no-trace leaves the CSV sink unregistered; the
+  // summary sink declines steps, so then nothing is buffered per step.
   // Without --sweep the sinks drop the trial column/field, so single-run
   // output keeps the classic single-trial shape. (Column *values* are not
   // frozen across versions: e.g. used_type2/type2_steps now populate on
@@ -589,8 +595,6 @@ int run_scenario(int argc, char** argv) {
   dex::sim::ExecutorOptions opts;
   opts.jobs = a.sweep ? a.jobs : 1;
   opts.trial_jobs = a.trial_jobs;
-  opts.stream_steps = a.trace;
-  opts.collect_results = false;
   dex::sim::Executor executor(opts);
   if (a.trace) executor.add_sink(csv_sink);
   executor.add_sink(json_sink);
@@ -606,7 +610,7 @@ struct Session {
 
   /// The store synced to the overlay's current membership.
   dex::sim::KvStore& store() {
-    cache.invalidate();
+    cache.advance();
     kv.sync(cache.view());
     return kv;
   }

@@ -10,9 +10,9 @@
 /// (next_batch; the default wraps next, batch-native strategies override).
 ///
 /// Network-agnostic: every backend adapts to AdversaryView through the
-/// unified sim::HealingOverlay interface — sim::make_view(overlay) builds
-/// the view, and sim::CachedView (scenario.h) adds per-step caching of the
-/// expensive components.
+/// unified sim::HealingOverlay interface — sim::CachedView (scenario.h)
+/// builds the view over any overlay, materializing the expensive components
+/// at most once per step.
 
 #include <cstdint>
 #include <deque>
@@ -50,12 +50,11 @@ struct AdversaryView {
   /// one). When absent, strategies fall back to snapshot() with the node
   /// masked out.
   std::function<graph::Multigraph(NodeId)> snapshot_without;
-  /// Optional: a flat CSR snapshot of the live view (graph/csr.h), built at
-  /// most once per step by caching views (sim::CachedView) and returned by
-  /// reference. The traffic hot path (sim::KvStore) reads it instead of
-  /// copying snapshot() + alive_mask() per step; when absent, consumers
-  /// build their own from those two. The reference is valid until the view
-  /// is invalidated.
+  /// A flat CSR snapshot of the live view (graph/csr.h), maintained by
+  /// sim::CachedView and returned by reference; valid until the view next
+  /// advances. The traffic layer (sim::KvStore) requires it; strategies
+  /// never read it, so hand-built views for strategy tests may leave it
+  /// empty.
   std::function<const graph::CsrView&()> live_csr;
 };
 

@@ -1,6 +1,5 @@
 #include "dex/services.h"
 
-#include "graph/bfs.h"
 #include "support/mathutil.h"
 
 namespace dex {
@@ -41,44 +40,6 @@ SampleResult sample_node(DexNetwork& net, NodeId origin) {
   std::vector<std::uint64_t> p2;
   net.ports_of(origin, p2);
   res.node = origin;
-  return res;
-}
-
-BroadcastResult broadcast(DexNetwork& net, NodeId origin) {
-  DEX_ASSERT(net.alive(origin));
-  BroadcastResult res;
-  const auto g = net.snapshot();
-  const auto mask = net.alive_mask();
-  const auto dist = graph::bfs_distances(g, origin, mask);
-  std::uint64_t ecc = 0;
-  std::uint64_t degree_sum = 0;
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    if (!mask[u]) continue;
-    if (dist[u] != graph::kUnreached) {
-      ++res.reached;
-      ecc = std::max<std::uint64_t>(ecc, dist[u]);
-    }
-    degree_sum += g.degree(u);
-  }
-  res.cost.rounds = ecc;
-  res.cost.messages = degree_sum;  // one forward per directed edge
-  return res;
-}
-
-RouteResult route(DexNetwork& net, NodeId from, NodeId to) {
-  DEX_ASSERT(net.alive(from) && net.alive(to));
-  RouteResult res;
-  if (from == to) {
-    res.delivered = true;
-    return res;
-  }
-  const auto& sf = net.mapping().sim(from);
-  const auto& st = net.mapping().sim(to);
-  if (sf.empty() || st.empty()) return res;  // mid-build newcomers
-  const std::uint64_t hops = net.cycle().distance(sf[0], st[0]);
-  res.cost.rounds = hops;
-  res.cost.messages = hops;
-  res.delivered = true;
   return res;
 }
 

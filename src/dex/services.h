@@ -1,22 +1,17 @@
 #pragma once
 
 /// \file services.h
-/// The overlay services the paper's introduction motivates an expander for:
-/// "effective communication channels with low latency for all messages …
-/// and nodes can quickly sample a random node in the network (enabling many
-/// randomized protocols)". These are thin, metered utilities over a live
-/// DexNetwork:
+/// The overlay service the paper's introduction motivates an expander for:
+/// "nodes can quickly sample a random node in the network (enabling many
+/// randomized protocols)". sample_node is a thin, metered utility over a
+/// live DexNetwork: (almost-)uniform node sampling by a Θ(log n) random walk
+/// on the real multigraph, de-biased by load (a walk's stationary
+/// distribution is degree-proportional; degree = 3·load, so accepting a
+/// landing node with probability 1/load restores near-uniformity).
 ///
-///  * sample_node  — (almost-)uniform node sampling by a Θ(log n) random
-///    walk on the real multigraph, de-biased by load (a walk's stationary
-///    distribution is degree-proportional; degree = 3·load, so accepting a
-///    landing node with probability 1/load restores near-uniformity).
-///  * broadcast    — flood cost from a source (O(log n) rounds on an
-///    expander, 2 messages per edge).
-///  * route        — point-to-point message routing along locally computed
-///    virtual shortest paths (the DHT's primitive, exposed directly).
-
-#include <optional>
+/// The intro's other service, "effective communication channels with low
+/// latency", is sim::DexOverlay::route (the §4.4.4 p-cycle route the
+/// traffic layer serves through); flood cost is sim::flood_cost.
 
 #include "dex/network.h"
 #include "sim/meters.h"
@@ -33,22 +28,5 @@ struct SampleResult {
 /// ceil(walk_factor · ln n); rejection de-biases the degree-proportional
 /// landing distribution. Deterministic given the network's RNG state.
 [[nodiscard]] SampleResult sample_node(DexNetwork& net, NodeId origin);
-
-struct BroadcastResult {
-  std::size_t reached = 0;  ///< alive nodes reached (must equal n)
-  sim::StepCost cost;
-};
-
-/// Cost of flooding a message from `origin` to every alive node.
-[[nodiscard]] BroadcastResult broadcast(DexNetwork& net, NodeId origin);
-
-struct RouteResult {
-  bool delivered = false;
-  sim::StepCost cost;  ///< hops along the virtual path
-};
-
-/// Routes one message from `from` to `to` along the p-cycle shortest path
-/// between one of their simulated vertices (both endpoints must be alive).
-[[nodiscard]] RouteResult route(DexNetwork& net, NodeId from, NodeId to);
 
 }  // namespace dex

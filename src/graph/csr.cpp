@@ -197,42 +197,25 @@ void csr_bfs_fill(const CsrView& g, NodeId src, std::vector<std::uint32_t>& dist
 
 std::vector<NodeId> csr_shortest_path(const CsrView& g, NodeId src,
                                       NodeId dst) {
-  CsrPathScratch scratch;
-  return csr_shortest_path(g, src, dst, scratch);
-}
-
-std::vector<NodeId> csr_shortest_path(const CsrView& g, NodeId src, NodeId dst,
-                                      CsrPathScratch& scratch) {
   if (src == dst) return {src};
   if (!g.alive(src) || !g.alive(dst)) return {};
   // Parent pointers in discovery order; identical tie-breaks to the
-  // Multigraph BFS (ports scanned in source order). Stamps make entries
-  // from earlier calls invisible without an O(n) clear.
-  if (scratch.parent.size() < g.node_count()) {
-    scratch.parent.resize(g.node_count(), kInvalidNode);
-    scratch.stamp.resize(g.node_count(), 0);
-  }
-  ++scratch.gen;
-  const auto seen = [&](NodeId u) { return scratch.stamp[u] == scratch.gen; };
-  scratch.queue.clear();
-  scratch.queue.push_back(src);
-  scratch.stamp[src] = scratch.gen;
-  scratch.parent[src] = src;
+  // Multigraph BFS (ports scanned in source order).
+  std::vector<NodeId> parent(g.node_count(), kInvalidNode);
+  std::vector<NodeId> queue{src};
+  parent[src] = src;
   std::size_t head = 0;
-  while (head < scratch.queue.size() && !seen(dst)) {
-    const NodeId u = scratch.queue[head++];
+  while (head < queue.size() && parent[dst] == kInvalidNode) {
+    const NodeId u = queue[head++];
     for (const NodeId v : g.neighbors(u)) {
-      if (seen(v)) continue;
-      scratch.stamp[v] = scratch.gen;
-      scratch.parent[v] = u;
-      scratch.queue.push_back(v);
+      if (parent[v] != kInvalidNode) continue;
+      parent[v] = u;
+      queue.push_back(v);
     }
   }
-  if (!seen(dst)) return {};
+  if (parent[dst] == kInvalidNode) return {};
   std::vector<NodeId> path{dst};
-  for (NodeId u = dst; u != src; u = scratch.parent[u]) {
-    path.push_back(scratch.parent[u]);
-  }
+  for (NodeId u = dst; u != src; u = parent[u]) path.push_back(parent[u]);
   std::reverse(path.begin(), path.end());
   return path;
 }

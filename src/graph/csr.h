@@ -163,20 +163,4 @@ void csr_bfs_fill(const CsrView& g, NodeId src, std::vector<std::uint32_t>& dist
 [[nodiscard]] std::vector<NodeId> csr_shortest_path(const CsrView& g,
                                                     NodeId src, NodeId dst);
 
-/// Epoch-stamped scratch for the allocation-free csr_shortest_path overload
-/// below: parent entries are valid only where the stamp matches the current
-/// generation, so repeated calls never pay an O(n) clear.
-struct CsrPathScratch {
-  std::vector<NodeId> parent;
-  std::vector<std::uint32_t> stamp;
-  std::vector<NodeId> queue;
-  std::uint32_t gen = 0;
-};
-
-/// csr_shortest_path without the per-call O(n) parent allocation: identical
-/// result, scratch reused across calls (the PCycle::shortest_path idiom).
-[[nodiscard]] std::vector<NodeId> csr_shortest_path(const CsrView& g,
-                                                    NodeId src, NodeId dst,
-                                                    CsrPathScratch& scratch);
-
 }  // namespace dex::graph

@@ -144,6 +144,8 @@ class ServeState {
   /// Lookup-only (iteration order never observed), so the unordered map
   /// cannot leak nondeterminism into the trace.
   std::unordered_map<graph::NodeId, Station> stations_;
+  /// Jobs queued or in service across all stations (the drain check).
+  std::size_t queued_ = 0;
   metrics::LatencyHistogram latency_;
   ServeWindow window_;
   std::size_t total_completed_ = 0;

@@ -102,19 +102,6 @@ void validate_batch(const HealingOverlay& overlay, const ChurnBatch& batch) {
   }
 }
 
-/// Applies one single churn event (the warmup path).
-void apply_action(HealingOverlay& overlay, const adversary::ChurnAction& a) {
-  DEX_ASSERT_MSG(overlay.alive(a.target),
-                 a.insert ? "strategy chose a dead attach point"
-                          : "strategy chose a dead victim");
-  if (a.insert) {
-    overlay.insert(a.target);
-  } else {
-    DEX_ASSERT_MSG(overlay.n() > 2, "scenario would delete the network away");
-    overlay.remove(a.target);
-  }
-}
-
 /// One batch step through the unified apply() surface; fills the record's
 /// per-event fields when the batch happens to be a single event (so
 /// batch_size=1 traces keep their insert/delete rows) and returns the
@@ -203,16 +190,11 @@ ScenarioResult ScenarioRunner::run() {
         std::make_unique<TrafficEngine>(overlay_, spec_.traffic, spec_.seed);
   }
 
-  // A non-empty campaign: injections always go through next_batch (quiet /
+  // A campaign: injections always go through next_batch (quiet /
   // rate-gated phases return legal empty batches) and the per-step traffic
-  // budget follows the load curve. Parsed here only for the load curve —
-  // the strategy object already embodies the phases.
-  std::optional<adversary::CampaignSpec> campaign;
-  if (!spec_.campaign.empty()) {
-    std::string campaign_err;
-    campaign = parse_campaign_spec(spec_.campaign, &campaign_err);
-    DEX_ASSERT_MSG(campaign.has_value(), "invalid campaign spec");
-  }
+  // budget follows the spec's load curve — the strategy object already
+  // embodies the phases.
+  const std::optional<adversary::CampaignSpec>& campaign = spec_.campaign;
 
   // The serving front-end: closed-loop clients replace the per-step request
   // batches. The total op budget stays steps x ops_per_step — the same
@@ -247,11 +229,17 @@ ScenarioResult ScenarioRunner::run() {
   if (spec_.record_trace) result.trace.reserve(spec_.steps);
 
   // Warmup stays synchronous by definition: it models the pre-attack
-  // steady state, not the delivery regime under test.
+  // steady state, not the delivery regime under test. Each step is a
+  // one-event batch through the same validate-then-apply path as the
+  // strategy's steps.
   if (spec_.warmup_steps > 0) {
     adversary::RandomChurn warmup(spec_.warmup_insert_prob);
     for (std::size_t t = 0; t < spec_.warmup_steps; ++t) {
-      apply_action(overlay_, warmup.next(view, rng, min_n, max_n));
+      const adversary::ChurnAction a = warmup.next(view, rng, min_n, max_n);
+      ChurnBatch batch;
+      (a.insert ? batch.attach_to : batch.victims).push_back(a.target);
+      validate_batch(overlay_, batch);
+      (void)overlay_.apply(batch);
       cache.advance();
     }
   }
@@ -347,9 +335,9 @@ ScenarioResult ScenarioRunner::run() {
     result.total += rec.cost;
     if (observer_) {
       observer_(rec, overlay_);
-      // The observer holds a mutable overlay reference; advance (not plain
-      // invalidate) so its mutations drain from the journal rather than
-      // leaking into the next step's delta against a rebuilt base.
+      // The observer holds a mutable overlay reference; advance so its
+      // mutations drain from the journal before the next step reads the
+      // view.
       cache.advance();
     }
     if (spec_.record_trace) result.trace.push_back(rec);

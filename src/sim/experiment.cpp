@@ -62,10 +62,10 @@ std::vector<TrialSpec> ExperimentPlan::expand() const {
               };
             }
             if (!t.make_strategy) {
-              if (!t.spec.campaign.empty()) {
+              if (t.spec.campaign) {
                 // A campaign spec on the trial overrides the scenario axis:
                 // the phases name their own strategies.
-                t.make_strategy = [campaign = t.spec.campaign,
+                t.make_strategy = [campaign = *t.spec.campaign,
                                    opts = t.opts] {
                   return sim::make_campaign_strategy(campaign, opts);
                 };
@@ -94,18 +94,18 @@ struct PendingTrial {
 
 }  // namespace
 
-std::vector<ScenarioResult> Executor::run(std::vector<TrialSpec> trials) {
+void Executor::run(std::vector<TrialSpec> trials) {
   const std::size_t total = trials.size();
   for (std::size_t i = 0; i < total; ++i) trials[i].index = i;
-  std::vector<ScenarioResult> results(opts_.collect_results ? total : 0);
-  if (total == 0) return results;
+  if (total == 0) return;
 
   std::size_t jobs = opts_.jobs;
   if (jobs == 0) {
     jobs = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
   }
   jobs = std::min(jobs, total);
-  const bool buffer_steps = opts_.stream_steps && !sinks_.empty();
+  bool buffer_steps = false;
+  for (const MetricSink* s : sinks_) buffer_steps |= s->wants_steps();
   // Reorder window: a worker may only start trial i once i falls within
   // `window` of the next trial to deliver, so at most `window` step buffers
   // are ever alive — memory bounded by jobs, not by the trial count.
@@ -177,12 +177,11 @@ std::vector<ScenarioResult> Executor::run(std::vector<TrialSpec> trials) {
           const TrialInfo info = trials[idx].info();
           for (auto* sink : sinks_) sink->on_trial_start(info);
           for (const auto& rec : item.steps) {
-            for (auto* sink : sinks_) sink->on_step(info, rec);
+            for (auto* sink : sinks_) {
+              if (sink->wants_steps()) sink->on_step(info, rec);
+            }
           }
           for (auto* sink : sinks_) sink->on_trial_end(info, item.result);
-          if (opts_.collect_results) {
-            results[idx] = std::move(item.result);
-          }
           lock.lock();
           ++next_to_emit;
           cv.notify_all();
@@ -202,7 +201,6 @@ std::vector<ScenarioResult> Executor::run(std::vector<TrialSpec> trials) {
     for (auto& th : pool) th.join();
   }
   DEX_ASSERT(next_to_emit == total && pending.empty());
-  return results;
 }
 
 }  // namespace dex::sim

@@ -102,21 +102,16 @@ struct ExecutorOptions {
   /// trial wants intra-step threads, a 3000-trial sweep wants inter-trial
   /// ones).
   unsigned trial_jobs = 1;
-  /// Forward every StepRecord to the sinks (on_step). Off saves the
-  /// per-step buffering when only summaries are consumed.
-  bool stream_steps = true;
-  /// Return the per-trial ScenarioResults from run(). Off keeps run()'s
-  /// footprint independent of the trial count — sinks are then the only
-  /// consumers (the CLI's long-sweep mode).
-  bool collect_results = true;
 };
 
 /// Runs trials concurrently on a bounded pool. Each worker owns its trial's
 /// overlay/strategy/RNG end to end, so a trial's bytes depend only on its
-/// TrialSpec; the executor re-orders completion so sinks and results see
-/// trial-index order. In-flight step buffers are bounded by a reorder
-/// window of 2*jobs trials — peak memory is O(jobs * steps), independent of
-/// the trial count.
+/// TrialSpec; the executor re-orders completion so sinks see trial-index
+/// order. Sinks are the only way results leave: in-process consumers
+/// register an AggregateSink. Steps are buffered only when some sink wants
+/// them (MetricSink::wants_steps), and in-flight buffers are bounded by a
+/// reorder window of 2*jobs trials — peak memory is O(jobs * steps),
+/// independent of the trial count.
 class Executor {
  public:
   explicit Executor(ExecutorOptions opts = {}) : opts_(opts) {}
@@ -126,10 +121,9 @@ class Executor {
   void add_sink(MetricSink& sink) { sinks_.push_back(&sink); }
 
   /// Runs every trial (trial i = trials[i]; TrialSpec::index is rewritten
-  /// to the position so concatenated lists stay coherent). Returns the
-  /// per-trial results in index order, or an empty vector when
-  /// collect_results is off.
-  std::vector<ScenarioResult> run(std::vector<TrialSpec> trials);
+  /// to the position so concatenated lists stay coherent) and delivers each
+  /// to every sink.
+  void run(std::vector<TrialSpec> trials);
 
  private:
   ExecutorOptions opts_;

@@ -10,8 +10,8 @@
 /// Anything that can (a) absorb one ChurnBatch per step — one or many
 /// adversarial insertions/deletions healed within the step — and (b) expose
 /// its topology and per-step cost is a HealingOverlay; the ScenarioRunner
-/// (sim/scenario.h), the adversary strategies (via make_view), the benches
-/// and the CLI all operate on this interface and are therefore
+/// (sim/scenario.h), the adversary strategies (via sim::CachedView), the
+/// benches and the CLI all operate on this interface and are therefore
 /// backend-agnostic. The churn surface is batch-first (§5, Corollary 2):
 /// apply(ChurnBatch) is the primitive, with a default sequential
 /// implementation over the single-event insert()/remove() hooks, which
@@ -26,7 +26,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "adversary/adversary.h"
 #include "baselines/flood_rebuild.h"
 #include "baselines/law_siu.h"
 #include "baselines/random_flip.h"
@@ -239,29 +238,6 @@ class HealingOverlay {
  private:
   std::function<const graph::CsrView*()> live_view_provider_;
 };
-
-/// The one AdversaryView builder (replaces the per-backend view_of()
-/// overloads the benches used to carry). The view borrows `overlay`; it must
-/// outlive the view.
-[[nodiscard]] inline adversary::AdversaryView make_view(
-    const HealingOverlay& overlay) {
-  adversary::AdversaryView v{
-      [&overlay] { return overlay.n(); },
-      [&overlay] { return overlay.alive_nodes(); },
-      [&overlay] { return overlay.snapshot(); },
-      [&overlay] { return overlay.alive_mask(); },
-      [&overlay](NodeId u) { return overlay.load(u); },
-      [&overlay] { return overlay.special_node(); },
-      {},
-      {},  // live_csr: only caching views (CachedView) provide one
-  };
-  if (overlay.has_removal_oracle()) {
-    v.snapshot_without = [&overlay](NodeId u) {
-      return overlay.snapshot_without(u);
-    };
-  }
-  return v;
-}
 
 // ---------------------------------------------------------------------------
 // Adapters. Each owns its network and exposes it through net() for code that

@@ -11,8 +11,7 @@ namespace dex::sim {
 
 // ------------------------------------------------------------- CachedView
 
-CachedView::CachedView(const HealingOverlay& overlay)
-    : overlay_(overlay), view_(make_view(overlay)) {
+CachedView::CachedView(const HealingOverlay& overlay) : overlay_(overlay) {
   ports_fn_ = [this](graph::NodeId u, std::vector<graph::NodeId>& out) {
     const bool ok = overlay_.live_ports(u, out);
     // Callers probe the capability before choosing this enumerator, and a
@@ -20,8 +19,16 @@ CachedView::CachedView(const HealingOverlay& overlay)
     // state — see the staggered full-marks in dex/staggered.cpp.
     DEX_ASSERT_MSG(ok, "live_ports withdrawn mid-build");
   };
-  // Start from the canonical make_view wiring and overwrite only the three
-  // expensive components with memoizing versions.
+  // The cheap components forward straight to the overlay; the expensive
+  // ones memoize until the next advance().
+  view_.n = [this] { return overlay_.n(); };
+  view_.load = [this](graph::NodeId u) { return overlay_.load(u); };
+  view_.special_node = [this] { return overlay_.special_node(); };
+  if (overlay_.has_removal_oracle()) {
+    view_.snapshot_without = [this](graph::NodeId u) {
+      return overlay_.snapshot_without(u);
+    };
+  }
   view_.alive_nodes = [this] {
     if (!nodes_) nodes_ = overlay_.alive_nodes();
     return *nodes_;
@@ -66,13 +73,6 @@ CachedView::CachedView(const HealingOverlay& overlay)
     }
     return csr_;
   };
-}
-
-void CachedView::invalidate() {
-  nodes_.reset();
-  snapshot_.reset();
-  mask_.reset();
-  csr_valid_ = false;
 }
 
 void CachedView::advance() {
@@ -179,12 +179,9 @@ std::optional<adversary::CampaignSpec> parse_campaign_spec(
 }
 
 std::unique_ptr<adversary::Strategy> make_campaign_strategy(
-    const std::string& campaign, const StrategyOptions& opts) {
-  std::string err;
-  auto spec = parse_campaign_spec(campaign, &err);
-  DEX_ASSERT_MSG(spec.has_value(), "invalid campaign spec");
+    adversary::CampaignSpec campaign, const StrategyOptions& opts) {
   return std::make_unique<adversary::CampaignStrategy>(
-      std::move(*spec), [opts](const std::string& name) {
+      std::move(campaign), [opts](const std::string& name) {
         return make_strategy(name, opts);
       });
 }
@@ -301,7 +298,7 @@ std::string summary_json(const ScenarioResult& result) {
   metrics::JsonObject o;
   o.add("backend", result.backend);
   if (!result.spec.label.empty()) o.add("scenario", result.spec.label);
-  if (!result.spec.campaign.empty()) o.add("campaign", result.spec.campaign);
+  if (result.spec.campaign) o.add("campaign", result.spec.campaign->source);
   o.add("seed", result.spec.seed)
       .add("steps", static_cast<std::uint64_t>(result.rounds.count))
       .add("batch_size", static_cast<std::uint64_t>(result.spec.batch_size))

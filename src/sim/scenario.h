@@ -89,16 +89,13 @@ struct ScenarioSpec {
   /// summary JSON (the determinism contract covers bytes, not wall time),
   /// but benches (bench_scale) read them to attribute per-step cost.
   bool time_phases = false;
-  /// Phased adversary campaign (adversary/campaign.h), as the compact
-  /// string `--campaign` accepts. Empty (the default) = drive the single
-  /// strategy the classic way. Non-empty: the runner routes *every* step
+  /// Phased adversary campaign (adversary/campaign.h), parsed once at the
+  /// edge (parse_campaign_spec). Absent (the default) = drive the single
+  /// strategy the classic way. Present: the runner routes *every* step
   /// through Strategy::next_batch — rate-gated and quiet phases come back
-  /// as legal empty batches — and scale the traffic stream by the
-  /// campaign's per-step load curve. A plain string so it flows through
-  /// ExperimentPlan/Executor untouched; it is archived in the summary.
-  /// Malformed specs abort inside the runner — validate up front with
-  /// parse_campaign_spec (the CLI does).
-  std::string campaign;
+  /// as legal empty batches — and scales the traffic stream by the spec's
+  /// per-step load curve. The summary archives its `source` string.
+  std::optional<adversary::CampaignSpec> campaign;
   /// Free-form scenario/strategy label identifying the workload in the
   /// emitted summary. The summary records every ScenarioSpec parameter;
   /// strategy-internal knobs (a Strategy is an opaque object) are the
@@ -232,27 +229,25 @@ struct ScenarioResult {
   double traffic_us = 0.0;  ///< key re-homing + request serving
 };
 
-/// AdversaryView over an overlay whose expensive components (alive_nodes,
-/// snapshot, alive_mask) are materialized at most once per step, however
-/// many times the strategy consults them. Also the home of the per-step
-/// flat CSR view (graph/csr.h) the traffic layer's route/placement oracle
-/// reads by reference (object identity is stable across steps, so borrowed
-/// pointers stay valid).
+/// The AdversaryView over an overlay: every driver (the runner, the CLI's
+/// script mode, the tests) builds its view here. The expensive components
+/// (alive_nodes, snapshot, alive_mask) are materialized at most once per
+/// step, however many times the strategy consults them. Also the home of
+/// the per-step flat CSR view (graph/csr.h) the traffic layer's
+/// route/placement oracle reads by reference (object identity is stable
+/// across steps, so borrowed pointers stay valid).
 ///
-/// Two maintenance modes per step boundary:
-///
-///  * invalidate() — drop everything; the CSR lazily rebuilds from scratch
-///    on next use. Always correct; O(n + m) per step.
-///  * advance() — drain the overlay's churn journal
-///    (HealingOverlay::drain_view_delta) and *patch* the CSR in place when
-///    the delta is precise, paying per-step cost proportional to the churn
-///    delta instead of the population. Falls back to a rebuild whenever the
-///    journal is absent/full or the standing CSR is not patchable (a view
-///    built from a snapshot is in Multigraph port order, not the overlay's
-///    live_ports order — patching it would interleave the two canonical
-///    orders, so csr_ports_canonical_ tracks which enumerator built it).
-///    With DEX_CHECK_CSR=1 in the environment every advance() additionally
-///    rebuilds a reference view and asserts semantic equality.
+/// advance() is the one step boundary: it drops the memoized components,
+/// drains the overlay's churn journal (HealingOverlay::drain_view_delta)
+/// and *patches* the CSR in place when the delta is precise, paying
+/// per-step cost proportional to the churn delta instead of the
+/// population. It falls back to a lazy from-scratch rebuild whenever the
+/// journal is absent/full or the standing CSR is not patchable (a view
+/// built from a snapshot is in Multigraph port order, not the overlay's
+/// live_ports order — patching it would interleave the two canonical
+/// orders, so csr_ports_canonical_ tracks which enumerator built it). With
+/// DEX_CHECK_CSR=1 in the environment every advance() additionally rebuilds
+/// a reference view and asserts semantic equality.
 class CachedView {
  public:
   explicit CachedView(const HealingOverlay& overlay);
@@ -263,10 +258,9 @@ class CachedView {
   CachedView& operator=(const CachedView&) = delete;
 
   [[nodiscard]] const adversary::AdversaryView& view() const { return view_; }
-  void invalidate();
-  /// invalidate(), except the CSR survives via journal patching when the
-  /// overlay supports it. Call at (and only at) churn-step boundaries —
-  /// the journal delta spans everything since the previous drain.
+  /// Adopts the overlay's current state. Call after every mutation batch,
+  /// before the view is read again — the journal delta spans everything
+  /// since the previous drain, however many events that was.
   void advance();
   /// The maintained CSR when it is current, else nullptr. Never triggers a
   /// build — this feeds HealingOverlay::set_live_view_provider, whose
@@ -281,8 +275,8 @@ class CachedView {
   mutable std::optional<std::vector<graph::NodeId>> nodes_;
   mutable std::optional<graph::Multigraph> snapshot_;
   mutable std::optional<std::vector<bool>> mask_;
-  // The CSR keeps its buffers across invalidations (build() reuses them);
-  // the flag alone tracks staleness.
+  // The CSR keeps its buffers across rebuilds (build() reuses them); the
+  // flag alone tracks staleness.
   mutable graph::CsrView csr_;
   mutable bool csr_valid_ = false;
   /// Whether csr_ rows are in live_ports order (patchable) rather than
@@ -355,11 +349,10 @@ struct StrategyOptions {
 [[nodiscard]] std::optional<adversary::CampaignSpec> parse_campaign_spec(
     const std::string& text, std::string* error = nullptr);
 
-/// Builds the CampaignStrategy for a campaign string, wiring make_strategy
-/// (with `opts`) as the per-phase sub-strategy factory. The string must
-/// parse — run parse_campaign_spec first; this asserts on failure.
+/// Builds the CampaignStrategy for a parsed campaign, wiring make_strategy
+/// (with `opts`) as the per-phase sub-strategy factory.
 [[nodiscard]] std::unique_ptr<adversary::Strategy> make_campaign_strategy(
-    const std::string& campaign, const StrategyOptions& opts = {});
+    adversary::CampaignSpec campaign, const StrategyOptions& opts = {});
 
 /// The canonical trace columns: step,op,target,new_node,n,rounds,messages,
 /// topology_changes,batch_inserts,batch_deletes,walk_epochs,used_type2,

@@ -20,12 +20,12 @@
 ///  - trials are delivered in trial-index order, regardless of how many
 ///    worker threads ran them or which finished first;
 ///  - calls are serialized (never concurrent), so sink implementations need
-///    no locking of their own. MultiSink still carries a mutex so it is
-///    also safe when driven from several threads directly, without the
-///    Executor's ordering layer.
+///    no locking of their own;
+///  - on_step reaches only the sinks that wants_steps(), and the Executor
+///    buffers a trial's steps only when at least one registered sink does;
+///    summary-only sweeps skip the per-step buffering altogether.
 
 #include <cstdint>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -50,9 +50,12 @@ class MetricSink {
  public:
   virtual ~MetricSink() = default;
 
+  /// Whether this sink consumes on_step. Summary-only sinks return false,
+  /// so a driver whose sinks all decline never buffers a step.
+  [[nodiscard]] virtual bool wants_steps() const { return true; }
+
   virtual void on_trial_start(const TrialInfo& trial) { (void)trial; }
-  /// One applied ChurnBatch. Only called when the driver streams steps
-  /// (Executor: stream_steps, CLI: trace emission on).
+  /// One applied ChurnBatch. Only called on sinks that wants_steps().
   virtual void on_step(const TrialInfo& trial, const StepRecord& rec) {
     (void)trial;
     (void)rec;
@@ -94,6 +97,8 @@ class JsonSummarySink final : public MetricSink {
   explicit JsonSummarySink(std::ostream& os, bool trial_field = true)
       : os_(os), trial_field_(trial_field) {}
 
+  [[nodiscard]] bool wants_steps() const override { return false; }
+
   void on_trial_end(const TrialInfo& trial,
                     const ScenarioResult& result) override;
 
@@ -113,6 +118,8 @@ class AggregateSink final : public MetricSink {
     ScenarioResult result;
   };
 
+  [[nodiscard]] bool wants_steps() const override { return false; }
+
   void on_trial_end(const TrialInfo& trial,
                     const ScenarioResult& result) override {
     rows_.push_back({trial, result});
@@ -122,33 +129,6 @@ class AggregateSink final : public MetricSink {
 
  private:
   std::vector<Row> rows_;
-};
-
-/// Fans every event out to a list of borrowed sinks, serializing delivery
-/// under its own mutex — safe to share between threads even without the
-/// Executor's ordering (at the price of arbitrary event interleaving;
-/// order-sensitive sinks should sit behind the Executor instead).
-class MultiSink final : public MetricSink {
- public:
-  void add(MetricSink& sink) { sinks_.push_back(&sink); }
-
-  void on_trial_start(const TrialInfo& trial) override {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (auto* s : sinks_) s->on_trial_start(trial);
-  }
-  void on_step(const TrialInfo& trial, const StepRecord& rec) override {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (auto* s : sinks_) s->on_step(trial, rec);
-  }
-  void on_trial_end(const TrialInfo& trial,
-                    const ScenarioResult& result) override {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (auto* s : sinks_) s->on_trial_end(trial, result);
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<MetricSink*> sinks_;
 };
 
 }  // namespace dex::sim

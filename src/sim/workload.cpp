@@ -77,8 +77,8 @@ NodeId KvStore::resolve_origin(NodeId origin) const {
 bool KvStore::route_op(NodeId origin, NodeId home, OpResult& out) {
   if (overlay_.route_is_shortest()) {
     // The realized path is the BFS optimum already, so the op needs only a
-    // distance — answered from the step's shared BFS frontiers instead of
-    // materializing a fresh path per request.
+    // distance — one oracle query (a two-sided probe, or free from a
+    // memoized root) instead of materializing a fresh path per request.
     const std::uint32_t d = oracle_.distance(origin, home);
     if (d == graph::kUnreached) return false;
     out.hops = d;
@@ -94,17 +94,11 @@ bool KvStore::route_op(NodeId origin, NodeId home, OpResult& out) {
 }
 
 KvStore::SyncStats KvStore::sync(const adversary::AdversaryView& view) {
-  // One flat CSR per step: borrowed *by reference* from the caching view
-  // when available (the runner's CachedView maintains it incrementally and
-  // its object identity is stable across steps — no copy at all), rebuilt
-  // into the store's own buffer otherwise.
-  if (view.live_csr) {
-    csr_ = &view.live_csr();
-  } else {
-    const auto g = view.snapshot();
-    own_csr_.build(g, view.alive_mask());
-    csr_ = &own_csr_;
-  }
+  // One flat CSR per step, borrowed *by reference* from the caching view
+  // (the caller's CachedView maintains it incrementally and its object
+  // identity is stable across steps — no copy at all).
+  DEX_ASSERT_MSG(view.live_csr, "KvStore::sync needs a view with live_csr");
+  csr_ = &view.live_csr();
   oracle_.attach(*csr_);
 
   // Membership delta + fresh sorted alive set in one ascending bitmap walk
@@ -200,8 +194,6 @@ KvStore::SyncStats KvStore::sync(const adversary::AdversaryView& view) {
   }
   std::sort(last_moved_.begin(), last_moved_.end());
   out.moved_keys = moves.size();
-  moved_total_ += out.moved_keys;
-  rehash_messages_total_ += out.messages;
   return out;
 }
 
@@ -330,23 +322,17 @@ std::uint64_t TrafficEngine::pick_key() {
 
 void TrafficEngine::observe_churn(const ChurnBatch& batch,
                                   const adversary::AdversaryView& view) {
+  DEX_ASSERT_MSG(view.live_csr, "observe_churn needs a view with live_csr");
   if (spec_.workload != "hotspot") return;
   // The region about to churn: every attach point plus every victim's
   // current neighborhood (the victims themselves will be gone by the time
   // requests fire; their neighbors inherit the turbulence). Adjacency comes
   // from the runner's maintained CSR — not yet advanced past this batch, so
-  // exactly the pre-churn view — never from a fresh snapshot copy. Bare
-  // views without live_csr fall back to the store's cached copy, which is
-  // absent before the first sync (and no key is placed by then, so there is
-  // no region worth capturing either).
+  // exactly the pre-churn view — never from a fresh snapshot copy.
   std::vector<NodeId> region = batch.attach_to;
-  const graph::CsrView* g = view.live_csr      ? &view.live_csr()
-                            : kv_.synced()     ? &kv_.live_view()
-                                               : nullptr;
-  if (!batch.victims.empty() && g != nullptr) {
-    for (const NodeId v : batch.victims) {
-      for (const NodeId u : g->neighbors(v)) region.push_back(u);
-    }
+  const graph::CsrView& g = view.live_csr();
+  for (const NodeId v : batch.victims) {
+    for (const NodeId u : g.neighbors(v)) region.push_back(u);
   }
   std::sort(region.begin(), region.end());
   region.erase(std::unique(region.begin(), region.end()), region.end());

@@ -30,12 +30,13 @@
 ///    each applied ChurnBatch and driven one op at a time; its per-step
 ///    tallies flow into StepRecord and from there through every sink.
 ///
-/// Serving cost per op is amortized ~O(1) in the live view size: the store
-/// keeps a flat CSR snapshot of the step's topology (graph/csr.h, taken
-/// from the runner's CachedView), answers hop optima through a per-step
-/// DistanceOracle (sim/oracle.h) whose single-source BFS frontiers are
-/// shared across the step's ops, and re-homes keys from per-key top-K
-/// rendezvous candidate lists instead of rescanning the whole alive set.
+/// Serving cost per op stays well below one O(n + m) BFS: the store borrows
+/// the flat CSR of the step's topology (graph/csr.h) from the caller's
+/// CachedView, answers hop optima through a per-step DistanceOracle
+/// (sim/oracle.h) whose point queries are meet-in-the-middle probes
+/// (~O(sqrt n) vertices on an expander), and re-homes keys from per-key
+/// top-K rendezvous candidate lists instead of rescanning the whole alive
+/// set.
 ///
 /// This header sits between sim/overlay.h and sim/scenario.h: it needs the
 /// overlay surface and the AdversaryView, while ScenarioSpec embeds
@@ -139,10 +140,10 @@ class KvStore {
     std::uint64_t messages = 0;
   };
 
-  /// Refreshes the cached live view (one flat CSR per step — borrowed from
-  /// the runner's CachedView when the view exposes live_csr, rebuilt
-  /// locally otherwise), updates the sorted alive set incrementally from
-  /// the membership delta, and re-homes keys displaced by the change.
+  /// Refreshes the cached live view (one flat CSR per step, borrowed from
+  /// the caller's CachedView — `view.live_csr` must be wired), updates the
+  /// sorted alive set incrementally from the membership delta, and re-homes
+  /// keys displaced by the change.
   /// Transfer charge per moved key: the BFS distance from its new home to
   /// its old one when the old host survived, else the mean BFS distance
   /// from the new home (the expected recovery pull).
@@ -192,13 +193,9 @@ class KvStore {
   [[nodiscard]] std::vector<std::uint64_t> keys_at(
       const std::vector<graph::NodeId>& homes) const;
 
-  /// Whether sync() has run at least once (operations require it).
-  [[nodiscard]] bool synced() const { return synced_; }
-
   /// The live view adopted by the last sync() — borrowed straight from the
-  /// runner's maintained CSR when the view exposes live_csr (zero copies;
-  /// the CachedView's object identity is stable across steps), otherwise
-  /// the store's own rebuild. Requires a prior sync().
+  /// caller's maintained CSR (zero copies; the CachedView's object identity
+  /// is stable across steps). Requires a prior sync().
   [[nodiscard]] const graph::CsrView& live_view() const {
     DEX_ASSERT(csr_ != nullptr);
     return *csr_;
@@ -208,11 +205,6 @@ class KvStore {
   /// view.alive_nodes() would return, without the per-step copy.
   [[nodiscard]] const std::vector<graph::NodeId>& alive() const {
     return alive_;
-  }
-
-  [[nodiscard]] std::size_t moved_total() const { return moved_total_; }
-  [[nodiscard]] std::uint64_t rehash_messages_total() const {
-    return rehash_messages_total_;
   }
 
  private:
@@ -247,10 +239,9 @@ class KvStore {
   bool route_op(graph::NodeId origin, graph::NodeId home, OpResult& out);
 
   const HealingOverlay& overlay_;
-  /// The step's live view: points at the runner's maintained CSR when the
-  /// AdversaryView lends one (live_csr), else at own_csr_. Reset by sync().
+  /// The step's live view: the caller's maintained CSR, borrowed from the
+  /// AdversaryView's live_csr. Reset by sync().
   const graph::CsrView* csr_ = nullptr;
-  graph::CsrView own_csr_;  ///< fallback build for views without live_csr
   DistanceOracle oracle_;
   std::vector<graph::NodeId> alive_;  ///< ascending; maintained by sync()
   bool synced_ = false;
@@ -259,8 +250,6 @@ class KvStore {
   std::vector<std::uint64_t> last_moved_;
   std::vector<graph::NodeId> alive_scratch_;
   std::vector<graph::NodeId> added_scratch_;
-  std::size_t moved_total_ = 0;
-  std::uint64_t rehash_messages_total_ = 0;
 };
 
 /// One trial's traffic state: the store, the request generator and a traffic
@@ -276,8 +265,8 @@ class TrafficEngine {
                 std::uint64_t trial_seed);
 
   /// `view` supplies pre-churn adjacency for the hotspot generator's region
-  /// capture (the runner's maintained CSR — not yet advanced past this
-  /// batch); the store's own cached view is the fallback for bare views.
+  /// capture (its live_csr, which must be wired: the runner's maintained
+  /// CSR, not yet advanced past this batch).
   void observe_churn(const ChurnBatch& batch,
                      const adversary::AdversaryView& view);
 

@@ -48,7 +48,7 @@ void drive(Net& net, adv::Strategy& strat, adv::AdversaryView& view,
            dex::support::Rng& rng, int steps, std::size_t min_n,
            std::size_t max_n);
 
-void apply_action(dex::DexNetwork& net, const adv::ChurnAction& a) {
+void apply_churn(dex::DexNetwork& net, const adv::ChurnAction& a) {
   if (a.insert) {
     net.insert(a.target);
   } else {
@@ -56,7 +56,7 @@ void apply_action(dex::DexNetwork& net, const adv::ChurnAction& a) {
   }
 }
 
-void apply_action(dex::baselines::LawSiuNetwork& net,
+void apply_churn(dex::baselines::LawSiuNetwork& net,
                   const adv::ChurnAction& a) {
   if (a.insert) {
     net.insert();
@@ -70,7 +70,7 @@ void drive(Net& net, adv::Strategy& strat, adv::AdversaryView& view,
            dex::support::Rng& rng, int steps, std::size_t min_n,
            std::size_t max_n) {
   for (int t = 0; t < steps; ++t) {
-    apply_action(net, strat.next(view, rng, min_n, max_n));
+    apply_churn(net, strat.next(view, rng, min_n, max_n));
   }
 }
 
@@ -136,7 +136,7 @@ TEST(Adversary, CoordinatorKillerActuallyKillsCoordinators) {
   for (int t = 0; t < 100; ++t) {
     const auto a = strat.next(view, rng, 8, 64);
     if (!a.insert && a.target == net.coordinator()) ++coordinator_kills;
-    apply_action(net, a);
+    apply_churn(net, a);
   }
   EXPECT_GT(coordinator_kills, 20u);
   net.check_invariants();  // DEX shrugs it off
@@ -164,9 +164,9 @@ TEST(Adversary, ScriptedReplaysExactly) {
   auto view = view_of(net);
   adv::Scripted strat({{true, 0}, {true, 1}, {false, 2}});
   dex::support::Rng rng(7);
-  apply_action(net, strat.next(view, rng, 2, 100));
-  apply_action(net, strat.next(view, rng, 2, 100));
-  apply_action(net, strat.next(view, rng, 2, 100));
+  apply_churn(net, strat.next(view, rng, 2, 100));
+  apply_churn(net, strat.next(view, rng, 2, 100));
+  apply_churn(net, strat.next(view, rng, 2, 100));
   EXPECT_EQ(net.n(), 9u);
   EXPECT_FALSE(net.alive(2));
   EXPECT_DEATH(strat.next(view, rng, 2, 100), "exhausted");
@@ -202,7 +202,7 @@ TEST(Adversary, GreedySpectralDeletionDegradesLawSiuButNotDex) {
   const double ls_gap0 =
       dex::graph::spectral_gap(lawsiu.snapshot(), lawsiu.alive_mask()).gap;
   for (int t = 0; t < 100; ++t) {
-    apply_action(lawsiu, attack_ls.next(lview, rng, 40, 256));
+    apply_churn(lawsiu, attack_ls.next(lview, rng, 40, 256));
   }
   const double ls_gap1 =
       dex::graph::spectral_gap(lawsiu.snapshot(), lawsiu.alive_mask()).gap;
@@ -213,7 +213,7 @@ TEST(Adversary, GreedySpectralDeletionDegradesLawSiuButNotDex) {
   auto dview = view_of(net);
   adv::GreedySpectralDeletion attack_dex(24);
   for (int t = 0; t < 100; ++t) {
-    apply_action(net, attack_dex.next(dview, rng, 40, 256));
+    apply_churn(net, attack_dex.next(dview, rng, 40, 256));
   }
   const double dex_gap =
       dex::graph::spectral_gap(net.snapshot(), net.alive_mask()).gap;

@@ -206,9 +206,10 @@ TEST(CampaignCombinators, SeqChainsRangesLikeTheParser) {
 }
 
 TEST(CampaignRun, SummaryArchivesTheCampaignString) {
-  const std::string campaign = "churn:0-2;burst:2-";
+  const auto campaign = sim::parse_campaign_spec("churn:0-2;burst:2-");
+  ASSERT_TRUE(campaign.has_value());
   auto overlay = sim::make_overlay("flood", 16, sim::overlay_seed(3));
-  auto strategy = sim::make_campaign_strategy(campaign);
+  auto strategy = sim::make_campaign_strategy(*campaign);
   sim::ScenarioSpec spec;
   spec.seed = 3;
   spec.steps = 4;

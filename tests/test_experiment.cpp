@@ -1,7 +1,8 @@
 // The declarative sweep layer (sim/experiment.h) and the streaming sinks
 // (sim/sinks.h): deterministic plan expansion, executor byte-determinism
 // across thread counts, index-ordered delivery, and the sink conformance
-// contract (nesting, ordering, fan-out, aggregate coherence). Plus the
+// contract (nesting, ordering, steps only to sinks that want them,
+// aggregate coherence). Plus the
 // per-node degree semantics of the flooding adapter the sweep relies on.
 
 #include <gtest/gtest.h>
@@ -43,14 +44,18 @@ SweepOutput run_sweep(const sim::ExperimentPlan& plan, std::size_t jobs) {
   std::ostringstream csv, json;
   sim::CsvTraceSink csv_sink(csv);
   sim::JsonSummarySink json_sink(json);
+  sim::AggregateSink agg;
   sim::ExecutorOptions opts;
   opts.jobs = jobs;
   sim::Executor executor(opts);
   executor.add_sink(csv_sink);
   executor.add_sink(json_sink);
-  const auto results = executor.run(plan.expand());
+  executor.add_sink(agg);
+  executor.run(plan.expand());
   SweepOutput out{csv.str(), json.str(), {}};
-  for (const auto& r : results) out.summaries.push_back(sim::summary_json(r));
+  for (const auto& row : agg.rows()) {
+    out.summaries.push_back(sim::summary_json(row.result));
+  }
   return out;
 }
 
@@ -141,15 +146,18 @@ TEST(Executor, ResultsOrderedByTrialIndexNotFinishTime) {
   plan.base.steps = 60;
   sim::ExecutorOptions opts;
   opts.jobs = 4;
-  opts.stream_steps = false;
   sim::Executor executor(opts);
-  const auto results = executor.run(plan.expand());
-  ASSERT_EQ(results.size(), 4u);
-  EXPECT_EQ(results[0].start_n, 128u);
-  EXPECT_EQ(results[1].start_n, 128u);
-  EXPECT_EQ(results[2].start_n, 16u);
-  EXPECT_EQ(results[3].start_n, 16u);
-  for (const auto& r : results) {
+  sim::AggregateSink agg;
+  executor.add_sink(agg);
+  executor.run(plan.expand());
+  const auto& rows = agg.rows();
+  ASSERT_EQ(rows.size(), 4u);
+  EXPECT_EQ(rows[0].result.start_n, 128u);
+  EXPECT_EQ(rows[1].result.start_n, 128u);
+  EXPECT_EQ(rows[2].result.start_n, 16u);
+  EXPECT_EQ(rows[3].result.start_n, 16u);
+  for (const auto& row : rows) {
+    const auto& r = row.result;
     EXPECT_EQ(r.backend, "dex-worstcase");
     // The executor never materializes traces.
     EXPECT_TRUE(r.trace.empty());
@@ -162,9 +170,14 @@ TEST(Executor, ResultsOrderedByTrialIndexNotFinishTime) {
 namespace {
 
 /// Records the event stream to verify the delivery contract: per-trial
-/// nesting (start, steps, end), step counts, and global index order.
+/// nesting (start, steps, end), step counts, and global index order. A
+/// recorder built with wants_steps = false stands in for a summary-only sink.
 class RecordingSink final : public sim::MetricSink {
  public:
+  explicit RecordingSink(bool wants_steps = true) : wants_(wants_steps) {}
+
+  [[nodiscard]] bool wants_steps() const override { return wants_; }
+
   struct TrialLog {
     std::size_t index = 0;
     std::size_t steps = 0;
@@ -190,11 +203,16 @@ class RecordingSink final : public sim::MetricSink {
     ASSERT_FALSE(trials.empty());
     ASSERT_EQ(trial.index, trials.back().index);
     EXPECT_TRUE(result.trace.empty());
-    EXPECT_EQ(result.rounds.count, trials.back().steps);
+    if (wants_) {
+      EXPECT_EQ(result.rounds.count, trials.back().steps);
+    }
     trials.back().ended = true;
   }
 
   std::vector<TrialLog> trials;
+
+ private:
+  bool wants_;
 };
 
 }  // namespace
@@ -204,11 +222,9 @@ TEST(Sinks, DeliveryContractHoldsUnderParallelExecution) {
   RecordingSink recorder;
   sim::ExecutorOptions opts;
   opts.jobs = 8;
-  opts.collect_results = false;
   sim::Executor executor(opts);
   executor.add_sink(recorder);
-  const auto results = executor.run(plan.expand());
-  EXPECT_TRUE(results.empty());  // collect_results off
+  executor.run(plan.expand());
   ASSERT_EQ(recorder.trials.size(), plan.trial_count());
   for (const auto& t : recorder.trials) {
     EXPECT_TRUE(t.ended);
@@ -229,10 +245,12 @@ TEST(Sinks, CsvTraceSinkSingleTrialMatchesMaterializedTrace) {
 
   std::ostringstream streamed;
   sim::CsvTraceSink sink(streamed, /*trial_column=*/false);
+  sim::AggregateSink agg;
   sim::Executor executor;
   executor.add_sink(sink);
-  const auto results = executor.run(plan.expand());
-  ASSERT_EQ(results.size(), 1u);
+  executor.add_sink(agg);
+  executor.run(plan.expand());
+  ASSERT_EQ(agg.rows().size(), 1u);
 
   auto trials = plan.expand();
   auto overlay = trials[0].make_overlay();
@@ -240,33 +258,49 @@ TEST(Sinks, CsvTraceSinkSingleTrialMatchesMaterializedTrace) {
   sim::ScenarioRunner runner(*overlay, *strategy, trials[0].spec);
   const auto materialized = runner.run();
   EXPECT_EQ(streamed.str(), sim::trace_csv(materialized));
-  EXPECT_EQ(sim::summary_json(results[0]), sim::summary_json(materialized));
+  EXPECT_EQ(sim::summary_json(agg.rows()[0].result),
+            sim::summary_json(materialized));
 }
 
-TEST(Sinks, MultiSinkFansOutAndAggregateSinkMatchesResults) {
+TEST(Sinks, StepsReachOnlySinksThatWantThem) {
+  // One executor, a summary-only sink beside a step consumer: the first
+  // sees no on_step at all, the second every step, and both (plus the
+  // aggregate and JSON sinks) see the same trial order.
   const auto plan = small_plan();
+  RecordingSink summary_only(/*wants_steps=*/false);
+  RecordingSink steps;
   sim::AggregateSink agg;
   std::ostringstream json;
   sim::JsonSummarySink json_sink(json);
-  sim::MultiSink multi;
-  multi.add(agg);
-  multi.add(json_sink);
+  sim::ExecutorOptions opts;
+  opts.jobs = 8;
+  sim::Executor executor(opts);
+  executor.add_sink(summary_only);
+  executor.add_sink(steps);
+  executor.add_sink(agg);
+  executor.add_sink(json_sink);
+  executor.run(plan.expand());
 
-  sim::Executor executor;
-  executor.add_sink(multi);
-  const auto results = executor.run(plan.expand());
-
-  ASSERT_EQ(agg.rows().size(), results.size());
-  std::size_t json_lines = 0;
-  for (char c : json.str()) json_lines += c == '\n';
-  EXPECT_EQ(json_lines, results.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
+  ASSERT_EQ(summary_only.trials.size(), plan.trial_count());
+  ASSERT_EQ(steps.trials.size(), plan.trial_count());
+  ASSERT_EQ(agg.rows().size(), plan.trial_count());
+  std::istringstream lines(json.str());
+  std::string line;
+  for (std::size_t i = 0; i < plan.trial_count(); ++i) {
+    EXPECT_EQ(summary_only.trials[i].index, i);
+    EXPECT_EQ(steps.trials[i].index, i);
+    EXPECT_EQ(summary_only.trials[i].steps, 0u);
+    EXPECT_EQ(steps.trials[i].steps, 20u);
+    EXPECT_TRUE(summary_only.trials[i].ended && steps.trials[i].ended);
     const auto& row = agg.rows()[i];
     EXPECT_EQ(row.info.index, i);
-    EXPECT_EQ(row.result.backend, results[i].backend);
-    EXPECT_EQ(sim::summary_json(row.result), sim::summary_json(results[i]));
     EXPECT_TRUE(row.result.trace.empty());
+    const std::string want = "{\"trial\": " + std::to_string(i) + ", " +
+                             sim::summary_json(row.result).substr(1);
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_EQ(line, want);
   }
+  EXPECT_FALSE(std::getline(lines, line));
 }
 
 TEST(Sinks, JsonSummarySinkLeadsWithTrialIndex) {

@@ -128,7 +128,7 @@ TEST(FailureInjection, KvStoreUnderCoordinatorKillsAndDeflationStaggering) {
   dex::sim::KvStore kv(overlay);
   const auto& net = overlay.net();
   const auto resync = [&] {
-    cache.invalidate();
+    cache.advance();
     kv.sync(cache.view());
   };
   const auto expect_value = [&](std::uint64_t k) {

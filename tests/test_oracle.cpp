@@ -94,7 +94,7 @@ TEST(DistanceOracle, MatchesBfsOnChurnedViewsAcrossAllSixBackends) {
       } else {
         overlay->remove(action.target);
       }
-      cache.invalidate();
+      cache.advance();
       if (step % 5 != 0) continue;
       const auto& live = cache.view().live_csr();
       oracle.attach(live);

@@ -257,12 +257,12 @@ TEST(CachedView, MaterializesEachComponentOncePerStep) {
   EXPECT_EQ(overlay.nodes_calls, 1u);
   EXPECT_EQ(overlay.snapshot_calls, 1u);
   EXPECT_EQ(overlay.mask_calls, 1u);
-  cache.invalidate();
+  cache.advance();
   (void)view.alive_nodes();
   (void)view.snapshot();
   EXPECT_EQ(overlay.nodes_calls, 2u);
   EXPECT_EQ(overlay.snapshot_calls, 2u);
-  EXPECT_EQ(overlay.mask_calls, 1u);  // not queried since invalidate
+  EXPECT_EQ(overlay.mask_calls, 1u);  // not queried since advance
 }
 
 // ------------------------------------------------------------ factories
@@ -286,9 +286,10 @@ TEST(Factories, EveryAdvertisedNameConstructs) {
   }
 }
 
-TEST(MakeView, ExposesOverlayStateAndOracle) {
+TEST(CachedView, ExposesOverlayStateAndOracle) {
   sim::LawSiuOverlay with_oracle(16, 2, 3);
-  const auto v = sim::make_view(with_oracle);
+  sim::CachedView cache(with_oracle);
+  const auto& v = cache.view();
   EXPECT_EQ(v.n(), 16u);
   EXPECT_EQ(v.alive_nodes().size(), 16u);
   EXPECT_TRUE(static_cast<bool>(v.snapshot_without));
@@ -297,7 +298,8 @@ TEST(MakeView, ExposesOverlayStateAndOracle) {
   Params prm;
   prm.seed = 61;
   sim::DexOverlay dex_overlay(16, prm);
-  const auto dv = sim::make_view(dex_overlay);
+  sim::CachedView dex_cache(dex_overlay);
+  const auto& dv = dex_cache.view();
   EXPECT_FALSE(static_cast<bool>(dv.snapshot_without));
   EXPECT_EQ(dv.special_node(), dex_overlay.net().coordinator());
 }

@@ -1,12 +1,18 @@
-// Overlay services (services.h): sampling uniformity (the intro's "quickly
-// sample a random node"), broadcast reach/cost, and point-to-point routing.
+// Overlay services: sampling uniformity (services.h, the intro's "quickly
+// sample a random node"), flood reach over the healed topology, and the
+// point-to-point p-cycle route the traffic layer serves through
+// (sim::DexOverlay::route).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 
 #include "dex/services.h"
+#include "graph/bfs.h"
+#include "graph/csr.h"
+#include "sim/overlay.h"
 #include "support/prng.h"
 
 using dex::DexNetwork;
@@ -60,7 +66,7 @@ TEST(Services, SampleIsNearUniform) {
   EXPECT_EQ(counts.size(), 32u);  // every node hit at least once
 }
 
-TEST(Services, BroadcastReachesEveryone) {
+TEST(Services, FloodReachesEveryone) {
   Params prm;
   prm.seed = 8;
   DexNetwork net(128, prm);
@@ -69,36 +75,46 @@ TEST(Services, BroadcastReachesEveryone) {
     const auto nodes = net.alive_nodes();
     net.insert(nodes[rng.below(nodes.size())]);
   }
-  const auto b = dex::broadcast(net, net.alive_nodes().front());
-  EXPECT_EQ(b.reached, net.n());
-  // Expander: rounds = eccentricity = O(log n).
-  EXPECT_LT(b.cost.rounds, 4 * std::log2(static_cast<double>(net.p())));
-  EXPECT_GT(b.cost.messages, net.n());  // every edge carries the message
+  const auto g = net.snapshot();
+  const auto mask = net.alive_mask();
+  EXPECT_TRUE(dex::graph::is_connected(g, mask));
+  // Expander: flood rounds = eccentricity = O(log n).
+  EXPECT_LT(dex::graph::eccentricity(g, net.alive_nodes().front(), mask),
+            4 * std::log2(static_cast<double>(net.p())));
 }
 
 TEST(Services, RouteDeliversWithLogHops) {
   Params prm;
   prm.seed = 9;
-  DexNetwork net(512, prm);
+  dex::sim::DexOverlay overlay(512, prm);
+  dex::graph::CsrView live;
+  live.build(overlay.snapshot(), overlay.alive_mask());
   dex::support::Rng rng(2);
-  const auto nodes = net.alive_nodes();
-  const double limit = 3.0 * std::log2(static_cast<double>(net.p()));
+  const auto nodes = overlay.alive_nodes();
+  const double limit = 3.0 * std::log2(static_cast<double>(overlay.net().p()));
   for (int i = 0; i < 60; ++i) {
     const auto a = nodes[rng.below(nodes.size())];
     const auto b = nodes[rng.below(nodes.size())];
-    const auto r = dex::route(net, a, b);
-    EXPECT_TRUE(r.delivered);
-    EXPECT_LE(static_cast<double>(r.cost.rounds), limit);
+    const auto path = overlay.route(a, b, live);
+    ASSERT_FALSE(path.empty());
+    EXPECT_EQ(path.front(), a);
+    EXPECT_EQ(path.back(), b);
+    // Every hop is a materialized real edge.
+    for (std::size_t h = 1; h < path.size(); ++h) {
+      const auto nbrs = live.neighbors(path[h - 1]);
+      EXPECT_NE(std::find(nbrs.begin(), nbrs.end(), path[h]), nbrs.end());
+    }
+    EXPECT_LE(static_cast<double>(path.size() - 1), limit);
   }
 }
 
 TEST(Services, RouteToSelfIsFree) {
   Params prm;
   prm.seed = 10;
-  DexNetwork net(16, prm);
-  const auto r = dex::route(net, 3, 3);
-  EXPECT_TRUE(r.delivered);
-  EXPECT_EQ(r.cost.messages, 0u);
+  dex::sim::DexOverlay overlay(16, prm);
+  dex::graph::CsrView live;
+  live.build(overlay.snapshot(), overlay.alive_mask());
+  EXPECT_EQ(overlay.route(3, 3, live), std::vector<dex::NodeId>{3});
 }
 
 TEST(Services, ServicesSurviveChurnAndRebuilds) {
@@ -113,8 +129,7 @@ TEST(Services, ServicesSurviveChurnAndRebuilds) {
     if (t % 25 == 0) {
       const auto s = dex::sample_node(net, nodes[0]);
       EXPECT_TRUE(net.alive(s.node));
-      const auto b = dex::broadcast(net, nodes[0]);
-      EXPECT_EQ(b.reached, net.n());
+      EXPECT_TRUE(dex::graph::is_connected(net.snapshot(), net.alive_mask()));
     }
   }
   ASSERT_GE(net.inflation_count(), 1u);  // services crossed a rebuild

@@ -32,6 +32,12 @@ std::unique_ptr<sim::HealingOverlay> overlay(std::size_t n0,
   return sim::make_overlay("flood", n0, sim::overlay_seed(seed));
 }
 
+/// The CampaignStrategy for a campaign string that must parse.
+std::unique_ptr<adversary::Strategy> campaign_strategy(
+    const std::string& text) {
+  return sim::make_campaign_strategy(sim::parse_campaign_spec(text).value());
+}
+
 /// The default wrapper's documented contract, checked against a live view.
 void expect_self_consistent(const ChurnBatch& batch,
                             const sim::HealingOverlay& net, std::size_t min_n,
@@ -54,19 +60,22 @@ void expect_self_consistent(const ChurnBatch& batch,
 
 TEST(StrategyBatch, DefaultWrapperDedupsAndStaysSelfConsistent) {
   auto net = overlay(32);
-  const auto view = sim::make_view(*net);
+  sim::CachedView cache(*net);
+  const auto& view = cache.view();
   adversary::RandomChurn churn(0.5);
   support::Rng rng(11);
   for (int step = 0; step < 16; ++step) {
     const ChurnBatch batch = churn.next_batch(view, rng, 8, 128, 8);
     expect_self_consistent(batch, *net, 8, 128);
     (void)net->apply(batch);
+    cache.advance();
   }
 }
 
 TEST(StrategyBatch, DefaultWrapperProjectsAgainstThePopulationFloor) {
   auto net = overlay(16);
-  const auto view = sim::make_view(*net);
+  sim::CachedView cache(*net);
+  const auto& view = cache.view();
   adversary::DeleteOnly deletes;
   support::Rng rng(3);
   // Only two deletions fit above min_n = 14; a batch of 8 must not take
@@ -81,7 +90,8 @@ TEST(StrategyBatch, DefaultWrapperProjectsAgainstThePopulationFloor) {
 
 TEST(StrategyBatch, DefaultWrapperProjectsAgainstThePopulationCeiling) {
   auto net = overlay(16);
-  const auto view = sim::make_view(*net);
+  sim::CachedView cache(*net);
+  const auto& view = cache.view();
   adversary::RandomChurn inserts(1.0);  // insert with probability 1
   support::Rng rng(5);
   const std::size_t max_n = net->n() + 2;
@@ -92,7 +102,8 @@ TEST(StrategyBatch, DefaultWrapperProjectsAgainstThePopulationCeiling) {
 
 TEST(StrategyBatch, ScriptedReplaysInOrderThenAborts) {
   auto net = overlay(16);
-  const auto view = sim::make_view(*net);
+  sim::CachedView cache(*net);
+  const auto& view = cache.view();
   support::Rng rng(1);
   const auto alive = net->alive_nodes();
   adversary::Scripted scripted({{true, alive[0]},
@@ -117,10 +128,11 @@ TEST(StrategyBatch, ScriptedReplaysInOrderThenAborts) {
 
 TEST(StrategyBatch, CampaignQuietStepsAreEmptyBatches) {
   auto net = overlay(24);
-  const auto view = sim::make_view(*net);
+  sim::CachedView cache(*net);
+  const auto& view = cache.view();
   support::Rng rng(9);
   // Active [0,2), quiet gap [2,4), insert-only [4,6), then past all phases.
-  auto strategy = sim::make_campaign_strategy("churn:0-2;insert-only:4-6");
+  auto strategy = campaign_strategy("churn:0-2;insert-only:4-6");
   for (std::size_t step = 0; step < 8; ++step) {
     const ChurnBatch batch = strategy->next_batch(view, rng, 8, 128, 4);
     const bool quiet = (step >= 2 && step < 4) || step >= 6;
@@ -135,9 +147,10 @@ TEST(StrategyBatch, CampaignQuietStepsAreEmptyBatches) {
 
 TEST(StrategyBatch, CampaignRateGateScalesTheBatchBudget) {
   auto net = overlay(32);
-  const auto view = sim::make_view(*net);
+  sim::CachedView cache(*net);
+  const auto& view = cache.view();
   support::Rng rng(13);
-  auto strategy = sim::make_campaign_strategy("churn:0-,rate=0.5");
+  auto strategy = campaign_strategy("churn:0-,rate=0.5");
   std::size_t total = 0;
   for (std::size_t step = 0; step < 8; ++step) {
     const ChurnBatch batch = strategy->next_batch(view, rng, 8, 256, 4);
@@ -146,7 +159,7 @@ TEST(StrategyBatch, CampaignRateGateScalesTheBatchBudget) {
   }
   EXPECT_GT(total, 0u);
   // rate=0 gates every batch to empty, deterministically.
-  auto gated = sim::make_campaign_strategy("churn:0-,rate=0");
+  auto gated = campaign_strategy("churn:0-,rate=0");
   for (std::size_t step = 0; step < 4; ++step) {
     EXPECT_TRUE(gated->next_batch(view, rng, 8, 256, 4).empty());
   }
@@ -155,13 +168,15 @@ TEST(StrategyBatch, CampaignRateGateScalesTheBatchBudget) {
 TEST(StrategyBatch, CampaignBatchesAreDeterministicPerSeed) {
   auto net_a = overlay(32);
   auto net_b = overlay(32);
-  const auto view_a = sim::make_view(*net_a);
-  const auto view_b = sim::make_view(*net_b);
+  sim::CachedView cache_a(*net_a);
+  sim::CachedView cache_b(*net_b);
+  const auto& view_a = cache_a.view();
+  const auto& view_b = cache_b.view();
   support::Rng rng_a(21);
   support::Rng rng_b(21);
   const std::string campaign = "mix(churn*2+burst*1):0-6;mass-failure:6-";
-  auto a = sim::make_campaign_strategy(campaign);
-  auto b = sim::make_campaign_strategy(campaign);
+  auto a = campaign_strategy(campaign);
+  auto b = campaign_strategy(campaign);
   for (std::size_t step = 0; step < 10; ++step) {
     const ChurnBatch ba = a->next_batch(view_a, rng_a, 8, 256, 4);
     const ChurnBatch bb = b->next_batch(view_b, rng_b, 8, 256, 4);
@@ -169,12 +184,15 @@ TEST(StrategyBatch, CampaignBatchesAreDeterministicPerSeed) {
     EXPECT_EQ(ba.attach_to, bb.attach_to) << "step " << step;
     (void)net_a->apply(ba);
     (void)net_b->apply(bb);
+    cache_a.advance();
+    cache_b.advance();
   }
 }
 
 TEST(StrategyBatch, CampaignReplayToleratesStaleTargets) {
   auto net = overlay(16);
-  const auto view = sim::make_view(*net);
+  sim::CachedView cache(*net);
+  const auto& view = cache.view();
   support::Rng rng(2);
   const auto alive = net->alive_nodes();
   // Script one action whose victim is already dead by replay time (a node id

@@ -171,7 +171,7 @@ TEST(KvStore, RoundTripEraseAndRehomingUnderChurn) {
   std::size_t hosted = 0;
   for (std::uint64_t k = 0; k < 200; ++k) hosted += kv.home(k) == victim;
   overlay.remove(victim);
-  cache.invalidate();
+  cache.advance();
   const auto moved = kv.sync(cache.view());
   EXPECT_EQ(moved.moved_keys, hosted);
   EXPECT_GT(moved.messages, 0u);
@@ -185,7 +185,7 @@ TEST(KvStore, RoundTripEraseAndRehomingUnderChurn) {
 
   // Inserting a node pulls over only the keys it now wins.
   overlay.insert(0);
-  cache.invalidate();
+  cache.advance();
   const auto pulled = kv.sync(cache.view());
   EXPECT_LT(pulled.moved_keys, 200u);
   EXPECT_TRUE(kv.erase(0, overlay.alive_nodes()[1]).ok);
@@ -203,7 +203,7 @@ TEST(KvStore, ChurnedOutOriginResolvesToALiveProxy) {
     const NodeId dead = overlay->alive_nodes()[5];
     EXPECT_TRUE(kv.put(42, 7, dead).ok);
     overlay->remove(dead);
-    cache.invalidate();
+    cache.advance();
     kv.sync(cache.view());
     // Requests from the churned-out origin still deliver, routed entirely
     // over live nodes (expect_valid_path is implied: hops are finite and
@@ -233,7 +233,7 @@ struct DexKv {
     return p;
   }
   void resync() {
-    cache.invalidate();
+    cache.advance();
     kv.sync(cache.view());
   }
   void insert_random(support::Rng& rng) {
@@ -479,7 +479,7 @@ TEST(KvStore, PlacementTracksAFreshStoreThroughJoinsAndLeaves) {
     } else {
       overlay.remove(nodes[rng.below(nodes.size())]);
     }
-    cache.invalidate();
+    cache.advance();
     kv.sync(cache.view());
     if (step % 2 == 0) {  // occasionally shrink placed_ too
       kv.erase(rng.below(256), overlay.alive_nodes()[0]);

@@ -45,6 +45,7 @@
 
 namespace {
 
+using dex::adversary::CampaignSpec;
 using dex::sim::ScenarioResult;
 using dex::sim::ScenarioSpec;
 
@@ -144,13 +145,14 @@ std::optional<FuzzCase> from_line(const std::string& line,
   return c;
 }
 
-ScenarioSpec to_spec(const FuzzCase& c) {
+/// The case's trial spec around its already-parsed campaign.
+ScenarioSpec to_spec(const FuzzCase& c, const CampaignSpec& campaign) {
   ScenarioSpec spec;
   spec.seed = c.seed;
   spec.steps = c.steps;
   spec.batch_size = c.batch;
   spec.gap_every = 4;
-  spec.campaign = c.campaign;
+  spec.campaign = campaign;
   spec.label = "fuzz";
   if (!c.workload.empty()) {
     spec.traffic.workload = c.workload;
@@ -287,12 +289,13 @@ struct RunOutput {
   ScenarioResult result;
 };
 
-RunOutput run_case(const FuzzCase& c, unsigned trial_jobs = 1) {
+RunOutput run_case(const FuzzCase& c, const CampaignSpec& campaign,
+                   unsigned trial_jobs = 1) {
   auto overlay = dex::sim::make_overlay(c.backend, c.n0,
                                         dex::sim::overlay_seed(c.seed));
   if (trial_jobs > 1) overlay->set_intra_jobs(trial_jobs);
-  auto strategy = dex::sim::make_campaign_strategy(c.campaign);
-  dex::sim::ScenarioRunner runner(*overlay, *strategy, to_spec(c));
+  auto strategy = dex::sim::make_campaign_strategy(campaign);
+  dex::sim::ScenarioRunner runner(*overlay, *strategy, to_spec(c, campaign));
   RunOutput out;
   out.result = runner.run();
   out.trace = dex::sim::trace_csv(out.result);
@@ -303,18 +306,19 @@ RunOutput run_case(const FuzzCase& c, unsigned trial_jobs = 1) {
 /// The sweep-jobs probe: the case as a 2-seed ExperimentPlan through the
 /// Executor, trace + summary streamed into strings. Byte-identical for any
 /// jobs value or it is a violation.
-std::string run_sweep(const FuzzCase& c, std::size_t jobs) {
+std::string run_sweep(const FuzzCase& c, const CampaignSpec& campaign,
+                      std::size_t jobs) {
   dex::sim::ExperimentPlan plan;
   plan.backends = {c.backend};
   plan.scenarios = {"churn"};  // ignored: base.campaign overrides it
   plan.populations = {c.n0};
   plan.batch_sizes = {c.batch};
   plan.seeds = {c.seed, c.seed + 1};
-  plan.base = to_spec(c);
+  plan.base = to_spec(c, campaign);
   std::ostringstream csv, json;
   dex::sim::CsvTraceSink trace_sink(csv);
   dex::sim::JsonSummarySink summary_sink(json);
-  dex::sim::Executor exec({jobs, 1, true, false});
+  dex::sim::Executor exec({jobs, 1});
   exec.add_sink(trace_sink);
   exec.add_sink(summary_sink);
   exec.run(plan.expand());
@@ -341,12 +345,12 @@ std::optional<Violation> check_case(const FuzzCase& c,
     return Violation{"campaign-parse", parse_error};
   }
 
-  const RunOutput a = run_case(c);
-  const RunOutput b = run_case(c);
+  const RunOutput a = run_case(c, *campaign);
+  const RunOutput b = run_case(c, *campaign);
   if (a.trace != b.trace || a.summary != b.summary) {
     return Violation{"determinism", "re-run produced different bytes"};
   }
-  const RunOutput tj = run_case(c, /*trial_jobs=*/2);
+  const RunOutput tj = run_case(c, *campaign, /*trial_jobs=*/2);
   if (a.trace != tj.trace || a.summary != tj.summary) {
     return Violation{"trial-jobs", "set_intra_jobs(2) changed bytes"};
   }
@@ -398,8 +402,8 @@ std::optional<Violation> check_case(const FuzzCase& c,
   }
 
   if (opt.sweep_probe) {
-    const std::string one = run_sweep(c, 1);
-    const std::string four = run_sweep(c, 4);
+    const std::string one = run_sweep(c, *campaign, 1);
+    const std::string four = run_sweep(c, *campaign, 4);
     if (one != four) {
       return Violation{"sweep-jobs", "Executor jobs=1 vs jobs=4 bytes differ"};
     }
