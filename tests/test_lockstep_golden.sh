@@ -3,10 +3,11 @@
 # JSON must match the checked-in reference bytes in tests/golden/ exactly.
 # The cases cover every backend, churn and burst under --batch-size 3
 # --burst 4, --gap-every, --warmup, the zipf/hotspot/uniform workloads, a
-# spread of single-event and batch-native strategies, and a phased
-# --campaign with a load=2 phase, a rate= gate and quiet ranges — all on the
-# default (sync) engine, so any change to the lockstep schedule, the RNG
-# streams or the emission format shows up as a byte diff here.
+# spread of single-event and batch-native strategies (every strategy that
+# reads the topology among them, under both next() and next_batch()), and a
+# phased --campaign with a load=2 phase, a rate= gate and quiet ranges — all
+# on the default (sync) engine, so any change to the lockstep schedule, the
+# RNG streams or the emission format shows up as a byte diff here.
 #
 # Run with the CLI binary as $1 and the golden directory as $2 (CMake
 # passes both). A third argument `--update` rewrites the golden files
@@ -53,6 +54,9 @@ golden_case single_hotspot --backend all --scenario churn --n0 32 \
 golden_case strategies --backend all \
   --scenario targeted,mass-failure,oscillate,chord-cut --n0 40 --steps 20 \
   --seed 11 --batch-size 4 --gap-every 7
+golden_case topology_strategies --backend all \
+  --scenario spectral,greedy-spectral,spectral-batch,oracle-bust,flash-crowd \
+  --n0 40 --steps 20 --seed 13 --batch-size 4 --burst 3 --gap-every 5
 golden_case campaign --backend all --n0 32 --steps 30 --seed 7 \
   --batch-size 3 --gap-every 6 \
   --campaign 'churn:0-8,load=2;burst:12-20,rate=0.5;flash-crowd:24-' \
