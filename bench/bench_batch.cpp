@@ -5,9 +5,9 @@
 #include <cmath>
 #include <cstdio>
 
+#include "adversary/adversary.h"
 #include "bench_common.h"
 #include "dex/batch.h"
-#include "graph/bfs.h"
 #include "metrics/table.h"
 
 using namespace dex;
@@ -37,50 +37,13 @@ int main() {
           for (std::size_t i = 0; i < sz; ++i)
             req.attach_to.push_back(nodes[rng.below(nodes.size())]);
         } else {
-          // §5's preconditions: victims keep a surviving neighbor and the
-          // remainder stays connected. Sample pairwise-non-adjacent victims
-          // while ensuring no survivor loses all of its neighbors, then trim
-          // until the remainder is verifiably connected.
-          std::vector<bool> blocked(net.node_capacity(), false);
-          std::vector<std::uint32_t> lost(net.node_capacity(), 0);
-          std::vector<std::uint64_t> ports, vports;
-          auto shuffled = nodes;
-          rng.shuffle(shuffled);
-          for (NodeId v : shuffled) {
-            if (req.deletions.size() >= sz) break;
-            if (blocked[v]) continue;
-            net.ports_of(v, vports);
-            bool ok = true;
-            for (auto w : vports) {
-              const auto wn = static_cast<NodeId>(w);
-              if (wn == v) continue;
-              net.ports_of(wn, ports);
-              std::size_t to_v = 0;
-              for (auto x : ports) {
-                if (static_cast<NodeId>(x) == v) ++to_v;
-              }
-              if (ports.size() - lost[wn] - to_v == 0) {
-                ok = false;  // w would be orphaned
-                break;
-              }
-            }
-            if (!ok) continue;
-            req.deletions.push_back(v);
-            blocked[v] = true;
-            for (auto w : vports) {
-              blocked[w] = true;
-              ++lost[w];
-            }
-          }
-          // Trim until the remainder is connected (rarely needed).
-          auto g = net.snapshot();
-          auto mask = net.alive_mask();
-          for (NodeId v : req.deletions) mask[v] = false;
-          while (!req.deletions.empty() &&
-                 !dex::graph::is_connected(g, mask)) {
-            mask[req.deletions.back()] = true;
-            req.deletions.pop_back();
-          }
+          // §5's preconditions — victims keep a surviving neighbor and the
+          // remainder stays connected — via the strategies' shared sampler.
+          auto order = nodes;
+          rng.shuffle(order);
+          graph::CsrView live;
+          live.build(net.snapshot(), net.alive_mask());
+          req.deletions = adversary::sample_safe_victims(live, order, sz);
         }
         const auto res = apply_batch(net, req);
         const double n = static_cast<double>(net.n());

@@ -8,9 +8,9 @@
 #include <cstdlib>
 
 #include "adversary/adversary.h"
-#include "dex/network.h"
 #include "graph/spectral.h"
 #include "metrics/stats.h"
+#include "sim/scenario.h"
 
 int main(int argc, char** argv) {
   const std::size_t steps = argc > 1 ? std::strtoul(argv[1], nullptr, 10)
@@ -21,36 +21,30 @@ int main(int argc, char** argv) {
   dex::Params params;
   params.seed = seed;
   params.mode = dex::RecoveryMode::WorstCase;
-  dex::DexNetwork net(64, params);
+  dex::sim::DexOverlay overlay(64, params);
+  const dex::DexNetwork& net = overlay.net();
+  // The adversary's view of the network; advance() after every mutation.
+  dex::sim::CachedView cache(overlay);
 
   dex::adversary::RandomChurn strategy(0.55);  // mild growth bias
-  dex::adversary::AdversaryView view{
-      [&] { return net.n(); },
-      [&] { return net.alive_nodes(); },
-      [&] { return net.snapshot(); },
-      [&] { return net.alive_mask(); },
-      [&](dex::NodeId u) { return static_cast<std::size_t>(net.total_load(u)); },
-      [&] { return net.coordinator(); },
-      {},
-  };
   dex::support::Rng adv_rng(seed ^ 0xadull);
 
   std::vector<double> rounds, messages, topo;
   double min_gap = 1.0;
   for (std::size_t t = 0; t < steps; ++t) {
-    const auto action = strategy.next(view, adv_rng, 16, 100000);
+    const auto action = strategy.next(cache.view(), adv_rng, 16, 100000);
     if (action.insert) {
-      net.insert(action.target);
+      overlay.insert(action.target);
     } else {
-      net.remove(action.target);
+      overlay.remove(action.target);
     }
+    cache.advance();
     const auto& rep = net.last_report();
     rounds.push_back(static_cast<double>(rep.cost.rounds));
     messages.push_back(static_cast<double>(rep.cost.messages));
     topo.push_back(static_cast<double>(rep.cost.topology_changes));
     if (t % 250 == 0) {
-      const auto spec = dex::graph::spectral_gap(net.snapshot(),
-                                                 net.alive_mask());
+      const auto spec = dex::graph::spectral_gap(cache.view().live_csr());
       if (spec.gap < min_gap) min_gap = spec.gap;
       std::printf(
           "step %5zu  n=%5zu  p=%7llu  gap=%.3f  staggered=%d  "

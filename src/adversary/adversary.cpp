@@ -27,6 +27,16 @@ std::size_t delete_floor(std::size_t min_n) {
   return std::max<std::size_t>(min_n, 4);
 }
 
+/// BFS distances from `src` over the live view (kUnreached off its
+/// component).
+std::vector<std::uint32_t> distances_from(const graph::CsrView& g,
+                                          NodeId src) {
+  std::vector<std::uint32_t> dist;
+  std::vector<NodeId> queue;
+  graph::csr_bfs_fill(g, src, dist, queue);
+  return dist;
+}
+
 /// Uniform attach points over the survivors of `dying`, at most
 /// sim::kMaxAttachPerNode newcomers per node (§5's multiplicity cap).
 void push_capped_attaches(const AdversaryView& view, support::Rng& rng,
@@ -51,8 +61,7 @@ void push_capped_attaches(const AdversaryView& view, support::Rng& rng,
 
 // -------------------------------------------------------- batch machinery
 
-std::vector<NodeId> sample_safe_victims(const graph::Multigraph& g,
-                                        const std::vector<bool>& alive,
+std::vector<NodeId> sample_safe_victims(const graph::CsrView& g,
                                         const std::vector<NodeId>& order,
                                         std::size_t want) {
   std::vector<NodeId> victims;
@@ -61,46 +70,37 @@ std::vector<NodeId> sample_safe_victims(const graph::Multigraph& g,
   std::vector<std::uint32_t> lost(g.node_count(), 0);
   for (NodeId v : order) {
     if (victims.size() >= want) break;
-    if (v >= g.node_count() || !alive[v] || blocked[v]) continue;
+    if (!g.alive(v) || blocked[v]) continue;
     // Victims are kept pairwise non-adjacent (neighbors get blocked), so a
     // chosen victim's neighbors all survive — which already gives it a
     // surviving neighbor, provided it has a non-self neighbor at all.
-    bool ok = false;
-    for (NodeId w : g.ports(v)) {
-      if (w != v) {
-        ok = true;
-        break;
-      }
-    }
+    const auto ports = g.neighbors(v);
+    bool ok = std::any_of(ports.begin(), ports.end(),
+                          [v](NodeId w) { return w != v; });
     // Don't orphan a survivor: w must keep an edge after losing the ports
     // to v and to every previously chosen victim.
-    if (ok) {
-      for (NodeId w : g.ports(v)) {
-        if (w == v) continue;
-        std::size_t to_v = 0;
-        for (NodeId x : g.ports(w)) {
-          if (x == v) ++to_v;
-        }
-        if (g.degree(w) <= lost[w] + to_v) {
-          ok = false;
-          break;
-        }
-      }
+    for (std::size_t i = 0; ok && i < ports.size(); ++i) {
+      const NodeId w = ports[i];
+      if (w == v) continue;
+      const auto row = g.neighbors(w);
+      const auto to_v =
+          static_cast<std::size_t>(std::count(row.begin(), row.end(), v));
+      ok = row.size() > lost[w] + to_v;
     }
     if (!ok) continue;
     victims.push_back(v);
     blocked[v] = true;
-    for (NodeId w : g.ports(v)) {
+    for (NodeId w : ports) {
       if (w == v) continue;
       blocked[w] = true;
       ++lost[w];
     }
   }
   // Trim until the survivors are connected (rarely needed on expanders).
-  std::vector<bool> mask = alive;
-  for (NodeId v : victims) mask[v] = false;
-  while (!victims.empty() && !graph::is_connected(g, mask)) {
-    mask[victims.back()] = true;
+  std::vector<bool> removed(g.node_count(), false);
+  for (NodeId v : victims) removed[v] = true;
+  while (!victims.empty() && !graph::survivors_connected(g, removed)) {
+    removed[victims.back()] = false;
     victims.pop_back();
   }
   return victims;
@@ -221,9 +221,7 @@ ChurnAction SpectralAttack::next(const AdversaryView& view,
     // Refill the kill queue periodically: nodes of the sparse side that
     // touch the cut, sparsest-incident first.
     if (tick_++ % period_ == 0 || kill_queue_.empty()) {
-      const auto g = view.snapshot();
-      const auto mask = view.alive_mask();
-      const auto cut = graph::sweep_cut(g, mask);
+      const auto cut = graph::sweep_cut(view.live_csr());
       kill_queue_.clear();
       for (NodeId u : cut.side) kill_queue_.push_back(u);
       if (!cut.side.empty()) anchor_ = cut.side.front();
@@ -231,16 +229,14 @@ ChurnAction SpectralAttack::next(const AdversaryView& view,
     if (must_insert(view, min_n) || view.n() < max_n / 2) {
       // Grow the anchored side to keep the cut starved.
       NodeId at = anchor_;
-      if (at == graph::kInvalidNode || !view.alive_mask()[at])
-        at = random_alive(view, rng);
+      if (!view.live_csr().alive(at)) at = random_alive(view, rng);
       return {true, at};
     }
   }
   while (!kill_queue_.empty()) {
     const NodeId v = kill_queue_.front();
     kill_queue_.pop_front();
-    if (v < view.alive_mask().size() && view.alive_mask()[v] &&
-        view.n() > min_n) {
+    if (view.live_csr().alive(v) && view.n() > min_n) {
       return {false, v};
     }
   }
@@ -256,28 +252,34 @@ ChurnAction GreedySpectralDeletion::next(const AdversaryView& view,
     return {true, random_alive(view, rng)};
   }
   const auto nodes = view.alive_nodes();
+  const graph::CsrView& live = view.live_csr();
+  graph::SpectralOptions opts;
+  opts.max_iterations = 2000;
+  opts.tolerance = 1e-7;
   NodeId best = nodes[rng.below(nodes.size())];
   double best_gap = 2.0;
   for (std::size_t c = 0; c < candidates_; ++c) {
     const NodeId v = nodes[rng.below(nodes.size())];
-    graph::Multigraph g;
+    // Removing v's edges can orphan a neighbor; every node left without an
+    // edge drops out too (the solver's no-isolated-nodes precondition).
+    double gap = 0.0;
     if (view.snapshot_without) {
-      g = view.snapshot_without(v);
+      const graph::Multigraph g = view.snapshot_without(v);
+      std::vector<bool> mask(g.node_count(), false);
+      for (NodeId u = 0; u < g.node_count(); ++u) {
+        mask[u] = u != v && live.alive(u) && g.degree(u) > 0;
+      }
+      gap = graph::spectral_gap(g, mask, opts).gap;
     } else {
-      g = view.snapshot();
-      g.isolate(v);  // no healing oracle: evaluate the raw hole
+      // No healing oracle: evaluate the raw hole.
+      std::vector<bool> excluded(live.node_count(), false);
+      for (NodeId u = 0; u < live.node_count(); ++u) {
+        const auto row = live.neighbors(u);
+        excluded[u] = u == v || std::all_of(row.begin(), row.end(),
+                                            [v](NodeId w) { return w == v; });
+      }
+      gap = graph::spectral_gap(live, excluded, opts).gap;
     }
-    auto mask = view.alive_mask();
-    mask[v] = false;
-    // Removing v's edges can orphan a neighbor; keep the solver's
-    // no-isolated-nodes precondition.
-    for (NodeId u = 0; u < g.node_count(); ++u) {
-      if (mask[u] && g.degree(u) == 0) mask[u] = false;
-    }
-    dex::graph::SpectralOptions opts;
-    opts.max_iterations = 2000;
-    opts.tolerance = 1e-7;
-    const double gap = dex::graph::spectral_gap(g, mask, opts).gap;
     if (gap < best_gap) {
       best_gap = gap;
       best = v;
@@ -306,11 +308,9 @@ sim::ChurnBatch BurstChurn::next_batch(const AdversaryView& view,
   deletes = n > floor_n ? std::min(deletes, n - floor_n) : 0;
 
   if (deletes > 0) {
-    const auto g = view.snapshot();
-    const auto mask = view.alive_mask();
     auto order = view.alive_nodes();
     rng.shuffle(order);
-    batch.victims = sample_safe_victims(g, mask, order, deletes);
+    batch.victims = sample_safe_victims(view.live_csr(), order, deletes);
   }
   const std::unordered_set<NodeId> dying(batch.victims.begin(),
                                          batch.victims.end());
@@ -340,11 +340,9 @@ sim::ChurnBatch FlashCrowd::next_batch(const AdversaryView& view,
   const std::size_t floor_n = delete_floor(min_n);
   const std::size_t deletes =
       n > floor_n ? std::min(batch_size, n - floor_n) : 0;
-  const auto g = view.snapshot();
-  const auto mask = view.alive_mask();
   auto order = view.alive_nodes();
   rng.shuffle(order);
-  batch.victims = sample_safe_victims(g, mask, order, deletes);
+  batch.victims = sample_safe_victims(view.live_csr(), order, deletes);
   return batch;
 }
 
@@ -371,19 +369,18 @@ sim::ChurnBatch CorrelatedFailure::next_batch(const AdversaryView& view,
     return batch;
   }
   const std::size_t deletes = std::min(batch_size, n - floor_n);
-  const auto g = view.snapshot();
-  const auto mask = view.alive_mask();
+  const graph::CsrView& g = view.live_csr();
   const auto nodes = view.alive_nodes();
   // Victims cluster around a random epicenter: candidates ordered by BFS
   // distance, nearest first (the safe sampler then thins the cluster to
   // keep the §5 preconditions).
   const NodeId epicenter = nodes[rng.below(nodes.size())];
-  const auto dist = graph::bfs_distances(g, epicenter, mask);
+  const auto dist = distances_from(g, epicenter);
   auto order = nodes;
   std::stable_sort(order.begin(), order.end(), [&dist](NodeId a, NodeId b) {
     return dist[a] < dist[b];
   });
-  batch.victims = sample_safe_victims(g, mask, order, deletes);
+  batch.victims = sample_safe_victims(g, order, deletes);
   if (batch.empty() && n < max_n) {
     // Nothing safely deletable (tiny or fragile remainder): fall back to a
     // single insertion so the scenario keeps making progress.
@@ -403,15 +400,14 @@ sim::ChurnBatch OracleBuster::next_batch(const AdversaryView& view,
       n > floor_n ? std::min(batch_size / 2, n - floor_n) : 0;
   const std::size_t inserts =
       std::min(batch_size - deletes, max_n > n ? max_n - n : 0);
-  const auto g = view.snapshot();
-  const auto mask = view.alive_mask();
+  const graph::CsrView& g = view.live_csr();
   const auto nodes = view.alive_nodes();
   // Ring the candidates by BFS distance from a random epicenter and
   // consume the rings round-robin, farthest first — consecutive victims
   // land in different regions, which is exactly what defeats a
   // locality-amortizing oracle memo.
   const NodeId epicenter = nodes[rng.below(nodes.size())];
-  const auto dist = graph::bfs_distances(g, epicenter, mask);
+  const auto dist = distances_from(g, epicenter);
   std::uint32_t max_d = 0;
   for (NodeId u : nodes) {
     if (dist[u] != graph::kUnreached) max_d = std::max(max_d, dist[u]);
@@ -432,7 +428,7 @@ sim::ChurnBatch OracleBuster::next_batch(const AdversaryView& view,
     }
     if (!any) break;
   }
-  if (deletes > 0) batch.victims = sample_safe_victims(g, mask, order, deletes);
+  if (deletes > 0) batch.victims = sample_safe_victims(g, order, deletes);
   const std::unordered_set<NodeId> dying(batch.victims.begin(),
                                          batch.victims.end());
   // Attach points scatter the same way: walk the interleaved ring order so
@@ -450,20 +446,22 @@ sim::ChurnBatch OracleBuster::next_batch(const AdversaryView& view,
 }
 
 std::vector<std::uint32_t> ChordAttack::chord_scores(
-    const AdversaryView& view, support::Rng& rng, const graph::Multigraph& g,
-    const std::vector<bool>& mask) const {
+    const AdversaryView& view, support::Rng& rng,
+    const graph::CsrView& g) const {
   const auto nodes = view.alive_nodes();
   std::vector<std::uint32_t> score(g.node_count(), 0);
+  std::vector<std::uint32_t> dist;
+  std::vector<NodeId> queue;
   // Betweenness proxy: over a few random BFS roots, credit u once per
   // downhill edge it feeds (dist[w] == dist[u] + 1) — nodes carrying many
   // shortest-path trees are the chord/shortcut carriers.
   for (std::size_t s = 0; s < sources_; ++s) {
     const NodeId src = nodes[rng.below(nodes.size())];
-    const auto dist = graph::bfs_distances(g, src, mask);
+    graph::csr_bfs_fill(g, src, dist, queue);
     for (NodeId u : nodes) {
       if (dist[u] == graph::kUnreached) continue;
-      for (NodeId w : g.ports(u)) {
-        if (w != u && mask[w] && dist[w] == dist[u] + 1) ++score[u];
+      for (NodeId w : g.neighbors(u)) {
+        if (w != u && dist[w] == dist[u] + 1) ++score[u];
       }
     }
   }
@@ -476,9 +474,7 @@ ChurnAction ChordAttack::next(const AdversaryView& view, support::Rng& rng,
   const bool ins = must_insert(view, min_n) ||
                    (insert_next_ && !must_delete(view, max_n));
   if (ins) return {true, random_alive(view, rng)};
-  const auto g = view.snapshot();
-  const auto mask = view.alive_mask();
-  const auto score = chord_scores(view, rng, g, mask);
+  const auto score = chord_scores(view, rng, view.live_csr());
   NodeId best = graph::kInvalidNode;
   for (NodeId u : view.alive_nodes()) {
     if (best == graph::kInvalidNode || score[u] > score[best]) best = u;
@@ -500,13 +496,12 @@ sim::ChurnBatch ChordAttack::next_batch(const AdversaryView& view,
     return batch;
   }
   const std::size_t deletes = std::min(batch_size, n - floor_n);
-  const auto g = view.snapshot();
-  const auto mask = view.alive_mask();
-  const auto score = chord_scores(view, rng, g, mask);
+  const graph::CsrView& g = view.live_csr();
+  const auto score = chord_scores(view, rng, g);
   auto order = view.alive_nodes();
   std::stable_sort(order.begin(), order.end(),
                    [&score](NodeId a, NodeId b) { return score[a] > score[b]; });
-  batch.victims = sample_safe_victims(g, mask, order, deletes);
+  batch.victims = sample_safe_victims(g, order, deletes);
   if (batch.empty() && n < max_n) {
     batch.attach_to.push_back(random_alive(view, rng));
   }
@@ -516,9 +511,8 @@ sim::ChurnBatch ChordAttack::next_batch(const AdversaryView& view,
 ChurnAction SpectralBatch::next(const AdversaryView& view, support::Rng& rng,
                                 std::size_t min_n, std::size_t max_n) {
   if (must_insert(view, min_n)) return {true, random_alive(view, rng)};
-  const auto g = view.snapshot();
-  const auto mask = view.alive_mask();
-  const auto cut = graph::sweep_cut(g, mask);
+  const graph::CsrView& g = view.live_csr();
+  const auto cut = graph::sweep_cut(g);
   if (!cut.side.empty() && !must_delete(view, max_n)) {
     // Single-event mode: peel the cut side one boundary node at a time.
     NodeId best = cut.side.front();
@@ -527,8 +521,8 @@ ChurnAction SpectralBatch::next(const AdversaryView& view, support::Rng& rng,
     for (NodeId u : cut.side) in_side[u] = true;
     for (NodeId u : cut.side) {
       std::size_t out = 0;
-      for (NodeId w : g.ports(u)) {
-        if (w != u && mask[w] && !in_side[w]) ++out;
+      for (NodeId w : g.neighbors(u)) {
+        if (w != u && !in_side[w]) ++out;
       }
       if (out > best_out) {
         best_out = out;
@@ -548,9 +542,8 @@ sim::ChurnBatch SpectralBatch::next_batch(const AdversaryView& view,
   sim::ChurnBatch batch;
   const std::size_t n = view.n();
   const std::size_t floor_n = delete_floor(min_n);
-  const auto g = view.snapshot();
-  const auto mask = view.alive_mask();
-  const auto cut = graph::sweep_cut(g, mask);
+  const graph::CsrView& g = view.live_csr();
+  const auto cut = graph::sweep_cut(g);
   std::vector<bool> in_side(g.node_count(), false);
   for (NodeId u : cut.side) in_side[u] = true;
   if (n > floor_n && !cut.side.empty()) {
@@ -559,8 +552,8 @@ sim::ChurnBatch SpectralBatch::next_batch(const AdversaryView& view,
     // are the ones holding the two halves together.
     std::vector<std::size_t> crossing(g.node_count(), 0);
     for (NodeId u : cut.side) {
-      for (NodeId w : g.ports(u)) {
-        if (w != u && mask[w] && !in_side[w]) ++crossing[u];
+      for (NodeId w : g.neighbors(u)) {
+        if (w != u && !in_side[w]) ++crossing[u];
       }
     }
     auto order = cut.side;
@@ -568,7 +561,7 @@ sim::ChurnBatch SpectralBatch::next_batch(const AdversaryView& view,
                      [&crossing](NodeId a, NodeId b) {
                        return crossing[a] > crossing[b];
                      });
-    batch.victims = sample_safe_victims(g, mask, order, deletes);
+    batch.victims = sample_safe_victims(g, order, deletes);
   }
   // Leftover budget: grow the opposite side, starving the cut of repair
   // material (mirrors SpectralAttack's anchor, at batch multiplicity).

@@ -11,8 +11,9 @@
 ///
 /// Network-agnostic: every backend adapts to AdversaryView through the
 /// unified sim::HealingOverlay interface — sim::CachedView (scenario.h)
-/// builds the view over any overlay, materializing the expensive components
-/// at most once per step.
+/// builds the view over any overlay. The topology reaches strategies as the
+/// view's maintained CSR (graph/csr.h), patched per step rather than copied
+/// per draw.
 
 #include <cstdint>
 #include <deque>
@@ -38,8 +39,6 @@ struct ChurnAction {
 struct AdversaryView {
   std::function<std::size_t()> n;
   std::function<std::vector<NodeId>()> alive_nodes;
-  std::function<graph::Multigraph()> snapshot;
-  std::function<std::vector<bool>()> alive_mask;
   /// Load of a node (virtual vertices for DEX; degree for baselines).
   std::function<std::size_t(NodeId)> load;
   /// A distinguished node worth attacking (DEX's coordinator); returns
@@ -47,14 +46,14 @@ struct AdversaryView {
   std::function<NodeId()> special_node;
   /// Optional oracle: the topology that would result from deleting a node
   /// (including the overlay's deterministic splice-healing, where it has
-  /// one). When absent, strategies fall back to snapshot() with the node
-  /// masked out.
+  /// one). When absent, strategies fall back to live_csr() with the node
+  /// excluded.
   std::function<graph::Multigraph(NodeId)> snapshot_without;
-  /// A flat CSR snapshot of the live view (graph/csr.h), maintained by
-  /// sim::CachedView and returned by reference; valid until the view next
-  /// advances. The traffic layer (sim::KvStore) requires it; strategies
-  /// never read it, so hand-built views for strategy tests may leave it
-  /// empty.
+  /// The live topology as a flat CSR (graph/csr.h): aliveness plus one row
+  /// of live neighbors per node, whose multiset equals the overlay's
+  /// snapshot row. Maintained by sim::CachedView and returned by reference;
+  /// valid until the view next advances. Required: the topology-reading
+  /// strategies and the traffic layer (sim::KvStore) both read it.
   std::function<const graph::CsrView&()> live_csr;
 };
 
@@ -88,13 +87,15 @@ class Strategy {
 };
 
 /// Greedy §5-safe deletion sampler shared by the batch-native strategies:
-/// scans `order` and keeps victims that are pairwise non-adjacent and leave
-/// every survivor at least one edge (hence every victim keeps a surviving
-/// neighbor), then trims from the back until the survivors are connected.
-/// Returns at most `want` victims; possibly fewer (never unsafe).
+/// scans `order` and keeps alive victims that are pairwise non-adjacent and
+/// leave every survivor at least one edge (hence every victim keeps a
+/// surviving neighbor), then trims from the back until the survivors are
+/// connected. Returns at most `want` victims; possibly fewer (never unsafe).
+/// Row order in `g` is irrelevant: the degree test only counts ports
+/// (self-loops and multi-edges included).
 [[nodiscard]] std::vector<NodeId> sample_safe_victims(
-    const graph::Multigraph& g, const std::vector<bool>& alive,
-    const std::vector<NodeId>& order, std::size_t want);
+    const graph::CsrView& g, const std::vector<NodeId>& order,
+    std::size_t want);
 
 /// Uniform churn: insert with probability `insert_prob`, both endpoints
 /// uniform. The baseline workload.
@@ -292,8 +293,7 @@ class ChordAttack final : public Strategy {
  private:
   std::vector<std::uint32_t> chord_scores(const AdversaryView& view,
                                           support::Rng& rng,
-                                          const graph::Multigraph& g,
-                                          const std::vector<bool>& mask) const;
+                                          const graph::CsrView& g) const;
   std::size_t sources_;
   bool insert_next_ = false;
 };

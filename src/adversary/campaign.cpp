@@ -419,7 +419,7 @@ sim::ChurnBatch CampaignStrategy::replay_batch(CampaignPhase& ph,
   // tolerates drift: a recorded trace runs against a topology that has
   // diverged, so dead targets and bound violations are skipped.
   sim::ChurnBatch batch;
-  const auto mask = view.alive_mask();
+  const graph::CsrView& live = view.live_csr();
   const std::size_t floor_n = std::max<std::size_t>(min_n, 4);
   std::size_t n = view.n();
   std::unordered_set<NodeId> dying;
@@ -427,7 +427,7 @@ sim::ChurnBatch CampaignStrategy::replay_batch(CampaignPhase& ph,
   std::size_t& at = cursor_[static_cast<std::size_t>(&ph - spec_.phases.data())];
   while (batch.size() < want && at < ph.script.size()) {
     const ChurnAction& a = ph.script[at++];
-    const bool alive = a.target < mask.size() && mask[a.target];
+    const bool alive = live.alive(a.target);
     if (a.insert) {
       if (!alive || n >= max_n || dying.contains(a.target)) continue;
       batch.attach_to.push_back(a.target);

@@ -12,47 +12,6 @@ namespace dex {
 
 namespace {
 
-/// Connectivity of the survivors (alive minus `dying`) on the live
-/// adjacency: one BFS over the caller's maintained CSR when one is wired,
-/// else over ports_of — neither path materializes a Multigraph. The CSR and
-/// ports_of expose the same adjacency multiset (live_ports contract), so
-/// the verdict cannot depend on which path ran.
-bool survivors_connected(const DexNetwork& net, const graph::CsrView* live,
-                         const std::unordered_set<NodeId>& dying) {
-  const std::vector<bool> alive = net.alive_mask();
-  const std::size_t survivors = net.n() - dying.size();
-  if (survivors <= 1) return true;
-  NodeId start = kInvalidNode;
-  for (NodeId u = 0; u < alive.size(); ++u) {
-    if (alive[u] && !dying.contains(u)) {
-      start = u;
-      break;
-    }
-  }
-  DEX_ASSERT(start != kInvalidNode);
-  std::vector<char> seen(alive.size(), 0);
-  std::vector<NodeId> queue{start};
-  seen[start] = 1;
-  std::size_t visited = 1;
-  std::vector<std::uint64_t> ports;
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const NodeId u = queue[head];
-    auto visit = [&](NodeId w) {
-      if (seen[w] || dying.contains(w)) return;
-      seen[w] = 1;
-      ++visited;
-      queue.push_back(w);
-    };
-    if (live != nullptr) {
-      for (const NodeId w : live->neighbors(u)) visit(w);
-    } else {
-      net.ports_of(u, ports);
-      for (const std::uint64_t t : ports) visit(static_cast<NodeId>(t));
-    }
-  }
-  return visited == survivors;
-}
-
 /// The one §5 precondition checker (duplicates, population floor, surviving
 /// neighbors, attach survival + multiplicity cap, remainder connectivity).
 /// Returns nullptr when `req` is valid, else a description of the first
@@ -87,7 +46,19 @@ const char* precondition_violation(const DexNetwork& net,
       return "attach multiplicity exceeds the O(1) cap";
   }
   if (!req.deletions.empty()) {
-    if (!survivors_connected(net, live, dying))
+    // Without a lent view, build one from live_ports (always available:
+    // the batch path never runs inside a staggered window).
+    graph::CsrView local;
+    if (live == nullptr) {
+      local.build_from_ports(net.alive_mask(), [&net](NodeId u, auto& out) {
+        const bool calm = net.live_ports(u, out);
+        DEX_ASSERT_MSG(calm, "batch preflight inside a staggered window");
+      });
+      live = &local;
+    }
+    std::vector<bool> removed(live->node_count(), false);
+    for (NodeId v : req.deletions) removed[v] = true;
+    if (!graph::survivors_connected(*live, removed))
       return "deletions would disconnect the network";
   }
   return nullptr;

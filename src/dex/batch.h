@@ -50,8 +50,8 @@ struct BatchResult {
 /// just consulted on the unchanged network, as DexOverlay::apply does.
 /// `live` optionally points at a caller-maintained current CSR of the live
 /// topology (see HealingOverlay::set_live_view_provider); the connectivity
-/// precondition then runs on it with the victims masked instead of walking
-/// ports_of per node.
+/// precondition (graph::survivors_connected) then runs on it instead of on
+/// a CSR built locally from live_ports.
 BatchResult apply_batch(DexNetwork& net, const BatchRequest& req,
                         bool prevalidated = false,
                         const graph::CsrView* live = nullptr);
@@ -63,9 +63,8 @@ BatchResult apply_batch(DexNetwork& net, const BatchRequest& req,
 /// points alive and surviving, and at most sim::kMaxAttachPerNode
 /// newcomers per attach point (the paper's O(1) attach multiplicity).
 /// sim::DexOverlay::apply consults this to decide parallel vs. sequential.
-/// `live`: as in apply_batch — a current CSR makes the connectivity check
-/// delta-cheap; without one the check BFSes via ports_of (no Multigraph
-/// materialization either way).
+/// `live`: as in apply_batch — a current CSR spares the connectivity check
+/// its local build (no Multigraph materialization either way).
 [[nodiscard]] bool batch_feasible(const DexNetwork& net,
                                   const BatchRequest& req,
                                   const graph::CsrView* live = nullptr);

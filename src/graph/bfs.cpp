@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "graph/csr.h"
+
 namespace dex::graph {
 
 namespace {
@@ -55,13 +57,9 @@ std::uint32_t eccentricity(const Multigraph& g, NodeId src,
 }
 
 bool is_connected(const Multigraph& g, const std::vector<bool>& alive) {
-  const NodeId src = first_alive(g, alive);
-  if (src == kInvalidNode) return true;  // empty graph is trivially connected
-  auto dist = bfs_distances(g, src, alive);
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    if (node_alive(alive, u) && dist[u] == kUnreached) return false;
-  }
-  return true;
+  CsrView view;
+  view.build(g, alive);
+  return survivors_connected(view);
 }
 
 std::uint32_t diameter(const Multigraph& g, const std::vector<bool>& alive) {

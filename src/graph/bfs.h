@@ -24,7 +24,8 @@ constexpr std::uint32_t kUnreached = ~std::uint32_t{0};
 [[nodiscard]] std::uint32_t eccentricity(const Multigraph& g, NodeId src,
                                          const std::vector<bool>& alive = {});
 
-/// Whether all alive nodes are mutually reachable.
+/// Whether all alive nodes are mutually reachable (adapter over
+/// survivors_connected in graph/csr.h).
 [[nodiscard]] bool is_connected(const Multigraph& g,
                                 const std::vector<bool>& alive = {});
 

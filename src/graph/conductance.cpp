@@ -50,10 +50,23 @@ CutResult evaluate_cut(const Multigraph& g, const std::vector<NodeId>& side,
 
 CutResult sweep_cut(const Multigraph& g, const std::vector<bool>& alive,
                     const SpectralOptions& opts) {
-  const SpectralResult spec = spectral_gap(g, alive, opts);
+  return sweep_cut(closed_csr(g, alive), {}, opts);
+}
+
+CutResult sweep_cut(const CsrView& g, const std::vector<bool>& excluded,
+                    const SpectralOptions& opts) {
+  const SpectralResult spec = spectral_gap(g, excluded, opts);
   const std::size_t n = spec.nodes.size();
   CutResult best;
   if (n < 2) return best;
+  const auto kept = [&excluded](NodeId v) {
+    return v >= excluded.size() || !excluded[v];
+  };
+  const auto degree = [&](NodeId u) {
+    const auto row = g.neighbors(u);
+    return static_cast<std::size_t>(
+        std::count_if(row.begin(), row.end(), kept));
+  };
 
   // Order alive nodes by eigenvector value and scan prefix cuts.
   std::vector<std::size_t> order(n);
@@ -64,7 +77,7 @@ CutResult sweep_cut(const Multigraph& g, const std::vector<bool>& alive,
 
   std::vector<bool> in_side(g.node_count(), false);
   std::size_t vol_total = 0;
-  for (NodeId u : spec.nodes) vol_total += g.degree(u);
+  for (NodeId u : spec.nodes) vol_total += degree(u);
 
   std::size_t vol_s = 0;
   // Running cut size: adding u flips u's ports into/out of the cut.
@@ -76,9 +89,9 @@ CutResult sweep_cut(const Multigraph& g, const std::vector<bool>& alive,
   for (std::size_t k = 0; k + 1 < n; ++k) {
     const NodeId u = spec.nodes[order[k]];
     in_side[u] = true;
-    vol_s += g.degree(u);
-    for (NodeId v : g.ports(u)) {
-      if (v == u) continue;  // self-loops never cross a cut
+    vol_s += degree(u);
+    for (NodeId v : g.neighbors(u)) {
+      if (v == u || !kept(v)) continue;  // self-loops never cross a cut
       cut += in_side[v] ? -1 : +1;
     }
     const std::size_t vol_min = std::min(vol_s, vol_total - vol_s);

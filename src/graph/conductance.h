@@ -27,9 +27,14 @@ struct CutResult {
                                      const std::vector<NodeId>& side,
                                      const std::vector<bool>& alive = {});
 
-/// Best sweep cut along the second eigenvector (Fiedler ordering).
-/// Upper-bounds the true conductance; Cheeger (Theorem 2 of the paper)
-/// lower-bounds it by gap/2.
+/// Best sweep cut along the second eigenvector (Fiedler ordering) of `g`
+/// minus `excluded`, as in spectral_gap. Upper-bounds the true conductance;
+/// Cheeger (Theorem 2 of the paper) lower-bounds it by gap/2.
+[[nodiscard]] CutResult sweep_cut(const CsrView& g,
+                                  const std::vector<bool>& excluded = {},
+                                  const SpectralOptions& opts = {});
+
+/// Adapter over closed_csr(g, alive), as for spectral_gap.
 [[nodiscard]] CutResult sweep_cut(const Multigraph& g,
                                   const std::vector<bool>& alive = {},
                                   const SpectralOptions& opts = {});

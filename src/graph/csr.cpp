@@ -195,6 +195,31 @@ void csr_bfs_fill(const CsrView& g, NodeId src, std::vector<std::uint32_t>& dist
   }
 }
 
+bool survivors_connected(const CsrView& g, const std::vector<bool>& removed) {
+  const auto kept = [&](NodeId u) {
+    return g.alive(u) && (u >= removed.size() || !removed[u]);
+  };
+  NodeId start = kInvalidNode;
+  std::size_t survivors = 0;
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    if (!kept(u)) continue;
+    if (start == kInvalidNode) start = u;
+    ++survivors;
+  }
+  if (survivors <= 1) return true;
+  std::vector<char> seen(g.node_count(), 0);
+  std::vector<NodeId> queue{start};
+  seen[start] = 1;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    for (const NodeId w : g.neighbors(queue[head])) {
+      if (seen[w] || !kept(w)) continue;
+      seen[w] = 1;
+      queue.push_back(w);
+    }
+  }
+  return queue.size() == survivors;
+}
+
 std::vector<NodeId> csr_shortest_path(const CsrView& g, NodeId src,
                                       NodeId dst) {
   if (src == dst) return {src};

@@ -26,13 +26,17 @@
 /// safe. equal_to() gives the semantic comparison the debug cross-check
 /// (DEX_CHECK_CSR=1) and the property tests pin the patcher against.
 ///
-/// Within a row, port order is whatever the producer enumerated — the
-/// Multigraph's port order for build(), the overlay's live_ports order for
-/// build_from_ports()/apply_delta(). The two can differ, so a view must be
-/// patched only with the enumerator that built it (sim::CachedView tracks
-/// this). Every consumer in the tree (BFS distances, path lengths, reach
-/// sums, sorted region sets) is row-order-independent, which is what makes
-/// the canonical-order switch invisible in the emitted traces.
+/// The row contract: an alive node's row is its masked snapshot row as a
+/// multiset (self-loops and multi-edges kept), so its length is the snapshot
+/// degree. Row order is whatever the producer enumerated — Multigraph port
+/// order for build(), live_ports order for build_from_ports()/apply_delta()
+/// — and the two differ on most rows, so a view is patched only by the
+/// enumerator that built it (sim::CachedView tracks this). Every consumer is
+/// row-order-independent, which keeps the switch out of the emitted bytes:
+/// the traffic layer's distances, path lengths, reach sums and sorted region
+/// sets; the strategies and survivors_connected, which only count; and
+/// spectral_gap/sweep_cut, whose matvec adds into each target in source-id
+/// order with one value per source, and whose sweep counts cut edges.
 
 #include <cstdint>
 #include <functional>
@@ -156,6 +160,12 @@ class CsrView {
 /// matches graph::bfs_distances on the source Multigraph exactly.
 void csr_bfs_fill(const CsrView& g, NodeId src, std::vector<std::uint32_t>& dist,
                   std::vector<NodeId>& scratch);
+
+/// Whether the alive nodes outside `removed` (short mask = kept) are
+/// mutually reachable — the one connectivity check behind the §5-safe victim
+/// sampler, DEX's batch precondition and is_connected.
+[[nodiscard]] bool survivors_connected(const CsrView& g,
+                                       const std::vector<bool>& removed = {});
 
 /// BFS shortest path src -> dst inclusive of both endpoints ({src} when
 /// src == dst, empty when unreachable or either endpoint is dead). Parent

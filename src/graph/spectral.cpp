@@ -31,15 +31,35 @@ void scale(std::vector<double>& v, double alpha) {
 
 }  // namespace
 
+CsrView closed_csr(const Multigraph& g, const std::vector<bool>& alive) {
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    if (!alive.empty() && !alive[u]) continue;
+    for (NodeId v : g.ports(u)) {
+      DEX_ASSERT_MSG(alive.empty() || alive[v],
+                     "edge leaves the alive subgraph");
+    }
+  }
+  CsrView view;
+  view.build(g, alive);
+  return view;
+}
+
 SpectralResult spectral_gap(const Multigraph& g,
                             const std::vector<bool>& alive,
                             const SpectralOptions& opts) {
-  SpectralResult res;
+  return spectral_gap(closed_csr(g, alive), {}, opts);
+}
 
-  // Compact indexing of alive nodes.
-  std::vector<std::uint32_t> compact(g.node_count(), ~std::uint32_t{0});
+SpectralResult spectral_gap(const CsrView& g,
+                            const std::vector<bool>& excluded,
+                            const SpectralOptions& opts) {
+  SpectralResult res;
+  constexpr std::uint32_t kDropped = ~std::uint32_t{0};
+
+  // Compact indexing of the kept nodes.
+  std::vector<std::uint32_t> compact(g.node_count(), kDropped);
   for (NodeId u = 0; u < g.node_count(); ++u) {
-    if (!alive.empty() && !alive[u]) continue;
+    if (!g.alive(u) || (u < excluded.size() && excluded[u])) continue;
     compact[u] = static_cast<std::uint32_t>(res.nodes.size());
     res.nodes.push_back(u);
   }
@@ -55,7 +75,10 @@ SpectralResult spectral_gap(const Multigraph& g,
 
   std::vector<double> inv_sqrt_deg(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t d = g.degree(res.nodes[i]);
+    std::size_t d = 0;
+    for (NodeId v : g.neighbors(res.nodes[i])) {
+      if (compact[v] != kDropped) ++d;
+    }
     DEX_ASSERT_MSG(d > 0, "spectral_gap: isolated alive node");
     inv_sqrt_deg[i] = 1.0 / std::sqrt(static_cast<double>(d));
   }
@@ -72,10 +95,9 @@ SpectralResult spectral_gap(const Multigraph& g,
     for (std::size_t i = 0; i < n; ++i) {
       const NodeId u = res.nodes[i];
       const double xi = x[i] * inv_sqrt_deg[i];
-      for (NodeId v : g.ports(u)) {
+      for (NodeId v : g.neighbors(u)) {
         const std::uint32_t j = compact[v];
-        DEX_ASSERT_MSG(j != ~std::uint32_t{0},
-                       "edge leaves the alive subgraph");
+        if (j == kDropped) continue;  // edge into an excluded node
         y[j] += xi * inv_sqrt_deg[j];
       }
     }

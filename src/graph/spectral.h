@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "graph/csr.h"
 #include "graph/multigraph.h"
 
 namespace dex::graph {
@@ -43,10 +44,20 @@ struct SpectralOptions {
 };
 
 /// Computes the second-largest eigenvalue of the normalized adjacency of the
-/// subgraph induced by `alive` (empty mask = all nodes). Isolated alive nodes
-/// are not permitted (the DEX network never has any).
+/// live view `g` minus the nodes flagged in `excluded` (short mask = kept);
+/// degrees count only kept neighbors. Isolated kept nodes are not permitted
+/// (the DEX network never has any). Row order cannot change a bit (csr.h).
+[[nodiscard]] SpectralResult spectral_gap(
+    const CsrView& g, const std::vector<bool>& excluded = {},
+    const SpectralOptions& opts = {});
+
+/// Adapter over closed_csr(g, alive) (empty mask = all nodes).
 [[nodiscard]] SpectralResult spectral_gap(const Multigraph& g,
                                           const std::vector<bool>& alive = {},
                                           const SpectralOptions& opts = {});
+
+/// The CSR of `g` restricted to `alive`; aborts if an edge leaves it.
+[[nodiscard]] CsrView closed_csr(const Multigraph& g,
+                                 const std::vector<bool>& alive);
 
 }  // namespace dex::graph

@@ -325,8 +325,7 @@ ScenarioResult ScenarioRunner::run() {
       // Clamp at 0: near-disconnection the solver's Rayleigh estimate can
       // round to a tiny negative, which would collide with the -1 "not
       // sampled" sentinel.
-      rec.gap = std::max(
-          0.0, graph::spectral_gap(view.snapshot(), view.alive_mask()).gap);
+      rec.gap = std::max(0.0, graph::spectral_gap(view.live_csr()).gap);
       result.min_gap = std::min(result.min_gap, rec.gap);
     }
     rounds.push_back(static_cast<double>(rec.cost.rounds));

@@ -101,7 +101,8 @@ class HealingOverlay {
   [[nodiscard]] virtual std::vector<bool> alive_mask() const = 0;
 
   /// The real topology as a multigraph over the full id capacity; combine
-  /// with alive_mask() for the graph algorithms.
+  /// with alive_mask() for the graph algorithms. The run loop reads
+  /// sim::CachedView's CSR instead, built from here only without live_ports.
   [[nodiscard]] virtual graph::Multigraph snapshot() const = 0;
 
   /// Load of a node: virtual vertices simulated for DEX, degree for the
@@ -202,8 +203,8 @@ class HealingOverlay {
   /// Wires a provider of the caller's maintained live CSR (CachedView's,
   /// refreshed lazily). Overlays with view-dependent fast paths — DEX's
   /// batch precondition connectivity check — consult it through live_view()
-  /// instead of materializing snapshots; nullptr (or no provider) means
-  /// "derive from the snapshot as before".
+  /// instead of building their own; nullptr (or no provider) means "build a
+  /// local view".
   void set_live_view_provider(std::function<const graph::CsrView*()> p) {
     live_view_provider_ = std::move(p);
   }
@@ -213,8 +214,8 @@ class HealingOverlay {
 
   /// Topology that would result from deleting `victim` including the
   /// overlay's deterministic healing. Must be overridden by any adapter
-  /// returning has_removal_oracle() == true; strategies fall back to a raw
-  /// snapshot with the victim masked out when no oracle is wired (see
+  /// returning has_removal_oracle() == true; strategies fall back to the
+  /// live CSR with the victim excluded when no oracle is wired (see
   /// GreedySpectralDeletion), so there is deliberately no default here.
   [[nodiscard]] virtual graph::Multigraph snapshot_without(
       NodeId victim) const {

@@ -19,8 +19,8 @@ CachedView::CachedView(const HealingOverlay& overlay) : overlay_(overlay) {
     // state — see the staggered full-marks in dex/staggered.cpp.
     DEX_ASSERT_MSG(ok, "live_ports withdrawn mid-build");
   };
-  // The cheap components forward straight to the overlay; the expensive
-  // ones memoize until the next advance().
+  // The cheap components forward straight to the overlay; the node list
+  // memoizes and the CSR is maintained until the next advance().
   view_.n = [this] { return overlay_.n(); };
   view_.load = [this](graph::NodeId u) { return overlay_.load(u); };
   view_.special_node = [this] { return overlay_.special_node(); };
@@ -33,40 +33,25 @@ CachedView::CachedView(const HealingOverlay& overlay) : overlay_(overlay) {
     if (!nodes_) nodes_ = overlay_.alive_nodes();
     return *nodes_;
   };
-  view_.snapshot = [this] {
-    if (!snapshot_) snapshot_ = overlay_.snapshot();
-    return *snapshot_;
-  };
-  view_.alive_mask = [this] {
-    if (!mask_) mask_ = overlay_.alive_mask();
-    return *mask_;
-  };
   view_.live_csr = [this]() -> const graph::CsrView& {
     if (!csr_valid_) {
-      if (!mask_) mask_ = overlay_.alive_mask();
+      const std::vector<bool> mask = overlay_.alive_mask();
       // Prefer the overlay's own row enumerator: rows come out in the same
       // order apply_delta() re-derives them, so later advance() calls can
       // patch this build in place instead of discarding it. The capability
       // is probed per build (DEX withdraws it during staggered windows).
-      bool ports_ok = false;
-      {
-        std::vector<graph::NodeId> probe;
-        for (graph::NodeId u = 0; u < mask_->size(); ++u) {
-          if ((*mask_)[u]) {
-            ports_ok = overlay_.live_ports(u, probe);
-            break;
-          }
-        }
-      }
-      if (ports_ok) {
-        csr_.build_from_ports(*mask_, ports_fn_);
+      const auto first = std::find(mask.begin(), mask.end(), true);
+      std::vector<graph::NodeId> probe;
+      if (first != mask.end() &&
+          overlay_.live_ports(
+              static_cast<graph::NodeId>(first - mask.begin()), probe)) {
+        csr_.build_from_ports(mask, ports_fn_);
         csr_ports_canonical_ = true;
       } else {
-        // Fallback: materialize the Multigraph (memoized, so whoever asks
-        // first pays it at most once per step). Rows land in snapshot port
-        // order — a valid view, but not patchable.
-        if (!snapshot_) snapshot_ = overlay_.snapshot();
-        csr_.build(*snapshot_, *mask_);
+        // Fallback (flood, DEX inside a staggered window): build from a
+        // local snapshot. Rows land in snapshot port order — a valid view,
+        // but not patchable.
+        csr_.build(overlay_.snapshot(), mask);
         csr_ports_canonical_ = false;
       }
       csr_valid_ = true;
@@ -77,8 +62,6 @@ CachedView::CachedView(const HealingOverlay& overlay) : overlay_(overlay) {
 
 void CachedView::advance() {
   nodes_.reset();
-  snapshot_.reset();
-  mask_.reset();
   delta_.clear();
   // Always drain — even when the standing CSR is unpatchable — so the
   // journal never carries deltas across a rebuild boundary. The first drain
@@ -99,9 +82,8 @@ void CachedView::advance() {
   // the run computes or emits.
   static const bool check_csr = std::getenv("DEX_CHECK_CSR") != nullptr;
   if (check_csr && csr_valid_) {
-    if (!mask_) mask_ = overlay_.alive_mask();
     graph::CsrView ref;
-    ref.build_from_ports(*mask_, ports_fn_);
+    ref.build_from_ports(overlay_.alive_mask(), ports_fn_);
     DEX_ASSERT_MSG(csr_.equal_to(ref),
                    "incremental CSR diverged from a fresh rebuild");
   }

@@ -230,24 +230,21 @@ struct ScenarioResult {
 };
 
 /// The AdversaryView over an overlay: every driver (the runner, the CLI's
-/// script mode, the tests) builds its view here. The expensive components
-/// (alive_nodes, snapshot, alive_mask) are materialized at most once per
-/// step, however many times the strategy consults them. Also the home of
-/// the per-step flat CSR view (graph/csr.h) the traffic layer's
-/// route/placement oracle reads by reference (object identity is stable
-/// across steps, so borrowed pointers stay valid).
+/// script mode, the tests) builds its view here. alive_nodes is
+/// materialized at most once per step, however many times the strategy
+/// consults it. The topology is the maintained flat CSR (graph/csr.h) that
+/// strategies, the gap sampler and the traffic layer's route/placement
+/// oracle all read by reference (object identity is stable across steps,
+/// so borrowed pointers stay valid).
 ///
-/// advance() is the one step boundary: it drops the memoized components,
-/// drains the overlay's churn journal (HealingOverlay::drain_view_delta)
-/// and *patches* the CSR in place when the delta is precise, paying
-/// per-step cost proportional to the churn delta instead of the
-/// population. It falls back to a lazy from-scratch rebuild whenever the
-/// journal is absent/full or the standing CSR is not patchable (a view
-/// built from a snapshot is in Multigraph port order, not the overlay's
-/// live_ports order — patching it would interleave the two canonical
-/// orders, so csr_ports_canonical_ tracks which enumerator built it). With
-/// DEX_CHECK_CSR=1 in the environment every advance() additionally rebuilds
-/// a reference view and asserts semantic equality.
+/// advance() is the one step boundary: it drops the node memo, drains the
+/// overlay's churn journal (HealingOverlay::drain_view_delta) and *patches*
+/// the CSR in place when the delta is precise, paying per-step cost
+/// proportional to the churn delta. It falls back to a lazy from-scratch
+/// rebuild whenever the journal is absent/full or the standing CSR was
+/// built from a snapshot (Multigraph port order, not live_ports order, so
+/// not patchable). With DEX_CHECK_CSR=1 in the environment every advance()
+/// additionally rebuilds a reference view and asserts semantic equality.
 class CachedView {
  public:
   explicit CachedView(const HealingOverlay& overlay);
@@ -273,8 +270,6 @@ class CachedView {
   const HealingOverlay& overlay_;
   adversary::AdversaryView view_;
   mutable std::optional<std::vector<graph::NodeId>> nodes_;
-  mutable std::optional<graph::Multigraph> snapshot_;
-  mutable std::optional<std::vector<bool>> mask_;
   // The CSR keeps its buffers across rebuilds (build() reuses them); the
   // flag alone tracks staleness.
   mutable graph::CsrView csr_;

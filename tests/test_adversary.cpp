@@ -5,72 +5,53 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "adversary/adversary.h"
-#include "baselines/law_siu.h"
 #include "dex/network.h"
 #include "graph/bfs.h"
 #include "graph/spectral.h"
+#include "sim/scenario.h"
 
 namespace adv = dex::adversary;
 
 namespace {
 
-adv::AdversaryView view_of(dex::DexNetwork& net) {
-  return adv::AdversaryView{
-      [&net] { return net.n(); },
-      [&net] { return net.alive_nodes(); },
-      [&net] { return net.snapshot(); },
-      [&net] { return net.alive_mask(); },
-      [&net](adv::NodeId u) {
-        return static_cast<std::size_t>(net.total_load(u));
-      },
-      [&net] { return net.coordinator(); },
-      {},
-  };
-}
+/// An overlay plus the CachedView its strategies read. Every mutation goes
+/// through apply(), which advances the view so the next draw sees it.
+template <class Overlay>
+struct Harness {
+  template <class... Args>
+  explicit Harness(Args&&... args)
+      : overlay(std::forward<Args>(args)...), cache(overlay) {}
+  Harness(const Harness&) = delete;
+  Harness& operator=(const Harness&) = delete;
 
-adv::AdversaryView view_of(dex::baselines::LawSiuNetwork& net) {
-  return adv::AdversaryView{
-      [&net] { return net.n(); },
-      [&net] { return net.alive_nodes(); },
-      [&net] { return net.snapshot(); },
-      [&net] { return net.alive_mask(); },
-      [&net](adv::NodeId u) { return net.degree(u); },
-      [] { return dex::graph::kInvalidNode; },
-      {},
-  };
-}
-
-template <class Net>
-void drive(Net& net, adv::Strategy& strat, adv::AdversaryView& view,
-           dex::support::Rng& rng, int steps, std::size_t min_n,
-           std::size_t max_n);
-
-void apply_churn(dex::DexNetwork& net, const adv::ChurnAction& a) {
-  if (a.insert) {
-    net.insert(a.target);
-  } else {
-    net.remove(a.target);
+  auto& net() { return overlay.net(); }
+  [[nodiscard]] const adv::AdversaryView& view() const {
+    return cache.view();
   }
-}
-
-void apply_churn(dex::baselines::LawSiuNetwork& net,
-                  const adv::ChurnAction& a) {
-  if (a.insert) {
-    net.insert();
-  } else {
-    net.remove(a.target);
+  void apply(const adv::ChurnAction& a) {
+    if (a.insert) {
+      overlay.insert(a.target);
+    } else {
+      overlay.remove(a.target);
+    }
+    cache.advance();
   }
-}
 
-template <class Net>
-void drive(Net& net, adv::Strategy& strat, adv::AdversaryView& view,
-           dex::support::Rng& rng, int steps, std::size_t min_n,
-           std::size_t max_n) {
+  Overlay overlay;
+  dex::sim::CachedView cache;
+};
+
+using DexHarness = Harness<dex::sim::DexOverlay>;
+
+template <class H>
+void drive(H& h, adv::Strategy& strat, dex::support::Rng& rng, int steps,
+           std::size_t min_n, std::size_t max_n) {
   for (int t = 0; t < steps; ++t) {
-    apply_churn(net, strat.next(view, rng, min_n, max_n));
+    h.apply(strat.next(h.view(), rng, min_n, max_n));
   }
 }
 
@@ -79,11 +60,11 @@ void drive(Net& net, adv::Strategy& strat, adv::AdversaryView& view,
 TEST(Adversary, RandomChurnRespectsBounds) {
   dex::Params prm;
   prm.seed = 91;
-  dex::DexNetwork net(32, prm);
-  auto view = view_of(net);
+  DexHarness h(32, prm);
+  auto& net = h.net();
   adv::RandomChurn strat(0.5);
   dex::support::Rng rng(1);
-  drive(net, strat, view, rng, 300, 16, 64);
+  drive(h, strat, rng, 300, 16, 64);
   EXPECT_GE(net.n(), 16u);
   EXPECT_LE(net.n(), 64u);
   net.check_invariants();
@@ -92,22 +73,22 @@ TEST(Adversary, RandomChurnRespectsBounds) {
 TEST(Adversary, InsertOnlyGrows) {
   dex::Params prm;
   prm.seed = 92;
-  dex::DexNetwork net(16, prm);
-  auto view = view_of(net);
+  DexHarness h(16, prm);
+  auto& net = h.net();
   adv::InsertOnly strat;
   dex::support::Rng rng(2);
-  drive(net, strat, view, rng, 50, 2, 1000000);
+  drive(h, strat, rng, 50, 2, 1000000);
   EXPECT_EQ(net.n(), 66u);
 }
 
 TEST(Adversary, DeleteOnlyShrinksToFloor) {
   dex::Params prm;
   prm.seed = 93;
-  dex::DexNetwork net(64, prm);
-  auto view = view_of(net);
+  DexHarness h(64, prm);
+  auto& net = h.net();
   adv::DeleteOnly strat;
   dex::support::Rng rng(3);
-  drive(net, strat, view, rng, 200, 16, 1000000);
+  drive(h, strat, rng, 200, 16, 1000000);
   EXPECT_EQ(net.n(), 16u);  // clamps at min_n (inserts when forced)
   net.check_invariants();
 }
@@ -115,11 +96,11 @@ TEST(Adversary, DeleteOnlyShrinksToFloor) {
 TEST(Adversary, OscillateAlternates) {
   dex::Params prm;
   prm.seed = 94;
-  dex::DexNetwork net(32, prm);
-  auto view = view_of(net);
+  DexHarness h(32, prm);
+  auto& net = h.net();
   adv::Oscillate strat(10);
   dex::support::Rng rng(4);
-  drive(net, strat, view, rng, 200, 8, 128);
+  drive(h, strat, rng, 200, 8, 128);
   EXPECT_GE(net.n(), 8u);
   EXPECT_LE(net.n(), 128u);
   net.check_invariants();
@@ -128,15 +109,16 @@ TEST(Adversary, OscillateAlternates) {
 TEST(Adversary, CoordinatorKillerActuallyKillsCoordinators) {
   dex::Params prm;
   prm.seed = 95;
-  dex::DexNetwork net(32, prm);
-  auto view = view_of(net);
+  DexHarness h(32, prm);
+  auto& net = h.net();
+  const auto& view = h.view();
   adv::CoordinatorKiller strat;
   dex::support::Rng rng(5);
   std::size_t coordinator_kills = 0;
   for (int t = 0; t < 100; ++t) {
     const auto a = strat.next(view, rng, 8, 64);
     if (!a.insert && a.target == net.coordinator()) ++coordinator_kills;
-    apply_churn(net, a);
+    h.apply(a);
   }
   EXPECT_GT(coordinator_kills, 20u);
   net.check_invariants();  // DEX shrugs it off
@@ -145,11 +127,11 @@ TEST(Adversary, CoordinatorKillerActuallyKillsCoordinators) {
 TEST(Adversary, LoadAttackTargetsHeaviest) {
   dex::Params prm;
   prm.seed = 96;
-  dex::DexNetwork net(32, prm);
-  auto view = view_of(net);
+  DexHarness h(32, prm);
+  auto& net = h.net();
   adv::LoadAttack strat;
   dex::support::Rng rng(6);
-  drive(net, strat, view, rng, 300, 8, 128);
+  drive(h, strat, rng, 300, 8, 128);
   net.check_invariants();
   // Balanced mapping survives the targeted attack.
   for (auto u : net.alive_nodes()) {
@@ -160,13 +142,14 @@ TEST(Adversary, LoadAttackTargetsHeaviest) {
 TEST(Adversary, ScriptedReplaysExactly) {
   dex::Params prm;
   prm.seed = 97;
-  dex::DexNetwork net(8, prm);
-  auto view = view_of(net);
+  DexHarness h(8, prm);
+  auto& net = h.net();
+  const auto& view = h.view();
   adv::Scripted strat({{true, 0}, {true, 1}, {false, 2}});
   dex::support::Rng rng(7);
-  apply_churn(net, strat.next(view, rng, 2, 100));
-  apply_churn(net, strat.next(view, rng, 2, 100));
-  apply_churn(net, strat.next(view, rng, 2, 100));
+  h.apply(strat.next(view, rng, 2, 100));
+  h.apply(strat.next(view, rng, 2, 100));
+  h.apply(strat.next(view, rng, 2, 100));
   EXPECT_EQ(net.n(), 9u);
   EXPECT_FALSE(net.alive(2));
   EXPECT_DEATH(strat.next(view, rng, 2, 100), "exhausted");
@@ -178,11 +161,11 @@ TEST(Adversary, SweepCutAttackRunsOnBothNetworks) {
   // below and bench E4).
   dex::Params prm;
   prm.seed = 99;
-  dex::DexNetwork net(64, prm);
-  auto view = view_of(net);
+  DexHarness h(64, prm);
+  auto& net = h.net();
   adv::SpectralAttack strat(8);
   dex::support::Rng rng(8);
-  drive(net, strat, view, rng, 120, 16, 256);
+  drive(h, strat, rng, 120, 16, 256);
   net.check_invariants();
   EXPECT_GE(net.n(), 16u);
 }
@@ -192,29 +175,20 @@ TEST(Adversary, GreedySpectralDeletionDegradesLawSiuButNotDex) {
   // the unbounded adversary picks each victim by evaluating the post-splice
   // spectral gap. Law–Siu's probabilistic expansion collapses; DEX's
   // deterministic maintenance holds its floor.
-  dex::baselines::LawSiuNetwork lawsiu(160, 2, 98);
-  auto lview = view_of(lawsiu);
-  lview.snapshot_without = [&lawsiu](adv::NodeId v) {
-    return lawsiu.snapshot_without(v);
-  };
+  Harness<dex::sim::LawSiuOverlay> ls(160, 2, 98);
+  ASSERT_TRUE(static_cast<bool>(ls.view().snapshot_without));
   adv::GreedySpectralDeletion attack_ls(24);
   dex::support::Rng rng(8);
-  const double ls_gap0 =
-      dex::graph::spectral_gap(lawsiu.snapshot(), lawsiu.alive_mask()).gap;
-  for (int t = 0; t < 100; ++t) {
-    apply_churn(lawsiu, attack_ls.next(lview, rng, 40, 256));
-  }
-  const double ls_gap1 =
-      dex::graph::spectral_gap(lawsiu.snapshot(), lawsiu.alive_mask()).gap;
+  const double ls_gap0 = dex::graph::spectral_gap(ls.view().live_csr()).gap;
+  drive(ls, attack_ls, rng, 100, 40, 256);
+  const double ls_gap1 = dex::graph::spectral_gap(ls.view().live_csr()).gap;
 
   dex::Params prm;
   prm.seed = 99;
-  dex::DexNetwork net(160, prm);
-  auto dview = view_of(net);
+  DexHarness h(160, prm);
+  auto& net = h.net();
   adv::GreedySpectralDeletion attack_dex(24);
-  for (int t = 0; t < 100; ++t) {
-    apply_churn(net, attack_dex.next(dview, rng, 40, 256));
-  }
+  drive(h, attack_dex, rng, 100, 40, 256);
   const double dex_gap =
       dex::graph::spectral_gap(net.snapshot(), net.alive_mask()).gap;
 
@@ -228,8 +202,9 @@ TEST(Adversary, GreedySpectralDeletionDegradesLawSiuButNotDex) {
 TEST(AdversaryBatch, DefaultWrapperProducesSelfConsistentBatches) {
   dex::Params prm;
   prm.seed = 101;
-  dex::DexNetwork net(32, prm);
-  auto view = view_of(net);
+  DexHarness h(32, prm);
+  auto& net = h.net();
+  const auto& view = h.view();
   adv::RandomChurn strat(0.5);
   dex::support::Rng rng(9);
   const auto batch = strat.next_batch(view, rng, 8, 64, 12);
@@ -253,8 +228,8 @@ TEST(AdversaryBatch, DefaultWrapperProducesSelfConsistentBatches) {
 TEST(AdversaryBatch, DefaultWrapperHonorsBoundsUnderPressure) {
   dex::Params prm;
   prm.seed = 102;
-  dex::DexNetwork net(16, prm);
-  auto view = view_of(net);
+  DexHarness h(16, prm);
+  const auto& view = h.view();
   dex::support::Rng rng(10);
   // Insert-only at a tight cap: at most max_n - n inserts may come back.
   adv::InsertOnly grow;
@@ -273,8 +248,9 @@ TEST(AdversaryBatch, SampleSafeVictimsKeepsSurvivorsConnected) {
   dex::DexNetwork net(48, prm);
   const auto g = net.snapshot();
   const auto mask = net.alive_mask();
-  const auto victims =
-      adv::sample_safe_victims(g, mask, net.alive_nodes(), 8);
+  dex::graph::CsrView live;
+  live.build(g, mask);
+  const auto victims = adv::sample_safe_victims(live, net.alive_nodes(), 8);
   EXPECT_GE(victims.size(), 1u);
   auto after = mask;
   for (auto v : victims) after[v] = false;
@@ -290,8 +266,8 @@ TEST(AdversaryBatch, SampleSafeVictimsKeepsSurvivorsConnected) {
 TEST(AdversaryBatch, FlashCrowdWavesInsertThenMakeRoom) {
   dex::Params prm;
   prm.seed = 104;
-  dex::DexNetwork net(16, prm);
-  auto view = view_of(net);
+  DexHarness h(16, prm);
+  const auto& view = h.view();
   adv::FlashCrowd strat;
   dex::support::Rng rng(11);
   const auto wave = strat.next_batch(view, rng, 8, 64, 12);
@@ -312,8 +288,9 @@ TEST(AdversaryBatch, FlashCrowdWavesInsertThenMakeRoom) {
 TEST(AdversaryBatch, CorrelatedFailureRespectsPreconditionsAndFloor) {
   dex::Params prm;
   prm.seed = 105;
-  dex::DexNetwork net(48, prm);
-  auto view = view_of(net);
+  DexHarness h(48, prm);
+  auto& net = h.net();
+  const auto& view = h.view();
   adv::CorrelatedFailure strat;
   dex::support::Rng rng(12);
   const auto batch = strat.next_batch(view, rng, 16, 128, 10);
@@ -331,8 +308,8 @@ TEST(AdversaryBatch, CorrelatedFailureRespectsPreconditionsAndFloor) {
 TEST(AdversaryBatch, ScriptedBatchesReplayVerbatimAndAbortWhenExhausted) {
   dex::Params prm;
   prm.seed = 106;
-  dex::DexNetwork net(8, prm);
-  auto view = view_of(net);
+  DexHarness h(8, prm);
+  const auto& view = h.view();
   dex::support::Rng rng(13);
   adv::Scripted strat({{true, 0}, {false, 3}, {true, 1}, {false, 4}});
   EXPECT_EQ(strat.remaining(), 4u);

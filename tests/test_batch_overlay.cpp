@@ -121,8 +121,9 @@ TEST(BatchOverlay, DexParallelBatchPreservesInvariants) {
   sim::ChurnBatch batch;
   // §5-safe victims via the shared sampler; attach points drawn from the
   // survivors, one newcomer each (well under the multiplicity cap).
-  batch.victims = adversary::sample_safe_victims(
-      overlay.snapshot(), overlay.alive_mask(), nodes, 6);
+  sim::CachedView cache(overlay);
+  batch.victims =
+      adversary::sample_safe_victims(cache.view().live_csr(), nodes, 6);
   ASSERT_GE(batch.victims.size(), 2u);
   for (auto it = nodes.rbegin();
        it != nodes.rend() && batch.attach_to.size() < 8; ++it) {

@@ -11,6 +11,7 @@
 #include "dex/network.h"
 #include "graph/bfs.h"
 #include "graph/spectral.h"
+#include "sim/scenario.h"
 
 namespace adv = dex::adversary;
 
@@ -26,20 +27,6 @@ struct Case {
 
 class ChurnSweep : public ::testing::TestWithParam<Case> {};
 
-adv::AdversaryView view_of(dex::DexNetwork& net) {
-  return adv::AdversaryView{
-      [&net] { return net.n(); },
-      [&net] { return net.alive_nodes(); },
-      [&net] { return net.snapshot(); },
-      [&net] { return net.alive_mask(); },
-      [&net](adv::NodeId u) {
-        return static_cast<std::size_t>(net.total_load(u));
-      },
-      [&net] { return net.coordinator(); },
-      {},
-  };
-}
-
 }  // namespace
 
 TEST_P(ChurnSweep, InvariantsHoldThroughout) {
@@ -47,18 +34,20 @@ TEST_P(ChurnSweep, InvariantsHoldThroughout) {
   dex::Params prm;
   prm.seed = c.seed;
   prm.mode = c.mode;
-  dex::DexNetwork net(c.n0, prm);
-  auto view = view_of(net);
+  dex::sim::DexOverlay overlay(c.n0, prm);
+  dex::sim::CachedView cache(overlay);
+  const auto& net = overlay.net();
   adv::RandomChurn strat(c.insert_prob);
   dex::support::Rng rng(c.seed ^ 0x5eedULL);
 
   for (std::size_t t = 0; t < c.steps; ++t) {
-    const auto a = strat.next(view, rng, 8, 100000);
+    const auto a = strat.next(cache.view(), rng, 8, 100000);
     if (a.insert) {
-      net.insert(a.target);
+      overlay.insert(a.target);
     } else {
-      net.remove(a.target);
+      overlay.remove(a.target);
     }
+    cache.advance();
     net.check_invariants();
     if (t % 64 == 0) {
       ASSERT_TRUE(dex::graph::is_connected(net.snapshot(), net.alive_mask()))

@@ -3,12 +3,15 @@
 // patching (apply_delta) must stay semantically equal to a from-scratch
 // rebuild after every churn step, on every backend, under randomized batch
 // churn. This is the property DEX_CHECK_CSR=1 spot-checks in real runs,
-// pinned here as a test so the patcher can't rot. A second suite pins the
+// pinned here as a test so the patcher can't rot. Beside it sits the row
+// contract every CSR consumer relies on: each row holds the masked snapshot
+// row's neighbor multiset, in no promised order. A second suite pins the
 // intra-trial parallelism contract: --trial-jobs is a wall-clock knob only,
 // traces and summaries are byte-identical for every thread count.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,6 +49,26 @@ dex::sim::ChurnBatch random_batch(const dex::sim::HealingOverlay& overlay,
       bool victim = false;
       for (NodeId w : batch.victims) victim = victim || (w == a);
       if (!victim) batch.attach_to.push_back(a);
+    }
+  }
+  return batch;
+}
+
+/// Batch churn in 60-step phases that alternately grow the population by 3
+/// a step and shrink it by up to 3 a step (never below 24): swings wide
+/// enough to trip DEX's type-2 rebuilds and staggered windows.
+dex::sim::ChurnBatch swinging_batch(const dex::sim::HealingOverlay& overlay,
+                                    dex::support::Rng& rng, int t) {
+  dex::sim::ChurnBatch batch;
+  const auto alive = overlay.alive_nodes();
+  for (int i = 0; i < 3; ++i) {
+    const NodeId u = alive[rng.below(alive.size())];
+    if ((t / 60) % 2 == 0) {
+      batch.attach_to.push_back(u);
+    } else if (overlay.n() > 24 + batch.victims.size() &&
+               std::find(batch.victims.begin(), batch.victims.end(), u) ==
+                   batch.victims.end()) {
+      batch.victims.push_back(u);
     }
   }
   return batch;
@@ -123,6 +146,63 @@ TEST_P(IncrementalCsr, PatchedViewMatchesRebuildUnderRandomChurn) {
     // otherwise this test silently degrades to rebuild-vs-rebuild.
     EXPECT_TRUE(journaled);
     EXPECT_GT(patched_steps, 60u) << backend;
+  }
+}
+
+// The row contract (graph/csr.h) on the view the strategies read: after
+// every randomized batch step, each alive row of CachedView's CSR — patched,
+// rebuilt from live_ports, or built from the snapshot inside a staggered
+// window — has the snapshot degree as its length and, sorted, equals the
+// sorted masked snapshot row. Row order is deliberately left unchecked:
+// it differs between the two enumerators, and no consumer may depend on it.
+TEST_P(IncrementalCsr, RowsEqualMaskedSnapshotRowsAsMultisets) {
+  const std::string backend = GetParam();
+  auto overlay = dex::sim::make_overlay(backend, 48, /*seed=*/11);
+  ASSERT_NE(overlay, nullptr);
+  const auto* dex_overlay =
+      dynamic_cast<const dex::sim::DexOverlay*>(overlay.get());
+  dex::sim::CachedView cache(*overlay);
+  dex::support::Rng rng(0x5EEDull);
+
+  std::size_t staggered_steps = 0;
+  std::size_t type2_steps = 0;
+  std::vector<NodeId> want;
+  std::vector<NodeId> got;
+  for (int t = 0; t < 240; ++t) {
+    const auto out = overlay->apply(swinging_batch(*overlay, rng, t));
+    cache.advance();
+    if (out.used_type2) ++type2_steps;
+    if (dex_overlay != nullptr && dex_overlay->net().staggered_active())
+      ++staggered_steps;
+
+    const CsrView& live = cache.view().live_csr();
+    const auto g = overlay->snapshot();
+    const auto mask = overlay->alive_mask();
+    ASSERT_EQ(live.alive_count(), overlay->n()) << backend << " step " << t;
+    for (NodeId u = 0; u < mask.size(); ++u) {
+      ASSERT_EQ(live.alive(u), mask[u]) << backend << " step " << t;
+      if (!mask[u]) continue;
+      want.clear();
+      for (NodeId v : g.ports(u)) {
+        if (mask[v]) want.push_back(v);
+      }
+      const auto row = live.neighbors(u);
+      got.assign(row.begin(), row.end());
+      ASSERT_EQ(got.size(), g.degree(u))
+          << backend << " step " << t << " node " << u;
+      std::sort(want.begin(), want.end());
+      std::sort(got.begin(), got.end());
+      ASSERT_EQ(got, want) << backend << " step " << t << " node " << u;
+    }
+  }
+  // The swings must reach the two DEX paths that leave the patcher: the
+  // type-2 rebuild (a full delta) and, in worst-case mode, the staggered
+  // window (no live_ports, so the CSR is built from the snapshot).
+  if (dex_overlay != nullptr) {
+    EXPECT_GT(type2_steps, 0u) << backend;
+  }
+  if (backend == "dex-worstcase") {
+    EXPECT_GT(staggered_steps, 0u);
   }
 }
 

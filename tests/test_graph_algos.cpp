@@ -1,5 +1,6 @@
 // BFS / connectivity / diameter, the spectral solver against closed-form
-// eigenvalues, conductance and sweep cuts, and the reference generators.
+// eigenvalues, conductance and sweep cuts, the CSR bodies behind the
+// Multigraph adapters, and the reference generators.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 
 #include "graph/bfs.h"
 #include "graph/conductance.h"
+#include "graph/csr.h"
 #include "graph/generators.h"
 #include "graph/multigraph.h"
 #include "graph/spectral.h"
@@ -140,6 +142,65 @@ TEST(Conductance, CheegerSandwich) {
     // since vol(S) >= |S| (degrees >= 1). So h >= gap/2 still holds.
     EXPECT_GE(h + 1e-9, s.gap / 2.0);
   }
+}
+
+TEST(Csr, SurvivorsConnectedHonorsTheRemovedMask) {
+  g::CsrView path;
+  path.build(g::make_path(5), {});
+  EXPECT_TRUE(g::survivors_connected(path));
+  EXPECT_FALSE(g::survivors_connected(path, {false, false, true}));
+  EXPECT_TRUE(g::survivors_connected(path, {true, false, false}));
+  // At most one survivor is vacuously connected.
+  EXPECT_TRUE(g::survivors_connected(path, {true, true, true, true}));
+  EXPECT_TRUE(g::survivors_connected(path, {true, true, true, true, true}));
+}
+
+TEST(Spectral, CsrExclusionEqualsIsolatedCopyBitForBit) {
+  // GreedySpectralDeletion's no-oracle path: excluding v (and any node it
+  // orphans) on the CSR must give exactly the Multigraph answer with v
+  // isolated and masked out.
+  dex::support::Rng rng(5);
+  const auto graph = g::make_random_regular(40, 4, rng);
+  g::CsrView live;
+  live.build(graph, {});
+  const g::NodeId v = 7;
+  std::vector<bool> excluded(40, false);
+  excluded[v] = true;
+  auto hole = graph;
+  hole.isolate(v);
+  std::vector<bool> mask(40, true);
+  mask[v] = false;
+  for (g::NodeId u = 0; u < 40; ++u) {
+    if (u != v && hole.degree(u) == 0) {
+      mask[u] = false;
+      excluded[u] = true;
+    }
+  }
+  const auto a = g::spectral_gap(live, excluded);
+  const auto b = g::spectral_gap(hole, mask);
+  EXPECT_EQ(a.lambda2, b.lambda2);
+  EXPECT_EQ(a.eigenvector, b.eigenvector);
+  EXPECT_EQ(a.nodes, b.nodes);
+}
+
+TEST(Spectral, RowOrderDoesNotChangeABit) {
+  // The row contract promises multisets, not order (graph/csr.h): the gap,
+  // its eigenvector and the sweep cut must be identical on reversed rows.
+  dex::support::Rng rng(6);
+  const auto graph = g::make_random_regular(48, 4, rng);
+  g::CsrView forward;
+  forward.build(graph, {});
+  g::CsrView reversed;
+  reversed.build_from_ports(std::vector<bool>(48, true),
+                            [&graph](g::NodeId u, std::vector<g::NodeId>& out) {
+                              const auto ports = graph.ports(u);
+                              out.assign(ports.rbegin(), ports.rend());
+                            });
+  const auto a = g::spectral_gap(forward);
+  const auto b = g::spectral_gap(reversed);
+  EXPECT_EQ(a.lambda2, b.lambda2);
+  EXPECT_EQ(a.eigenvector, b.eigenvector);
+  EXPECT_EQ(g::sweep_cut(forward).side, g::sweep_cut(reversed).side);
 }
 
 TEST(Generators, RandomRegularDegrees) {

@@ -98,8 +98,8 @@ TEST(DistanceOracle, MatchesBfsOnChurnedViewsAcrossAllSixBackends) {
       if (step % 5 != 0) continue;
       const auto& live = cache.view().live_csr();
       oracle.attach(live);
-      const auto g = cache.view().snapshot();
-      const auto mask = cache.view().alive_mask();
+      const auto g = overlay->snapshot();
+      const auto mask = overlay->alive_mask();
       const auto nodes = cache.view().alive_nodes();
       // Enough distinct roots to exercise probes, repeat-memoization and
       // FIFO eviction (> kMaxRoots of them), with repeats mixed in.
@@ -151,8 +151,8 @@ TEST(DistanceOracle, ColdQueriesProbeOnceAndMemoizedRootsAreFree) {
   // probe again, with the same exact answer; the newest stay free.
   ASSERT_GT(nodes.size(), sim::DistanceOracle::kMaxRoots + 1);
   for (const NodeId r : nodes) (void)oracle.from(r);
-  const auto g = cache.view().snapshot();
-  const auto ref = graph::bfs_distances(g, nodes[1], cache.view().alive_mask());
+  const auto ref = graph::bfs_distances(overlay.snapshot(), nodes[1],
+                                        overlay.alive_mask());
   before = oracle.bfs_runs();
   EXPECT_EQ(oracle.distance(nodes[1], nodes[0]), ref[nodes[0]]);
   EXPECT_EQ(oracle.bfs_runs(), before + 1);

@@ -251,18 +251,19 @@ TEST(CachedView, MaterializesEachComponentOncePerStep) {
   const auto& view = cache.view();
   for (int i = 0; i < 5; ++i) {
     (void)view.alive_nodes();
-    (void)view.snapshot();
-    (void)view.alive_mask();
+    (void)view.live_csr();
   }
+  // No live_ports() here, so the CSR is built from one snapshot and mask.
   EXPECT_EQ(overlay.nodes_calls, 1u);
   EXPECT_EQ(overlay.snapshot_calls, 1u);
   EXPECT_EQ(overlay.mask_calls, 1u);
   cache.advance();
   (void)view.alive_nodes();
-  (void)view.snapshot();
   EXPECT_EQ(overlay.nodes_calls, 2u);
+  EXPECT_EQ(overlay.snapshot_calls, 1u);  // not queried since advance
+  (void)view.live_csr();
   EXPECT_EQ(overlay.snapshot_calls, 2u);
-  EXPECT_EQ(overlay.mask_calls, 1u);  // not queried since advance
+  EXPECT_EQ(overlay.mask_calls, 2u);
 }
 
 // ------------------------------------------------------------ factories
