@@ -5,7 +5,9 @@
 # --burst 4, --gap-every, --warmup, the zipf/hotspot/uniform workloads, a
 # spread of single-event and batch-native strategies (every strategy that
 # reads the topology among them, under both next() and next_batch()), and a
-# phased --campaign with a load=2 phase, a rate= gate and quiet ranges — all
+# phased --campaign with a load=2 phase, a rate= gate and quiet ranges, plus
+# a 300-node zipf case whose key placement scans span several 64-node
+# blocks of the alive set — all
 # on the default (sync) engine, so any change to the lockstep schedule, the
 # RNG streams or the emission format shows up as a byte diff here.
 #
@@ -57,6 +59,9 @@ golden_case strategies --backend all \
 golden_case topology_strategies --backend all \
   --scenario spectral,greedy-spectral,spectral-batch,oracle-bust,flash-crowd \
   --n0 40 --steps 20 --seed 13 --batch-size 4 --burst 3 --gap-every 5
+golden_case placement_blocks --backend all --scenario churn,burst --n0 300 \
+  --steps 30 --seed 17 --batch-size 4 --burst 3 --workload zipf \
+  --ops-per-step 16 --keys 2048
 golden_case campaign --backend all --n0 32 --steps 30 --seed 7 \
   --batch-size 3 --gap-every 6 \
   --campaign 'churn:0-8,load=2;burst:12-20,rate=0.5;flash-crowd:24-' \
