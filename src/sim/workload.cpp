@@ -4,7 +4,14 @@
 #include <cmath>
 
 #include "graph/bfs.h"
+#include "sim/hrw_scan.h"
 #include "support/assert.h"
+
+// GNU-compatible x86 compilers also build an AVX-512 copy of the
+// block-scoring loop, chosen at run time by __builtin_cpu_supports.
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#define DEX_HRW_AVX512 1
+#endif
 
 namespace dex::sim {
 
@@ -28,7 +35,60 @@ bool candidate_better(NodeId node, std::uint64_t score, NodeId than_node,
   return score > than_score || (score == than_score && node < than_node);
 }
 
+/// The block-scoring loop of the rendezvous scan (sim/hrw_scan.h). Forced
+/// inline, at -O0 too, so each wrapper below compiles its own copy for its
+/// own target. Branch-free: where the target has 64-bit vector multiplies
+/// (AVX-512DQ's vpmullq) the compiler vectorizes the score mix and the
+/// running maximum together.
+[[gnu::always_inline]]
+inline std::uint64_t hrw_block_body(std::uint64_t key_hash, const NodeId* ids,
+                                    std::size_t n, std::uint64_t* scores) {
+  std::uint64_t block_max = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t s = hrw_score(key_hash, ids[i]);
+    scores[i] = s;
+    block_max = std::max(block_max, s);
+  }
+  return block_max;
+}
+
+#ifdef DEX_HRW_AVX512
+[[gnu::target("avx512f,avx512dq,avx512vl")]]
+std::uint64_t hrw_block_avx512_impl(std::uint64_t key_hash, const NodeId* ids,
+                                    std::size_t n, std::uint64_t* scores) {
+  return hrw_block_body(key_hash, ids, n, scores);
+}
+#endif
+
 }  // namespace
+
+namespace detail {
+
+std::uint64_t hrw_block_portable(std::uint64_t key_hash, const NodeId* ids,
+                                 std::size_t n, std::uint64_t* scores) {
+  return hrw_block_body(key_hash, ids, n, scores);
+}
+
+HrwBlockFn hrw_block_avx512() {
+#ifdef DEX_HRW_AVX512
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
+      __builtin_cpu_supports("avx512vl")) {
+    return &hrw_block_avx512_impl;
+  }
+#endif
+  return nullptr;
+}
+
+HrwBlockFn hrw_block() {
+  static const HrwBlockFn picked = [] {
+    const HrwBlockFn avx512 = hrw_block_avx512();
+    return avx512 != nullptr ? avx512 : &hrw_block_portable;
+  }();
+  return picked;
+}
+
+}  // namespace detail
 
 // ------------------------------------------------------------------ KvStore
 
@@ -61,11 +121,12 @@ void KvStore::merge_candidate(Placement& pl, Candidate c) {
 
 KvStore::Placement KvStore::scan_candidates(std::uint64_t key) const {
   DEX_ASSERT_MSG(!alive_.empty(), "KvStore over an empty overlay");
-  const std::uint64_t kh = support::mix64(key);
+  const auto best = detail::hrw_top<kHomeCandidates>(
+      support::mix64(key), alive_, detail::hrw_block());
   Placement pl;
-  for (const NodeId u : alive_) {
-    merge_candidate(pl, Candidate{u, hrw_score(kh, u)});
-  }
+  pl.top = best.top;
+  pl.count = best.count;
+  pl.floor = best.floor;
   return pl;
 }
 

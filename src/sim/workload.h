@@ -36,7 +36,11 @@
 /// (sim/oracle.h) whose point queries are meet-in-the-middle probes
 /// (~O(sqrt n) vertices on an expander), and re-homes keys from per-key
 /// top-K rendezvous candidate lists instead of rescanning the whole alive
-/// set.
+/// set. The full scan that a key's first write (or a rare rescan) still
+/// pays is a blocked, vectorized top-(K+1) kernel (sim/hrw_scan.h): blocks
+/// of 64 alive ids are scored branch-free and skipped whole unless their
+/// maximum beats the running (K+1)-th best, with an AVX-512 copy of the
+/// scoring loop picked once per process by CPU feature.
 ///
 /// This header sits between sim/overlay.h and sim/scenario.h: it needs the
 /// overlay surface and the AdversaryView, while ScenarioSpec embeds
@@ -53,6 +57,7 @@
 #include "graph/csr.h"
 #include "graph/multigraph.h"
 #include "sim/churn.h"
+#include "sim/hrw_scan.h"
 #include "sim/oracle.h"
 #include "sim/overlay.h"
 #include "support/assert.h"
@@ -213,10 +218,7 @@ class KvStore {
   /// churn, so rescans are rare; exactness never depends on the constant.
   static constexpr std::size_t kHomeCandidates = 8;
 
-  struct Candidate {
-    graph::NodeId node = graph::kInvalidNode;
-    std::uint64_t score = 0;
-  };
+  using Candidate = detail::HrwCandidate;
   /// Top rendezvous candidates by (score desc, id asc); [0] is the home.
   /// `floor` bounds every *alive non-member's* score (the best score ever
   /// scanned past, skipped, or truncated out), so the first entry is the
@@ -232,6 +234,14 @@ class KvStore {
     [[nodiscard]] graph::NodeId home() const { return top[0].node; }
   };
 
+  /// Places `key` from scratch over the whole alive set: detail::hrw_top
+  /// over the ascending alive_, with the block body detail::hrw_block()
+  /// picked once for this CPU (AVX-512F/DQ/VL or portable; same bits).
+  /// The result is the top kHomeCandidates by (score desc, id asc) and, as
+  /// the floor, the next-best score (0 when no more nodes are alive) —
+  /// exactly the Placement merge_candidate builds by merging every alive
+  /// node into an empty list, since every node left outside it was
+  /// skipped or truncated there and the floor is the largest such score.
   [[nodiscard]] Placement scan_candidates(std::uint64_t key) const;
   static void merge_candidate(Placement& pl, Candidate c);
   [[nodiscard]] graph::NodeId resolve_origin(graph::NodeId origin) const;

@@ -462,34 +462,37 @@ TEST(KvStore, PlacementTracksAFreshStoreThroughJoinsAndLeaves) {
   // key must sit exactly where a fresh KvStore over the same view would
   // put it — keys rebalance onto joiners that out-score their incumbent,
   // and the incremental candidate lists never drift from the rendezvous
-  // argmax.
-  sim::LawSiuOverlay overlay(24, /*d=*/3, /*seed=*/8);
-  sim::CachedView cache(overlay);
-  sim::KvStore kv(overlay);
-  kv.sync(cache.view());
-  const auto seed_nodes = overlay.alive_nodes();
-  for (std::uint64_t k = 0; k < 256; ++k) {
-    ASSERT_TRUE(kv.put(k, k, seed_nodes[k % seed_nodes.size()]).ok);
-  }
-  support::Rng rng(99);
-  for (int step = 0; step < 60; ++step) {
-    const auto nodes = overlay.alive_nodes();
-    if (rng.chance(0.55) || nodes.size() < 14) {
-      overlay.insert(nodes[rng.below(nodes.size())]);
-    } else {
-      overlay.remove(nodes[rng.below(nodes.size())]);
-    }
-    cache.advance();
+  // argmax. 24 nodes fit in one block of the placement scan; 240 span
+  // four blocks (sim/hrw_scan.h).
+  for (const std::size_t n0 : {std::size_t{24}, std::size_t{240}}) {
+    sim::LawSiuOverlay overlay(n0, /*d=*/3, /*seed=*/8);
+    sim::CachedView cache(overlay);
+    sim::KvStore kv(overlay);
     kv.sync(cache.view());
-    if (step % 2 == 0) {  // occasionally shrink placed_ too
-      kv.erase(rng.below(256), overlay.alive_nodes()[0]);
-    }
-    sim::KvStore fresh(overlay);
-    fresh.sync(cache.view());
+    const auto seed_nodes = overlay.alive_nodes();
     for (std::uint64_t k = 0; k < 256; ++k) {
-      ASSERT_EQ(kv.home(k), fresh.home(k))
-          << "key " << k << " drifted from the rendezvous argmax at step "
-          << step;
+      ASSERT_TRUE(kv.put(k, k, seed_nodes[k % seed_nodes.size()]).ok);
+    }
+    support::Rng rng(99);
+    for (int step = 0; step < 60; ++step) {
+      const auto nodes = overlay.alive_nodes();
+      if (rng.chance(0.55) || nodes.size() < n0 * 7 / 12) {
+        overlay.insert(nodes[rng.below(nodes.size())]);
+      } else {
+        overlay.remove(nodes[rng.below(nodes.size())]);
+      }
+      cache.advance();
+      kv.sync(cache.view());
+      if (step % 2 == 0) {  // occasionally shrink placed_ too
+        kv.erase(rng.below(256), overlay.alive_nodes()[0]);
+      }
+      sim::KvStore fresh(overlay);
+      fresh.sync(cache.view());
+      for (std::uint64_t k = 0; k < 256; ++k) {
+        ASSERT_EQ(kv.home(k), fresh.home(k))
+            << "key " << k << " drifted from the rendezvous argmax at step "
+            << step << " (n0 " << n0 << ")";
+      }
     }
   }
 }
