@@ -3,7 +3,7 @@
 /// \file bench_common.h
 /// Umbrella include for the experiment binaries: the unified overlay
 /// interface, the scenario engine and the adversary strategies. Every
-/// backend is driven through sim::ScenarioRunner (or a sim::CachedView for
+/// backend is driven through sim::ScenarioRunner (or an AdversaryView for
 /// ad-hoc stepping), so the per-backend view_of()/apply() overloads this
 /// header used to carry are gone.
 

@@ -86,9 +86,9 @@ void BM_KvStorePutGet(benchmark::State& state) {
   dex::Params prm;
   prm.seed = 4;
   dex::sim::DexOverlay overlay(1024, prm);
-  dex::sim::CachedView cache(overlay);
+  dex::adversary::AdversaryView view(overlay);
   dex::sim::KvStore kv(overlay);
-  kv.sync(cache.view());
+  kv.sync(view);
   const dex::NodeId origin = overlay.special_node();
   std::uint64_t k = 0;
   for (auto _ : state) {

@@ -606,18 +606,18 @@ int run_scenario(int argc, char** argv) {
 
 struct Session {
   Session(std::size_t n0, const dex::Params& prm)
-      : overlay(n0, prm), cache(overlay), kv(overlay), rng(prm.seed ^ 0xc11) {}
+      : overlay(n0, prm), view(overlay), kv(overlay), rng(prm.seed ^ 0xc11) {}
 
   /// The store synced to the overlay's current membership.
   dex::sim::KvStore& store() {
-    cache.advance();
-    kv.sync(cache.view());
+    view.advance();
+    kv.sync(view);
     return kv;
   }
 
   // Members die bottom-up: the view and the store borrow the overlay.
   dex::sim::DexOverlay overlay;
-  dex::sim::CachedView cache;
+  dex::adversary::AdversaryView view;
   dex::sim::KvStore kv;
   dex::support::Rng rng;
 };

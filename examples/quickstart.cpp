@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   dex::sim::DexOverlay overlay(64, params);
   const dex::DexNetwork& net = overlay.net();
   // The adversary's view of the network; advance() after every mutation.
-  dex::sim::CachedView cache(overlay);
+  dex::adversary::AdversaryView view(overlay);
 
   dex::adversary::RandomChurn strategy(0.55);  // mild growth bias
   dex::support::Rng adv_rng(seed ^ 0xadull);
@@ -32,19 +32,19 @@ int main(int argc, char** argv) {
   std::vector<double> rounds, messages, topo;
   double min_gap = 1.0;
   for (std::size_t t = 0; t < steps; ++t) {
-    const auto action = strategy.next(cache.view(), adv_rng, 16, 100000);
+    const auto action = strategy.next(view, adv_rng, 16, 100000);
     if (action.insert) {
       overlay.insert(action.target);
     } else {
       overlay.remove(action.target);
     }
-    cache.advance();
+    view.advance();
     const auto& rep = net.last_report();
     rounds.push_back(static_cast<double>(rep.cost.rounds));
     messages.push_back(static_cast<double>(rep.cost.messages));
     topo.push_back(static_cast<double>(rep.cost.topology_changes));
     if (t % 250 == 0) {
-      const auto spec = dex::graph::spectral_gap(cache.view().live_csr());
+      const auto spec = dex::graph::spectral_gap(view.live_csr());
       if (spec.gap < min_gap) min_gap = spec.gap;
       std::printf(
           "step %5zu  n=%5zu  p=%7llu  gap=%.3f  staggered=%d  "

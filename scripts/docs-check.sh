@@ -7,7 +7,10 @@
 #   3. the CLI flags documented in docs/EXPERIMENTS.md (between the
 #      cli-flags markers) exactly match what `dex_sim_cli --help` prints;
 #   4. every summary-JSON field emitted by src/sim/scenario.cpp is named
-#      in the summary-fields section of docs/EXPERIMENTS.md.
+#      in the summary-fields section of docs/EXPERIMENTS.md;
+#   5. every backticked qualified name (`A::b`) in README.md and docs/
+#      resolves: its last two components both occur, as whole words, in
+#      one file under src/, bench/, examples/ or tools/.
 #
 # Usage: scripts/docs-check.sh [path-to-dex_sim_cli]
 # The flag check is skipped with a warning when the binary is not built.
@@ -74,6 +77,25 @@ if [ -n "$missing" ]; then
   echo "$missing" | sed 's/^/    /'
   fail=1
 fi
+
+# ---- 5. qualified names in the docs ---------------------------------------
+# A renamed or deleted type leaves its old name behind in prose; catch it.
+# `std::` names are not ours, and `*_clock::now` (the det-lint doc's
+# wildcard for the std clocks) is a pattern, not a name.
+while IFS= read -r name; do
+  case "$name" in
+    std::*|_clock::now) continue ;;
+  esac
+  scope=${name%::*}
+  scope=${scope##*::}
+  member=${name##*::}
+  if ! grep -rlwF -e "$scope" src bench examples tools |
+      xargs -r grep -lwF -e "$member" | grep -q .; then
+    echo "docs-check: stale qualified name in the docs: $name"
+    fail=1
+  fi
+done < <(grep -ohE '`[^`]+`' README.md docs/*.md |
+  grep -oE '[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+' | sort -u)
 
 if [ "$fail" -eq 0 ]; then
   echo "docs-check: OK"

@@ -1,11 +1,13 @@
 #include "adversary/adversary.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "graph/bfs.h"
 #include "graph/conductance.h"
+#include "sim/overlay.h"
 #include "support/assert.h"
 
 namespace dex::adversary {
@@ -44,7 +46,7 @@ void push_capped_attaches(const AdversaryView& view, support::Rng& rng,
                           std::size_t count,
                           std::vector<NodeId>& attach_to) {
   if (count == 0) return;
-  const auto nodes = view.alive_nodes();
+  const auto& nodes = view.alive_nodes();
   std::unordered_map<NodeId, std::size_t> mult;
   std::size_t placed = 0;
   for (std::size_t tries = 0; placed < count && tries < 8 * count + 16;
@@ -58,6 +60,91 @@ void push_capped_attaches(const AdversaryView& view, support::Rng& rng,
 }
 
 }  // namespace
+
+// ----------------------------------------------------------- AdversaryView
+
+AdversaryView::AdversaryView(const sim::HealingOverlay& overlay)
+    : overlay_(overlay), removal_oracle_(overlay.has_removal_oracle()) {}
+
+std::size_t AdversaryView::n() const { return overlay_.n(); }
+
+const std::vector<NodeId>& AdversaryView::alive_nodes() const {
+  if (!nodes_) nodes_ = overlay_.alive_nodes();
+  return *nodes_;
+}
+
+std::size_t AdversaryView::load(NodeId u) const { return overlay_.load(u); }
+
+NodeId AdversaryView::special_node() const { return overlay_.special_node(); }
+
+graph::Multigraph AdversaryView::snapshot_without(NodeId u) const {
+  return overlay_.snapshot_without(u);
+}
+
+graph::CsrView::PortsFn AdversaryView::ports_fn() const {
+  return [this](NodeId u, std::vector<NodeId>& out) {
+    const bool ok = overlay_.live_ports(u, out);
+    // Callers probe the capability before choosing this enumerator, and a
+    // precise journal delta implies the overlay is in a calm (enumerable)
+    // state — see the staggered full-marks in dex/staggered.cpp.
+    DEX_ASSERT_MSG(ok, "live_ports withdrawn mid-build");
+  };
+}
+
+const graph::CsrView& AdversaryView::live_csr() const {
+  if (!csr_valid_) {
+    const std::vector<bool> mask = overlay_.alive_mask();
+    // Prefer the overlay's own row enumerator: rows come out in the same
+    // order apply_delta() re-derives them, so later advance() calls can
+    // patch this build in place instead of discarding it. The capability
+    // is probed per build (DEX withdraws it during staggered windows).
+    const auto first = std::find(mask.begin(), mask.end(), true);
+    std::vector<NodeId> probe;
+    if (first != mask.end() &&
+        overlay_.live_ports(static_cast<NodeId>(first - mask.begin()),
+                            probe)) {
+      csr_.build_from_ports(mask, ports_fn());
+      csr_ports_canonical_ = true;
+    } else {
+      // Fallback (flood, DEX inside a staggered window): build from a
+      // local snapshot. Rows land in snapshot port order — a valid view,
+      // but not patchable.
+      csr_.build(overlay_.snapshot(), mask);
+      csr_ports_canonical_ = false;
+    }
+    csr_valid_ = true;
+  }
+  return csr_;
+}
+
+void AdversaryView::advance() {
+  nodes_.reset();
+  delta_.clear();
+  // Always drain — even when the standing CSR is unpatchable — so the
+  // journal never carries deltas across a rebuild boundary. The first drain
+  // also installs the journal on the overlay (and reports "full" for the
+  // untracked history before it).
+  const bool drained = overlay_.drain_view_delta(delta_);
+  if (!drained || delta_.full || !csr_valid_ || !csr_ports_canonical_) {
+    // No journal, coarse delta, or a snapshot-ordered view: fall back to
+    // the lazy from-scratch rebuild on next use.
+    csr_valid_ = false;
+  } else if (!delta_.empty()) {
+    csr_.apply_delta(delta_, ports_fn());
+  }
+  // Opt-in cross-check: DEX_CHECK_CSR=1 rebuilds a reference view after
+  // every patch and asserts semantic equality (tests and debugging; the
+  // rebuild obviously forfeits the incremental speedup).
+  // det: opt-in debug gate — flips extra *checking* on, never changes what
+  // the run computes or emits.
+  static const bool check_csr = std::getenv("DEX_CHECK_CSR") != nullptr;
+  if (check_csr && csr_valid_) {
+    graph::CsrView ref;
+    ref.build_from_ports(overlay_.alive_mask(), ports_fn());
+    DEX_ASSERT_MSG(csr_.equal_to(ref),
+                   "incremental CSR diverged from a fresh rebuild");
+  }
+}
 
 // -------------------------------------------------------- batch machinery
 
@@ -251,7 +338,7 @@ ChurnAction GreedySpectralDeletion::next(const AdversaryView& view,
       (rng.chance(insert_ratio_) && !must_delete(view, max_n))) {
     return {true, random_alive(view, rng)};
   }
-  const auto nodes = view.alive_nodes();
+  const auto& nodes = view.alive_nodes();
   const graph::CsrView& live = view.live_csr();
   graph::SpectralOptions opts;
   opts.max_iterations = 2000;
@@ -263,7 +350,7 @@ ChurnAction GreedySpectralDeletion::next(const AdversaryView& view,
     // Removing v's edges can orphan a neighbor; every node left without an
     // edge drops out too (the solver's no-isolated-nodes precondition).
     double gap = 0.0;
-    if (view.snapshot_without) {
+    if (view.has_removal_oracle()) {
       const graph::Multigraph g = view.snapshot_without(v);
       std::vector<bool> mask(g.node_count(), false);
       for (NodeId u = 0; u < g.node_count(); ++u) {
@@ -370,7 +457,7 @@ sim::ChurnBatch CorrelatedFailure::next_batch(const AdversaryView& view,
   }
   const std::size_t deletes = std::min(batch_size, n - floor_n);
   const graph::CsrView& g = view.live_csr();
-  const auto nodes = view.alive_nodes();
+  const auto& nodes = view.alive_nodes();
   // Victims cluster around a random epicenter: candidates ordered by BFS
   // distance, nearest first (the safe sampler then thins the cluster to
   // keep the §5 preconditions).
@@ -401,7 +488,7 @@ sim::ChurnBatch OracleBuster::next_batch(const AdversaryView& view,
   const std::size_t inserts =
       std::min(batch_size - deletes, max_n > n ? max_n - n : 0);
   const graph::CsrView& g = view.live_csr();
-  const auto nodes = view.alive_nodes();
+  const auto& nodes = view.alive_nodes();
   // Ring the candidates by BFS distance from a random epicenter and
   // consume the rings round-robin, farthest first — consecutive victims
   // land in different regions, which is exactly what defeats a
@@ -448,7 +535,7 @@ sim::ChurnBatch OracleBuster::next_batch(const AdversaryView& view,
 std::vector<std::uint32_t> ChordAttack::chord_scores(
     const AdversaryView& view, support::Rng& rng,
     const graph::CsrView& g) const {
-  const auto nodes = view.alive_nodes();
+  const auto& nodes = view.alive_nodes();
   std::vector<std::uint32_t> score(g.node_count(), 0);
   std::vector<std::uint32_t> dist;
   std::vector<NodeId> queue;

@@ -9,21 +9,24 @@
 /// (next) or, batch-first since §5 became drivable, a whole sim::ChurnBatch
 /// (next_batch; the default wraps next, batch-native strategies override).
 ///
-/// Network-agnostic: every backend adapts to AdversaryView through the
-/// unified sim::HealingOverlay interface — sim::CachedView (scenario.h)
-/// builds the view over any overlay. The topology reaches strategies as the
+/// Network-agnostic: AdversaryView reads any backend through the unified
+/// sim::HealingOverlay interface. The topology reaches strategies as the
 /// view's maintained CSR (graph/csr.h), patched per step rather than copied
 /// per draw.
 
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <optional>
 #include <vector>
 
 #include "graph/csr.h"
 #include "graph/multigraph.h"
 #include "sim/churn.h"
 #include "support/prng.h"
+
+namespace dex::sim {
+class HealingOverlay;
+}  // namespace dex::sim
 
 namespace dex::adversary {
 
@@ -35,26 +38,77 @@ struct ChurnAction {
   NodeId target = 0;
 };
 
-/// Read-only window into the network under attack.
-struct AdversaryView {
-  std::function<std::size_t()> n;
-  std::function<std::vector<NodeId>()> alive_nodes;
+/// The adversary's read-only window into the network under attack, over
+/// any overlay: every driver (the runner, the CLI's script mode, the tests)
+/// builds one per run. alive_nodes() is materialized at most once per step,
+/// however many times the strategies consult it. The topology is the
+/// maintained flat CSR (graph/csr.h) that strategies, the gap sampler and
+/// the traffic layer's route/placement oracle all read by reference (object
+/// identity is stable across steps, so borrowed pointers stay valid).
+///
+/// advance() is the one step boundary: it drops the node memo, drains the
+/// overlay's churn journal (HealingOverlay::drain_view_delta) and *patches*
+/// the CSR in place when the delta is precise, paying per-step cost
+/// proportional to the churn delta. It falls back to a lazy from-scratch
+/// rebuild whenever the journal is absent/full or the standing CSR was
+/// built from a snapshot (Multigraph port order, not live_ports order, so
+/// not patchable). With DEX_CHECK_CSR=1 in the environment every advance()
+/// additionally rebuilds a reference view and asserts semantic equality.
+class AdversaryView {
+ public:
+  explicit AdversaryView(const sim::HealingOverlay& overlay);
+
+  // Borrowers (KvStore, the overlay's live-view provider) hold pointers
+  // into this object; a copy would silently stop tracking the overlay.
+  AdversaryView(const AdversaryView&) = delete;
+  AdversaryView& operator=(const AdversaryView&) = delete;
+
+  [[nodiscard]] std::size_t n() const;
+  /// The alive ids; valid until the next advance().
+  [[nodiscard]] const std::vector<NodeId>& alive_nodes() const;
   /// Load of a node (virtual vertices for DEX; degree for baselines).
-  std::function<std::size_t(NodeId)> load;
-  /// A distinguished node worth attacking (DEX's coordinator); returns
+  [[nodiscard]] std::size_t load(NodeId u) const;
+  /// A distinguished node worth attacking (DEX's coordinator), or
   /// graph::kInvalidNode when the network has none.
-  std::function<NodeId()> special_node;
-  /// Optional oracle: the topology that would result from deleting a node
-  /// (including the overlay's deterministic splice-healing, where it has
-  /// one). When absent, strategies fall back to live_csr() with the node
-  /// excluded.
-  std::function<graph::Multigraph(NodeId)> snapshot_without;
-  /// The live topology as a flat CSR (graph/csr.h): aliveness plus one row
-  /// of live neighbors per node, whose multiset equals the overlay's
-  /// snapshot row. Maintained by sim::CachedView and returned by reference;
-  /// valid until the view next advances. Required: the topology-reading
-  /// strategies and the traffic layer (sim::KvStore) both read it.
-  std::function<const graph::CsrView&()> live_csr;
+  [[nodiscard]] NodeId special_node() const;
+  /// Whether snapshot_without() is available. When it is not, strategies
+  /// fall back to live_csr() with the node excluded.
+  [[nodiscard]] bool has_removal_oracle() const { return removal_oracle_; }
+  /// The topology that would result from deleting `u`, including the
+  /// overlay's deterministic splice-healing. Requires has_removal_oracle().
+  [[nodiscard]] graph::Multigraph snapshot_without(NodeId u) const;
+  /// The live topology as a flat CSR: aliveness plus one row of live
+  /// neighbors per node, whose multiset equals the overlay's snapshot row.
+  /// Built lazily, returned by reference; valid until the next advance().
+  [[nodiscard]] const graph::CsrView& live_csr() const;
+  /// The maintained CSR when it is current, else nullptr. Never triggers a
+  /// build — this feeds HealingOverlay::set_live_view_provider, whose
+  /// consumers (batch preflight) want an opportunistic read, not a charge.
+  [[nodiscard]] const graph::CsrView* live_csr_if_valid() const {
+    return csr_valid_ ? &csr_ : nullptr;
+  }
+
+  /// Adopts the overlay's current state. Call after every mutation batch,
+  /// before the view is read again — the journal delta spans everything
+  /// since the previous drain, however many events that was.
+  void advance();
+
+ private:
+  /// Row enumerator handed to build_from_ports/apply_delta; asserts the
+  /// overlay's live_ports capability (callers only use it after probing).
+  [[nodiscard]] graph::CsrView::PortsFn ports_fn() const;
+
+  const sim::HealingOverlay& overlay_;
+  bool removal_oracle_;
+  mutable std::optional<std::vector<NodeId>> nodes_;
+  // The CSR keeps its buffers across rebuilds (build() reuses them); the
+  // flag alone tracks staleness.
+  mutable graph::CsrView csr_;
+  mutable bool csr_valid_ = false;
+  /// Whether csr_ rows are in live_ports order (patchable) rather than
+  /// Multigraph snapshot order (rebuild-only).
+  mutable bool csr_ports_canonical_ = false;
+  graph::ViewDelta delta_;  ///< drain buffer (ping-pongs with the journal)
 };
 
 class Strategy {
@@ -81,7 +135,7 @@ class Strategy {
 
  protected:
   static NodeId random_alive(const AdversaryView& view, support::Rng& rng) {
-    const auto nodes = view.alive_nodes();
+    const auto& nodes = view.alive_nodes();
     return nodes[rng.below(nodes.size())];
   }
 };

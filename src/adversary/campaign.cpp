@@ -332,42 +332,6 @@ std::optional<CampaignSpec> parse_campaign(
   return spec;
 }
 
-// --------------------------------------------------------------- combinators
-
-CampaignPhase phase(std::string strategy, std::size_t begin, std::size_t end) {
-  CampaignPhase ph;
-  ph.strategy = std::move(strategy);
-  ph.begin = begin;
-  ph.end = end;
-  return ph;
-}
-
-CampaignPhase mix(std::vector<MixPart> parts, std::size_t begin,
-                  std::size_t end) {
-  CampaignPhase ph;
-  ph.mix = std::move(parts);
-  ph.begin = begin;
-  ph.end = end;
-  return ph;
-}
-
-CampaignSpec seq(std::vector<CampaignPhase> phases) {
-  CampaignSpec spec;
-  std::size_t prev_end = 0;
-  for (auto& ph : phases) {
-    // Chain defaulted ranges exactly like the parser: a phase left at
-    // [0, open) after the first begins where its predecessor ended.
-    if (!spec.phases.empty() && ph.begin == 0 && ph.end == kOpenEnd) {
-      DEX_ASSERT_MSG(prev_end != kOpenEnd,
-                     "seq(): phase follows an open-ended phase");
-      ph.begin = prev_end;
-    }
-    prev_end = ph.end;
-    spec.phases.push_back(std::move(ph));
-  }
-  return spec;
-}
-
 // ---------------------------------------------------------- CampaignStrategy
 
 CampaignStrategy::CampaignStrategy(CampaignSpec spec, const Factory& make)

@@ -135,17 +135,6 @@ struct CampaignSpec {
 [[nodiscard]] std::optional<std::vector<ChurnAction>> load_churn_trace(
     const std::string& path, std::string& error);
 
-// ------------------------------------------------------------- combinators
-// For building campaigns in code (tests, benches) without the string round
-// trip. seq() chains omitted ranges exactly like the parser does.
-
-[[nodiscard]] CampaignPhase phase(std::string strategy, std::size_t begin = 0,
-                                  std::size_t end = kOpenEnd);
-[[nodiscard]] CampaignPhase mix(std::vector<MixPart> parts,
-                                std::size_t begin = 0,
-                                std::size_t end = kOpenEnd);
-[[nodiscard]] CampaignSpec seq(std::vector<CampaignPhase> phases);
-
 /// Runs a CampaignSpec as a Strategy. Sub-strategies are built once per
 /// phase (per mix part) through the injected factory, so the sim-layer
 /// registry stays out of this header. The internal step counter advances

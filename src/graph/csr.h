@@ -31,7 +31,7 @@
 /// degree. Row order is whatever the producer enumerated — Multigraph port
 /// order for build(), live_ports order for build_from_ports()/apply_delta()
 /// — and the two differ on most rows, so a view is patched only by the
-/// enumerator that built it (sim::CachedView tracks this). Every consumer is
+/// enumerator that built it (AdversaryView tracks this). Every consumer is
 /// row-order-independent, which keeps the switch out of the emitted bytes:
 /// the traffic layer's distances, path lengths, reach sums and sorted region
 /// sets; the strategies and survivors_connected, which only count; and

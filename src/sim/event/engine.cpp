@@ -154,13 +154,12 @@ ScenarioResult ScenarioRunner::run() {
   const std::size_t max_n = bounds.max_n;
   DEX_ASSERT_MSG(bounds.valid(), "degenerate population bounds");
 
-  CachedView cache(overlay_);
-  const adversary::AdversaryView& view = cache.view();
+  adversary::AdversaryView view(overlay_);
   // Lend the maintained CSR back to the overlay for opportunistic reads
   // (batch preflight connectivity probes). The provider outlives nothing:
-  // the guard detaches it before `cache` dies, exceptions included.
+  // the guard detaches it before `view` dies, exceptions included.
   overlay_.set_live_view_provider(
-      [&cache] { return cache.live_csr_if_valid(); });
+      [&view] { return view.live_csr_if_valid(); });
   struct ProviderGuard {
     HealingOverlay& overlay;
     ~ProviderGuard() { overlay.set_live_view_provider({}); }
@@ -240,7 +239,7 @@ ScenarioResult ScenarioRunner::run() {
       (a.insert ? batch.attach_to : batch.victims).push_back(a.target);
       validate_batch(overlay_, batch);
       (void)overlay_.apply(batch);
-      cache.advance();
+      view.advance();
     }
   }
 
@@ -337,7 +336,7 @@ ScenarioResult ScenarioRunner::run() {
       // The observer holds a mutable overlay reference; advance so its
       // mutations drain from the journal before the next step reads the
       // view.
-      cache.advance();
+      view.advance();
     }
     if (spec_.record_trace) result.trace.push_back(rec);
   };
@@ -413,7 +412,7 @@ ScenarioResult ScenarioRunner::run() {
     toc(result.churn_us);
     ++applied_steps;
     tic();
-    cache.advance();
+    view.advance();
     toc(result.view_us);
     if (p.batch_step && out.parallel) ++result.parallel_steps;
     p.rec.n = overlay_.n();

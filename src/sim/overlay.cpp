@@ -14,9 +14,6 @@ std::vector<NodeId> HealingOverlay::route(NodeId src, NodeId dst,
 }
 
 BatchOutcome DexOverlay::apply(const ChurnBatch& batch) {
-  // The parallel path below mutates net_ without going through insert()/
-  // remove(); invalidate the route memo up front either way.
-  ++topo_gen_;
   if (parallel_batches_ && batch.size() > 1) {
     dex::BatchRequest req{batch.attach_to, batch.victims};
     // The runner's maintained CSR (when wired and current) turns the
@@ -54,40 +51,25 @@ BatchOutcome DexOverlay::apply(const ChurnBatch& batch) {
 std::vector<NodeId> DexOverlay::route(NodeId src, NodeId dst,
                                       const graph::CsrView& live) const {
   if (src == dst) return {src};
-  // The p-cycle contraction below is a pure function of the mapping, which
-  // only churn mutates — so one step's repeated (src, dst) pairs (Zipf
-  // traffic hammering a hot home) are answered from the memo. insert()/
-  // remove()/apply() bump topo_gen_, which lazily flushes the cache here.
-  if (route_memo_gen_ != topo_gen_) {
-    route_memo_.clear();
-    route_memo_gen_ = topo_gen_;
-  }
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(src) << 32) | static_cast<std::uint64_t>(dst);
-  if (const auto it = route_memo_.find(key); it != route_memo_.end()) {
-    return it->second;
-  }
-  std::vector<NodeId> path;
   const auto& ss = net_.mapping().sim(src);
   const auto& ds = net_.mapping().sim(dst);
   if (ss.empty() || ds.empty()) {
     // Mid-build newcomers own no current-cycle vertex yet; they reach the
     // network through their attachment edges, which only the real topology
     // knows about.
-    path = HealingOverlay::route(src, dst, live);
-  } else {
-    const auto vpath = net_.cycle().shortest_path(ss[0], ds[0]);
-    path.reserve(vpath.size());
-    for (const Vertex z : vpath) {
-      // Each virtual edge is materialized between the owners of its
-      // endpoints, so contracting the vertex path yields a valid hop path;
-      // consecutive same-owner vertices collapse into zero-cost local steps.
-      const NodeId u = net_.mapping().owner(z);
-      if (path.empty() || path.back() != u) path.push_back(u);
-    }
-    DEX_ASSERT(path.front() == src && path.back() == dst);
+    return HealingOverlay::route(src, dst, live);
   }
-  route_memo_.emplace(key, path);
+  const auto vpath = net_.cycle().shortest_path(ss[0], ds[0]);
+  std::vector<NodeId> path;
+  path.reserve(vpath.size());
+  for (const Vertex z : vpath) {
+    // Each virtual edge is materialized between the owners of its
+    // endpoints, so contracting the vertex path yields a valid hop path;
+    // consecutive same-owner vertices collapse into zero-cost local steps.
+    const NodeId u = net_.mapping().owner(z);
+    if (path.empty() || path.back() != u) path.push_back(u);
+  }
+  DEX_ASSERT(path.front() == src && path.back() == dst);
   return path;
 }
 

@@ -10,8 +10,8 @@
 /// Anything that can (a) absorb one ChurnBatch per step — one or many
 /// adversarial insertions/deletions healed within the step — and (b) expose
 /// its topology and per-step cost is a HealingOverlay; the ScenarioRunner
-/// (sim/scenario.h), the adversary strategies (via sim::CachedView), the
-/// benches and the CLI all operate on this interface and are therefore
+/// (sim/scenario.h), the adversary strategies (via adversary::AdversaryView),
+/// the benches and the CLI all operate on this interface and are therefore
 /// backend-agnostic. The churn surface is batch-first (§5, Corollary 2):
 /// apply(ChurnBatch) is the primitive, with a default sequential
 /// implementation over the single-event insert()/remove() hooks, which
@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "baselines/flood_rebuild.h"
@@ -101,8 +100,8 @@ class HealingOverlay {
   [[nodiscard]] virtual std::vector<bool> alive_mask() const = 0;
 
   /// The real topology as a multigraph over the full id capacity; combine
-  /// with alive_mask() for the graph algorithms. The run loop reads
-  /// sim::CachedView's CSR instead, built from here only without live_ports.
+  /// with alive_mask() for the graph algorithms. The run loop reads the
+  /// AdversaryView's CSR instead, built from here only without live_ports.
   [[nodiscard]] virtual graph::Multigraph snapshot() const = 0;
 
   /// Load of a node: virtual vertices simulated for DEX, degree for the
@@ -144,13 +143,12 @@ class HealingOverlay {
   /// Hop path from `src` to `dst` over the live real topology, inclusive of
   /// both endpoints ({src} when src == dst; empty when unreachable). `live`
   /// is the caller's step-cached flat CSR of the live view (sim::KvStore
-  /// refreshes it once per churn step through CachedView) and must reflect
+  /// refreshes it once per churn step through AdversaryView) and must reflect
   /// the overlay's *current* topology: the baselines maintain no routing
   /// state, so their canonical request path is a BFS shortest path on what
   /// they see — that is this default. DexOverlay overrides it with the
   /// locally computable p-cycle route of §4.4.4 (no global view needed, at
-  /// the price of stretch > 1 against the BFS optimum), memoized per
-  /// (src, dst) until the next churn event.
+  /// the price of stretch > 1 against the BFS optimum).
   [[nodiscard]] virtual std::vector<NodeId> route(
       NodeId src, NodeId dst, const graph::CsrView& live) const;
 
@@ -173,7 +171,7 @@ class HealingOverlay {
   /// backend has no cheap adjacency surface (callers then fall back to
   /// snapshot()). The emitted multiset always equals the snapshot degree
   /// convention; the *order* may differ from Multigraph port order, so a
-  /// CsrView must stick with whichever enumerator built it (sim::CachedView
+  /// CsrView must stick with whichever enumerator built it (AdversaryView
   /// tracks this). May be temporarily unavailable — DexNetwork says no
   /// during staggered rebuild windows — so the capability is per-call, not
   /// per-type.
@@ -200,7 +198,7 @@ class HealingOverlay {
   /// for every value — this is purely a wall-clock knob. Default: ignored.
   virtual void set_intra_jobs(unsigned jobs) { (void)jobs; }
 
-  /// Wires a provider of the caller's maintained live CSR (CachedView's,
+  /// Wires a provider of the caller's maintained live CSR (AdversaryView's,
   /// refreshed lazily). Overlays with view-dependent fast paths — DEX's
   /// batch precondition connectivity check — consult it through live_view()
   /// instead of building their own; nullptr (or no provider) means "build a
@@ -371,10 +369,7 @@ class DexOverlay final : public OverlayAdapter<DexNetwork> {
   /// of src and one of dst, contracted through the virtual mapping — every
   /// hop is a materialized real edge, and both endpoints compute it from
   /// O(log n) local state (the cached view is ignored). Mid-build newcomers
-  /// without an owned vertex fall back to the BFS default. Contractions are
-  /// memoized per (src, dst) between churn events, so a step's repeated
-  /// origin–home pairs pay the two-sided p-cycle search
-  /// (PCycle::shortest_path) once.
+  /// without an owned vertex fall back to the BFS default.
   [[nodiscard]] std::vector<NodeId> route(
       NodeId src, NodeId dst, const graph::CsrView& live) const override;
 
@@ -382,14 +377,8 @@ class DexOverlay final : public OverlayAdapter<DexNetwork> {
   /// measured stretch).
   [[nodiscard]] bool route_is_shortest() const override { return false; }
 
-  NodeId insert(NodeId attach_to) override {
-    ++topo_gen_;
-    return net_.insert(attach_to);
-  }
-  void remove(NodeId victim) override {
-    ++topo_gen_;
-    net_.remove(victim);
-  }
+  NodeId insert(NodeId attach_to) override { return net_.insert(attach_to); }
+  void remove(NodeId victim) override { net_.remove(victim); }
   [[nodiscard]] std::size_t load(NodeId u) const override {
     return static_cast<std::size_t>(net_.total_load(u));
   }
@@ -401,11 +390,6 @@ class DexOverlay final : public OverlayAdapter<DexNetwork> {
  private:
   const char* name_;
   bool parallel_batches_ = true;
-  /// Bumped on every mutation; route() flushes its memo when it observes a
-  /// new generation (lazy, so pure-churn runs never touch the map).
-  std::uint64_t topo_gen_ = 0;
-  mutable std::uint64_t route_memo_gen_ = 0;
-  mutable std::unordered_map<std::uint64_t, std::vector<NodeId>> route_memo_;
 };
 
 class FloodRebuildOverlay final

@@ -1,93 +1,12 @@
 #include "sim/scenario.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "metrics/emit.h"
 #include "support/assert.h"
 
 namespace dex::sim {
-
-// ------------------------------------------------------------- CachedView
-
-CachedView::CachedView(const HealingOverlay& overlay) : overlay_(overlay) {
-  ports_fn_ = [this](graph::NodeId u, std::vector<graph::NodeId>& out) {
-    const bool ok = overlay_.live_ports(u, out);
-    // Callers probe the capability before choosing this enumerator, and a
-    // precise journal delta implies the overlay is in a calm (enumerable)
-    // state — see the staggered full-marks in dex/staggered.cpp.
-    DEX_ASSERT_MSG(ok, "live_ports withdrawn mid-build");
-  };
-  // The cheap components forward straight to the overlay; the node list
-  // memoizes and the CSR is maintained until the next advance().
-  view_.n = [this] { return overlay_.n(); };
-  view_.load = [this](graph::NodeId u) { return overlay_.load(u); };
-  view_.special_node = [this] { return overlay_.special_node(); };
-  if (overlay_.has_removal_oracle()) {
-    view_.snapshot_without = [this](graph::NodeId u) {
-      return overlay_.snapshot_without(u);
-    };
-  }
-  view_.alive_nodes = [this] {
-    if (!nodes_) nodes_ = overlay_.alive_nodes();
-    return *nodes_;
-  };
-  view_.live_csr = [this]() -> const graph::CsrView& {
-    if (!csr_valid_) {
-      const std::vector<bool> mask = overlay_.alive_mask();
-      // Prefer the overlay's own row enumerator: rows come out in the same
-      // order apply_delta() re-derives them, so later advance() calls can
-      // patch this build in place instead of discarding it. The capability
-      // is probed per build (DEX withdraws it during staggered windows).
-      const auto first = std::find(mask.begin(), mask.end(), true);
-      std::vector<graph::NodeId> probe;
-      if (first != mask.end() &&
-          overlay_.live_ports(
-              static_cast<graph::NodeId>(first - mask.begin()), probe)) {
-        csr_.build_from_ports(mask, ports_fn_);
-        csr_ports_canonical_ = true;
-      } else {
-        // Fallback (flood, DEX inside a staggered window): build from a
-        // local snapshot. Rows land in snapshot port order — a valid view,
-        // but not patchable.
-        csr_.build(overlay_.snapshot(), mask);
-        csr_ports_canonical_ = false;
-      }
-      csr_valid_ = true;
-    }
-    return csr_;
-  };
-}
-
-void CachedView::advance() {
-  nodes_.reset();
-  delta_.clear();
-  // Always drain — even when the standing CSR is unpatchable — so the
-  // journal never carries deltas across a rebuild boundary. The first drain
-  // also installs the journal on the overlay (and reports "full" for the
-  // untracked history before it).
-  const bool drained = overlay_.drain_view_delta(delta_);
-  if (!drained || delta_.full || !csr_valid_ || !csr_ports_canonical_) {
-    // No journal, coarse delta, or a snapshot-ordered view: fall back to
-    // the lazy from-scratch rebuild on next use.
-    csr_valid_ = false;
-  } else if (!delta_.empty()) {
-    csr_.apply_delta(delta_, ports_fn_);
-  }
-  // Opt-in cross-check: DEX_CHECK_CSR=1 rebuilds a reference view after
-  // every patch and asserts semantic equality (tests and debugging; the
-  // rebuild obviously forfeits the incremental speedup).
-  // det: opt-in debug gate — flips extra *checking* on, never changes what
-  // the run computes or emits.
-  static const bool check_csr = std::getenv("DEX_CHECK_CSR") != nullptr;
-  if (check_csr && csr_valid_) {
-    graph::CsrView ref;
-    ref.build_from_ports(overlay_.alive_mask(), ports_fn_);
-    DEX_ASSERT_MSG(csr_.equal_to(ref),
-                   "incremental CSR diverged from a fresh rebuild");
-  }
-}
 
 // --------------------------------------------------------- ScenarioRunner
 

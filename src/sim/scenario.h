@@ -225,62 +225,8 @@ struct ScenarioResult {
   /// trace_csv/summary_json so timing can never perturb byte-identity.
   /// Overlay apply (healing); the strategy draw is not timed.
   double churn_us = 0.0;
-  double view_us = 0.0;     ///< CachedView::advance — journal drain + patch
+  double view_us = 0.0;     ///< AdversaryView::advance — journal drain + patch
   double traffic_us = 0.0;  ///< key re-homing + request serving
-};
-
-/// The AdversaryView over an overlay: every driver (the runner, the CLI's
-/// script mode, the tests) builds its view here. alive_nodes is
-/// materialized at most once per step, however many times the strategy
-/// consults it. The topology is the maintained flat CSR (graph/csr.h) that
-/// strategies, the gap sampler and the traffic layer's route/placement
-/// oracle all read by reference (object identity is stable across steps,
-/// so borrowed pointers stay valid).
-///
-/// advance() is the one step boundary: it drops the node memo, drains the
-/// overlay's churn journal (HealingOverlay::drain_view_delta) and *patches*
-/// the CSR in place when the delta is precise, paying per-step cost
-/// proportional to the churn delta. It falls back to a lazy from-scratch
-/// rebuild whenever the journal is absent/full or the standing CSR was
-/// built from a snapshot (Multigraph port order, not live_ports order, so
-/// not patchable). With DEX_CHECK_CSR=1 in the environment every advance()
-/// additionally rebuilds a reference view and asserts semantic equality.
-class CachedView {
- public:
-  explicit CachedView(const HealingOverlay& overlay);
-
-  // The view's lambdas capture `this`; a copy or move would leave them
-  // wired to the source object's cache.
-  CachedView(const CachedView&) = delete;
-  CachedView& operator=(const CachedView&) = delete;
-
-  [[nodiscard]] const adversary::AdversaryView& view() const { return view_; }
-  /// Adopts the overlay's current state. Call after every mutation batch,
-  /// before the view is read again — the journal delta spans everything
-  /// since the previous drain, however many events that was.
-  void advance();
-  /// The maintained CSR when it is current, else nullptr. Never triggers a
-  /// build — this feeds HealingOverlay::set_live_view_provider, whose
-  /// consumers (batch preflight) want an opportunistic read, not a charge.
-  [[nodiscard]] const graph::CsrView* live_csr_if_valid() const {
-    return csr_valid_ ? &csr_ : nullptr;
-  }
-
- private:
-  const HealingOverlay& overlay_;
-  adversary::AdversaryView view_;
-  mutable std::optional<std::vector<graph::NodeId>> nodes_;
-  // The CSR keeps its buffers across rebuilds (build() reuses them); the
-  // flag alone tracks staleness.
-  mutable graph::CsrView csr_;
-  mutable bool csr_valid_ = false;
-  /// Whether csr_ rows are in live_ports order (patchable) rather than
-  /// Multigraph snapshot order (rebuild-only).
-  mutable bool csr_ports_canonical_ = false;
-  /// Row enumerator handed to build_from_ports/apply_delta; asserts the
-  /// overlay's live_ports capability (callers only use it after probing).
-  graph::CsrView::PortsFn ports_fn_;
-  graph::ViewDelta delta_;  ///< drain buffer (ping-pongs with the journal)
 };
 
 class ScenarioRunner {

@@ -32,7 +32,7 @@
 ///
 /// Serving cost per op stays well below one O(n + m) BFS: the store borrows
 /// the flat CSR of the step's topology (graph/csr.h) from the caller's
-/// CachedView, answers hop optima through a per-step DistanceOracle
+/// AdversaryView, answers hop optima through a per-step DistanceOracle
 /// (sim/oracle.h) whose point queries are meet-in-the-middle probes
 /// (~O(sqrt n) vertices on an expander), and re-homes keys from per-key
 /// top-K rendezvous candidate lists instead of rescanning the whole alive
@@ -146,9 +146,9 @@ class KvStore {
   };
 
   /// Refreshes the cached live view (one flat CSR per step, borrowed from
-  /// the caller's CachedView — `view.live_csr` must be wired), updates the
-  /// sorted alive set incrementally from the membership delta, and re-homes
-  /// keys displaced by the change.
+  /// the caller's AdversaryView), updates the sorted alive set
+  /// incrementally from the membership delta, and re-homes keys displaced
+  /// by the change.
   /// Transfer charge per moved key: the BFS distance from its new home to
   /// its old one when the old host survived, else the mean BFS distance
   /// from the new home (the expected recovery pull).
@@ -199,8 +199,8 @@ class KvStore {
       const std::vector<graph::NodeId>& homes) const;
 
   /// The live view adopted by the last sync() — borrowed straight from the
-  /// caller's maintained CSR (zero copies; the CachedView's object identity
-  /// is stable across steps). Requires a prior sync().
+  /// caller's maintained CSR (zero copies; the AdversaryView's object
+  /// identity is stable across steps). Requires a prior sync().
   [[nodiscard]] const graph::CsrView& live_view() const {
     DEX_ASSERT(csr_ != nullptr);
     return *csr_;
@@ -275,8 +275,8 @@ class TrafficEngine {
                 std::uint64_t trial_seed);
 
   /// `view` supplies pre-churn adjacency for the hotspot generator's region
-  /// capture (its live_csr, which must be wired: the runner's maintained
-  /// CSR, not yet advanced past this batch).
+  /// capture (its live_csr: the runner's maintained CSR, not yet advanced
+  /// past this batch).
   void observe_churn(const ChurnBatch& batch,
                      const adversary::AdversaryView& view);
 

@@ -18,31 +18,26 @@ namespace adv = dex::adversary;
 
 namespace {
 
-/// An overlay plus the CachedView its strategies read. Every mutation goes
-/// through apply(), which advances the view so the next draw sees it.
+/// An overlay plus the AdversaryView its strategies read. Every mutation
+/// goes through apply(), which advances the view so the next draw sees it.
 template <class Overlay>
 struct Harness {
   template <class... Args>
   explicit Harness(Args&&... args)
-      : overlay(std::forward<Args>(args)...), cache(overlay) {}
-  Harness(const Harness&) = delete;
-  Harness& operator=(const Harness&) = delete;
+      : overlay(std::forward<Args>(args)...), view(overlay) {}
 
   auto& net() { return overlay.net(); }
-  [[nodiscard]] const adv::AdversaryView& view() const {
-    return cache.view();
-  }
   void apply(const adv::ChurnAction& a) {
     if (a.insert) {
       overlay.insert(a.target);
     } else {
       overlay.remove(a.target);
     }
-    cache.advance();
+    view.advance();
   }
 
   Overlay overlay;
-  dex::sim::CachedView cache;
+  adv::AdversaryView view;
 };
 
 using DexHarness = Harness<dex::sim::DexOverlay>;
@@ -51,7 +46,7 @@ template <class H>
 void drive(H& h, adv::Strategy& strat, dex::support::Rng& rng, int steps,
            std::size_t min_n, std::size_t max_n) {
   for (int t = 0; t < steps; ++t) {
-    h.apply(strat.next(h.view(), rng, min_n, max_n));
+    h.apply(strat.next(h.view, rng, min_n, max_n));
   }
 }
 
@@ -111,7 +106,7 @@ TEST(Adversary, CoordinatorKillerActuallyKillsCoordinators) {
   prm.seed = 95;
   DexHarness h(32, prm);
   auto& net = h.net();
-  const auto& view = h.view();
+  const auto& view = h.view;
   adv::CoordinatorKiller strat;
   dex::support::Rng rng(5);
   std::size_t coordinator_kills = 0;
@@ -144,7 +139,7 @@ TEST(Adversary, ScriptedReplaysExactly) {
   prm.seed = 97;
   DexHarness h(8, prm);
   auto& net = h.net();
-  const auto& view = h.view();
+  const auto& view = h.view;
   adv::Scripted strat({{true, 0}, {true, 1}, {false, 2}});
   dex::support::Rng rng(7);
   h.apply(strat.next(view, rng, 2, 100));
@@ -176,12 +171,12 @@ TEST(Adversary, GreedySpectralDeletionDegradesLawSiuButNotDex) {
   // spectral gap. Law–Siu's probabilistic expansion collapses; DEX's
   // deterministic maintenance holds its floor.
   Harness<dex::sim::LawSiuOverlay> ls(160, 2, 98);
-  ASSERT_TRUE(static_cast<bool>(ls.view().snapshot_without));
+  ASSERT_TRUE(ls.view.has_removal_oracle());
   adv::GreedySpectralDeletion attack_ls(24);
   dex::support::Rng rng(8);
-  const double ls_gap0 = dex::graph::spectral_gap(ls.view().live_csr()).gap;
+  const double ls_gap0 = dex::graph::spectral_gap(ls.view.live_csr()).gap;
   drive(ls, attack_ls, rng, 100, 40, 256);
-  const double ls_gap1 = dex::graph::spectral_gap(ls.view().live_csr()).gap;
+  const double ls_gap1 = dex::graph::spectral_gap(ls.view.live_csr()).gap;
 
   dex::Params prm;
   prm.seed = 99;
@@ -204,7 +199,7 @@ TEST(AdversaryBatch, DefaultWrapperProducesSelfConsistentBatches) {
   prm.seed = 101;
   DexHarness h(32, prm);
   auto& net = h.net();
-  const auto& view = h.view();
+  const auto& view = h.view;
   adv::RandomChurn strat(0.5);
   dex::support::Rng rng(9);
   const auto batch = strat.next_batch(view, rng, 8, 64, 12);
@@ -229,7 +224,7 @@ TEST(AdversaryBatch, DefaultWrapperHonorsBoundsUnderPressure) {
   dex::Params prm;
   prm.seed = 102;
   DexHarness h(16, prm);
-  const auto& view = h.view();
+  const auto& view = h.view;
   dex::support::Rng rng(10);
   // Insert-only at a tight cap: at most max_n - n inserts may come back.
   adv::InsertOnly grow;
@@ -267,7 +262,7 @@ TEST(AdversaryBatch, FlashCrowdWavesInsertThenMakeRoom) {
   dex::Params prm;
   prm.seed = 104;
   DexHarness h(16, prm);
-  const auto& view = h.view();
+  const auto& view = h.view;
   adv::FlashCrowd strat;
   dex::support::Rng rng(11);
   const auto wave = strat.next_batch(view, rng, 8, 64, 12);
@@ -290,7 +285,7 @@ TEST(AdversaryBatch, CorrelatedFailureRespectsPreconditionsAndFloor) {
   prm.seed = 105;
   DexHarness h(48, prm);
   auto& net = h.net();
-  const auto& view = h.view();
+  const auto& view = h.view;
   adv::CorrelatedFailure strat;
   dex::support::Rng rng(12);
   const auto batch = strat.next_batch(view, rng, 16, 128, 10);
@@ -309,7 +304,7 @@ TEST(AdversaryBatch, ScriptedBatchesReplayVerbatimAndAbortWhenExhausted) {
   dex::Params prm;
   prm.seed = 106;
   DexHarness h(8, prm);
-  const auto& view = h.view();
+  const auto& view = h.view;
   dex::support::Rng rng(13);
   adv::Scripted strat({{true, 0}, {false, 3}, {true, 1}, {false, 4}});
   EXPECT_EQ(strat.remaining(), 4u);

@@ -1,7 +1,7 @@
 // Campaign language tests: the compact-string parser (actionable rejection
 // messages, ranges, options, mix weights, replay traces), the schedule
-// queries (phase_at / load_at / scaled_ops / total_ops), the code
-// combinators, and the summary archiving of the campaign string.
+// queries (phase_at / load_at / scaled_ops / total_ops), and the summary
+// archiving of the campaign string.
 
 #include <gtest/gtest.h>
 
@@ -185,24 +185,6 @@ TEST(CampaignParse, ReplayLoadsBareAndScenarioTraceFormats) {
   EXPECT_EQ(spec2.phases[0].script[1].target, 4u);
   std::remove(bare.c_str());
   std::remove(trace.c_str());
-}
-
-TEST(CampaignCombinators, SeqChainsRangesLikeTheParser) {
-  auto spec = adversary::seq({adversary::phase("churn", 0, 10),
-                              adversary::phase("burst"),
-                              adversary::mix({{"churn", 2.0}, {"spectral", 1.0}},
-                                             20, 30)});
-  const auto parsed = parse_ok("churn:0-10;burst:10-;mix(churn*2+spectral):20-30");
-  // seq() chains a defaulted range off the previous end exactly like the
-  // parser (the middle phase begins at 10, still open-ended); the explicit
-  // third phase pins its own range, which the first-match rule shadows.
-  ASSERT_EQ(spec.phases.size(), parsed.phases.size());
-  for (std::size_t i = 0; i < spec.phases.size(); ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(spec.phases[i].strategy, parsed.phases[i].strategy);
-    EXPECT_EQ(spec.phases[i].begin, parsed.phases[i].begin);
-    EXPECT_EQ(spec.phases[i].end, parsed.phases[i].end);
-  }
 }
 
 TEST(CampaignRun, SummaryArchivesTheCampaignString) {

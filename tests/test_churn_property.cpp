@@ -35,19 +35,19 @@ TEST_P(ChurnSweep, InvariantsHoldThroughout) {
   prm.seed = c.seed;
   prm.mode = c.mode;
   dex::sim::DexOverlay overlay(c.n0, prm);
-  dex::sim::CachedView cache(overlay);
+  dex::adversary::AdversaryView view(overlay);
   const auto& net = overlay.net();
   adv::RandomChurn strat(c.insert_prob);
   dex::support::Rng rng(c.seed ^ 0x5eedULL);
 
   for (std::size_t t = 0; t < c.steps; ++t) {
-    const auto a = strat.next(cache.view(), rng, 8, 100000);
+    const auto a = strat.next(view, rng, 8, 100000);
     if (a.insert) {
       overlay.insert(a.target);
     } else {
       overlay.remove(a.target);
     }
-    cache.advance();
+    view.advance();
     net.check_invariants();
     if (t % 64 == 0) {
       ASSERT_TRUE(dex::graph::is_connected(net.snapshot(), net.alive_mask()))

@@ -86,7 +86,7 @@ class IncrementalCsr : public ::testing::TestWithParam<std::string> {};
 
 // The tentpole property: drain + patch == rebuild, after every one of a
 // few hundred randomized batch steps. The maintenance loop below is the
-// same decision procedure sim::CachedView::advance runs (patch only a
+// same decision procedure AdversaryView::advance runs (patch only a
 // ports-canonical view with a precise delta; anything else rebuilds), so a
 // divergence here is a journal hole or a patcher bug, not test drift.
 TEST_P(IncrementalCsr, PatchedViewMatchesRebuildUnderRandomChurn) {
@@ -150,7 +150,7 @@ TEST_P(IncrementalCsr, PatchedViewMatchesRebuildUnderRandomChurn) {
 }
 
 // The row contract (graph/csr.h) on the view the strategies read: after
-// every randomized batch step, each alive row of CachedView's CSR — patched,
+// every randomized batch step, each alive row of AdversaryView's CSR — patched,
 // rebuilt from live_ports, or built from the snapshot inside a staggered
 // window — has the snapshot degree as its length and, sorted, equals the
 // sorted masked snapshot row. Row order is deliberately left unchecked:
@@ -161,7 +161,7 @@ TEST_P(IncrementalCsr, RowsEqualMaskedSnapshotRowsAsMultisets) {
   ASSERT_NE(overlay, nullptr);
   const auto* dex_overlay =
       dynamic_cast<const dex::sim::DexOverlay*>(overlay.get());
-  dex::sim::CachedView cache(*overlay);
+  dex::adversary::AdversaryView view(*overlay);
   dex::support::Rng rng(0x5EEDull);
 
   std::size_t staggered_steps = 0;
@@ -170,12 +170,12 @@ TEST_P(IncrementalCsr, RowsEqualMaskedSnapshotRowsAsMultisets) {
   std::vector<NodeId> got;
   for (int t = 0; t < 240; ++t) {
     const auto out = overlay->apply(swinging_batch(*overlay, rng, t));
-    cache.advance();
+    view.advance();
     if (out.used_type2) ++type2_steps;
     if (dex_overlay != nullptr && dex_overlay->net().staggered_active())
       ++staggered_steps;
 
-    const CsrView& live = cache.view().live_csr();
+    const CsrView& live = view.live_csr();
     const auto g = overlay->snapshot();
     const auto mask = overlay->alive_mask();
     ASSERT_EQ(live.alive_count(), overlay->n()) << backend << " step " << t;

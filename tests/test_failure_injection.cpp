@@ -121,15 +121,14 @@ TEST(FailureInjection, KvStoreUnderCoordinatorKillsAndDeflationStaggering) {
   // Drive an actual staggered *deflation* and hammer the key-value store
   // through it, after killing the coordinator five times at peak size.
   // (Needs enough scale that the staggered window spans multiple steps —
-  // below n ≈ 100 the batch covers the whole cycle in one step.) Churn goes
-  // through the overlay so its memoized routes are flushed.
+  // below n ≈ 100 the batch covers the whole cycle in one step.)
   dex::sim::DexOverlay overlay(256, mode(dex::RecoveryMode::WorstCase, 206));
-  dex::sim::CachedView cache(overlay);
+  dex::adversary::AdversaryView view(overlay);
   dex::sim::KvStore kv(overlay);
   const auto& net = overlay.net();
   const auto resync = [&] {
-    cache.advance();
-    kv.sync(cache.view());
+    view.advance();
+    kv.sync(view);
   };
   const auto expect_value = [&](std::uint64_t k) {
     const auto r = kv.get(k, overlay.special_node());

@@ -85,22 +85,22 @@ TEST(DistanceOracle, MatchesBfsOnChurnedViewsAcrossAllSixBackends) {
     ASSERT_NE(overlay, nullptr) << backend;
     auto strategy = sim::make_strategy("churn");
     support::Rng rng(77);
-    sim::CachedView cache(*overlay);
+    adversary::AdversaryView view(*overlay);
     sim::DistanceOracle oracle;
     for (int step = 0; step < 50; ++step) {
-      const auto action = strategy->next(cache.view(), rng, 20, 80);
+      const auto action = strategy->next(view, rng, 20, 80);
       if (action.insert) {
         overlay->insert(action.target);
       } else {
         overlay->remove(action.target);
       }
-      cache.advance();
+      view.advance();
       if (step % 5 != 0) continue;
-      const auto& live = cache.view().live_csr();
+      const auto& live = view.live_csr();
       oracle.attach(live);
       const auto g = overlay->snapshot();
       const auto mask = overlay->alive_mask();
-      const auto nodes = cache.view().alive_nodes();
+      const auto& nodes = view.alive_nodes();
       // Enough distinct roots to exercise probes, repeat-memoization and
       // FIFO eviction (> kMaxRoots of them), with repeats mixed in.
       for (int q = 0; q < 150; ++q) {
@@ -117,8 +117,8 @@ TEST(DistanceOracle, MatchesBfsOnChurnedViewsAcrossAllSixBackends) {
 
 TEST(DistanceOracle, ColdQueriesProbeOnceAndMemoizedRootsAreFree) {
   sim::LawSiuOverlay overlay(40, /*d=*/3, /*seed=*/5);
-  sim::CachedView cache(overlay);
-  const auto& live = cache.view().live_csr();
+  adversary::AdversaryView view(overlay);
+  const auto& live = view.live_csr();
   sim::DistanceOracle oracle;
   oracle.attach(live);
   const auto nodes = overlay.alive_nodes();

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -206,22 +207,29 @@ TEST(ScenarioRunner, ScriptedStrategyReplaysExactly) {
 
 namespace {
 
-/// Counts materializations to prove CachedView coalesces repeated view
-/// queries within a step.
+/// Counts materializations to prove AdversaryView coalesces repeated view
+/// queries within a step. A triangle whose nodes can only leave.
 class CountingOverlay final : public sim::HealingOverlay {
  public:
   const char* name() const override { return "counting"; }
   sim::NodeId insert(sim::NodeId) override { return 0; }
-  void remove(sim::NodeId) override {}
-  std::size_t n() const override { return 3; }
-  bool alive(sim::NodeId u) const override { return u < 3; }
+  void remove(sim::NodeId u) override { alive_[u] = false; }
+  std::size_t n() const override {
+    return static_cast<std::size_t>(
+        std::count(alive_.begin(), alive_.end(), true));
+  }
+  bool alive(sim::NodeId u) const override { return alive_[u]; }
   std::vector<sim::NodeId> alive_nodes() const override {
     ++nodes_calls;
-    return {0, 1, 2};
+    std::vector<sim::NodeId> out;
+    for (sim::NodeId u = 0; u < 3; ++u) {
+      if (alive_[u]) out.push_back(u);
+    }
+    return out;
   }
   std::vector<bool> alive_mask() const override {
     ++mask_calls;
-    return {true, true, true};
+    return alive_;
   }
   graph::Multigraph snapshot() const override {
     ++snapshot_calls;
@@ -240,28 +248,33 @@ class CountingOverlay final : public sim::HealingOverlay {
   mutable std::size_t snapshot_calls = 0;
 
  private:
+  std::vector<bool> alive_{true, true, true};
   sim::CostMeter meter_;
 };
 
 }  // namespace
 
-TEST(CachedView, MaterializesEachComponentOncePerStep) {
+TEST(AdversaryView, MaterializesEachComponentOncePerStep) {
   CountingOverlay overlay;
-  sim::CachedView cache(overlay);
-  const auto& view = cache.view();
+  adversary::AdversaryView view(overlay);
+  // Every read within a step hands out the same memoized list, not a copy.
+  const auto& nodes = view.alive_nodes();
   for (int i = 0; i < 5; ++i) {
-    (void)view.alive_nodes();
+    EXPECT_EQ(&view.alive_nodes(), &nodes);
     (void)view.live_csr();
   }
+  EXPECT_EQ(nodes, (std::vector<sim::NodeId>{0, 1, 2}));
   // No live_ports() here, so the CSR is built from one snapshot and mask.
   EXPECT_EQ(overlay.nodes_calls, 1u);
   EXPECT_EQ(overlay.snapshot_calls, 1u);
   EXPECT_EQ(overlay.mask_calls, 1u);
-  cache.advance();
-  (void)view.alive_nodes();
+  overlay.remove(1);
+  view.advance();
+  EXPECT_EQ(view.alive_nodes(), (std::vector<sim::NodeId>{0, 2}));
+  EXPECT_EQ(view.n(), 2u);
   EXPECT_EQ(overlay.nodes_calls, 2u);
   EXPECT_EQ(overlay.snapshot_calls, 1u);  // not queried since advance
-  (void)view.live_csr();
+  EXPECT_FALSE(view.live_csr().alive(1));
   EXPECT_EQ(overlay.snapshot_calls, 2u);
   EXPECT_EQ(overlay.mask_calls, 2u);
 }
@@ -287,20 +300,18 @@ TEST(Factories, EveryAdvertisedNameConstructs) {
   }
 }
 
-TEST(CachedView, ExposesOverlayStateAndOracle) {
+TEST(AdversaryView, ExposesOverlayStateAndOracle) {
   sim::LawSiuOverlay with_oracle(16, 2, 3);
-  sim::CachedView cache(with_oracle);
-  const auto& v = cache.view();
+  const adversary::AdversaryView v(with_oracle);
   EXPECT_EQ(v.n(), 16u);
   EXPECT_EQ(v.alive_nodes().size(), 16u);
-  EXPECT_TRUE(static_cast<bool>(v.snapshot_without));
+  EXPECT_TRUE(v.has_removal_oracle());
   EXPECT_EQ(v.special_node(), graph::kInvalidNode);
 
   Params prm;
   prm.seed = 61;
   sim::DexOverlay dex_overlay(16, prm);
-  sim::CachedView dex_cache(dex_overlay);
-  const auto& dv = dex_cache.view();
-  EXPECT_FALSE(static_cast<bool>(dv.snapshot_without));
+  const adversary::AdversaryView dv(dex_overlay);
+  EXPECT_FALSE(dv.has_removal_oracle());
   EXPECT_EQ(dv.special_node(), dex_overlay.net().coordinator());
 }

@@ -60,22 +60,20 @@ void expect_self_consistent(const ChurnBatch& batch,
 
 TEST(StrategyBatch, DefaultWrapperDedupsAndStaysSelfConsistent) {
   auto net = overlay(32);
-  sim::CachedView cache(*net);
-  const auto& view = cache.view();
+  adversary::AdversaryView view(*net);
   adversary::RandomChurn churn(0.5);
   support::Rng rng(11);
   for (int step = 0; step < 16; ++step) {
     const ChurnBatch batch = churn.next_batch(view, rng, 8, 128, 8);
     expect_self_consistent(batch, *net, 8, 128);
     (void)net->apply(batch);
-    cache.advance();
+    view.advance();
   }
 }
 
 TEST(StrategyBatch, DefaultWrapperProjectsAgainstThePopulationFloor) {
   auto net = overlay(16);
-  sim::CachedView cache(*net);
-  const auto& view = cache.view();
+  adversary::AdversaryView view(*net);
   adversary::DeleteOnly deletes;
   support::Rng rng(3);
   // Only two deletions fit above min_n = 14; a batch of 8 must not take
@@ -90,8 +88,7 @@ TEST(StrategyBatch, DefaultWrapperProjectsAgainstThePopulationFloor) {
 
 TEST(StrategyBatch, DefaultWrapperProjectsAgainstThePopulationCeiling) {
   auto net = overlay(16);
-  sim::CachedView cache(*net);
-  const auto& view = cache.view();
+  adversary::AdversaryView view(*net);
   adversary::RandomChurn inserts(1.0);  // insert with probability 1
   support::Rng rng(5);
   const std::size_t max_n = net->n() + 2;
@@ -102,8 +99,7 @@ TEST(StrategyBatch, DefaultWrapperProjectsAgainstThePopulationCeiling) {
 
 TEST(StrategyBatch, ScriptedReplaysInOrderThenAborts) {
   auto net = overlay(16);
-  sim::CachedView cache(*net);
-  const auto& view = cache.view();
+  adversary::AdversaryView view(*net);
   support::Rng rng(1);
   const auto alive = net->alive_nodes();
   adversary::Scripted scripted({{true, alive[0]},
@@ -128,8 +124,7 @@ TEST(StrategyBatch, ScriptedReplaysInOrderThenAborts) {
 
 TEST(StrategyBatch, CampaignQuietStepsAreEmptyBatches) {
   auto net = overlay(24);
-  sim::CachedView cache(*net);
-  const auto& view = cache.view();
+  adversary::AdversaryView view(*net);
   support::Rng rng(9);
   // Active [0,2), quiet gap [2,4), insert-only [4,6), then past all phases.
   auto strategy = campaign_strategy("churn:0-2;insert-only:4-6");
@@ -147,8 +142,7 @@ TEST(StrategyBatch, CampaignQuietStepsAreEmptyBatches) {
 
 TEST(StrategyBatch, CampaignRateGateScalesTheBatchBudget) {
   auto net = overlay(32);
-  sim::CachedView cache(*net);
-  const auto& view = cache.view();
+  adversary::AdversaryView view(*net);
   support::Rng rng(13);
   auto strategy = campaign_strategy("churn:0-,rate=0.5");
   std::size_t total = 0;
@@ -168,10 +162,8 @@ TEST(StrategyBatch, CampaignRateGateScalesTheBatchBudget) {
 TEST(StrategyBatch, CampaignBatchesAreDeterministicPerSeed) {
   auto net_a = overlay(32);
   auto net_b = overlay(32);
-  sim::CachedView cache_a(*net_a);
-  sim::CachedView cache_b(*net_b);
-  const auto& view_a = cache_a.view();
-  const auto& view_b = cache_b.view();
+  adversary::AdversaryView view_a(*net_a);
+  adversary::AdversaryView view_b(*net_b);
   support::Rng rng_a(21);
   support::Rng rng_b(21);
   const std::string campaign = "mix(churn*2+burst*1):0-6;mass-failure:6-";
@@ -184,23 +176,21 @@ TEST(StrategyBatch, CampaignBatchesAreDeterministicPerSeed) {
     EXPECT_EQ(ba.attach_to, bb.attach_to) << "step " << step;
     (void)net_a->apply(ba);
     (void)net_b->apply(bb);
-    cache_a.advance();
-    cache_b.advance();
+    view_a.advance();
+    view_b.advance();
   }
 }
 
 TEST(StrategyBatch, CampaignReplayToleratesStaleTargets) {
   auto net = overlay(16);
-  sim::CachedView cache(*net);
-  const auto& view = cache.view();
+  adversary::AdversaryView view(*net);
   support::Rng rng(2);
   const auto alive = net->alive_nodes();
   // Script one action whose victim is already dead by replay time (a node id
   // far past the population) between two valid ones: recorded traces replay
   // against topologies that diverge, so the stale row is skipped, not fatal.
   adversary::CampaignSpec spec;
-  auto ph = adversary::phase("", 0, adversary::kOpenEnd);
-  ph.strategy.clear();
+  adversary::CampaignPhase ph;  // [0, open)
   ph.trace_path = "inline";  // marks the phase as replay
   ph.script = {{true, alive[0]},
                {false, static_cast<graph::NodeId>(1u << 20)},

@@ -148,7 +148,7 @@ TEST(RouteSurface, DexRouteIsValidAndNeverBeatsBfs) {
     expect_valid_path(path, src, dst, g, mask);
     const auto dist = graph::bfs_distances(g, src, mask);
     EXPECT_GE(path.size() - 1, dist[dst]);
-    // The memoized contraction must answer the repeat identically.
+    // The route is a pure function of the mapping: a repeat is identical.
     EXPECT_EQ(overlay.route(src, dst, live), path);
   }
 }
@@ -157,9 +157,9 @@ TEST(RouteSurface, DexRouteIsValidAndNeverBeatsBfs) {
 
 TEST(KvStore, RoundTripEraseAndRehomingUnderChurn) {
   sim::LawSiuOverlay overlay(20, /*d=*/3, /*seed=*/3);
-  sim::CachedView cache(overlay);
+  adversary::AdversaryView view(overlay);
   sim::KvStore kv(overlay);
-  kv.sync(cache.view());
+  kv.sync(view);
   const auto nodes = overlay.alive_nodes();
   for (std::uint64_t k = 0; k < 200; ++k) {
     EXPECT_TRUE(kv.put(k, k * 3, nodes[k % nodes.size()]).ok);
@@ -171,8 +171,8 @@ TEST(KvStore, RoundTripEraseAndRehomingUnderChurn) {
   std::size_t hosted = 0;
   for (std::uint64_t k = 0; k < 200; ++k) hosted += kv.home(k) == victim;
   overlay.remove(victim);
-  cache.advance();
-  const auto moved = kv.sync(cache.view());
+  view.advance();
+  const auto moved = kv.sync(view);
   EXPECT_EQ(moved.moved_keys, hosted);
   EXPECT_GT(moved.messages, 0u);
   EXPECT_EQ(kv.last_moved().size(), hosted);
@@ -185,8 +185,8 @@ TEST(KvStore, RoundTripEraseAndRehomingUnderChurn) {
 
   // Inserting a node pulls over only the keys it now wins.
   overlay.insert(0);
-  cache.advance();
-  const auto pulled = kv.sync(cache.view());
+  view.advance();
+  const auto pulled = kv.sync(view);
   EXPECT_LT(pulled.moved_keys, 200u);
   EXPECT_TRUE(kv.erase(0, overlay.alive_nodes()[1]).ok);
   EXPECT_FALSE(kv.get(0, overlay.alive_nodes()[1]).ok);
@@ -197,14 +197,14 @@ TEST(KvStore, ChurnedOutOriginResolvesToALiveProxy) {
   for (const auto& backend : sim::known_overlays()) {
     SCOPED_TRACE(backend);
     const auto overlay = sim::make_overlay(backend, 16, 1);
-    sim::CachedView cache(*overlay);
+    adversary::AdversaryView view(*overlay);
     sim::KvStore kv(*overlay);
-    kv.sync(cache.view());
+    kv.sync(view);
     const NodeId dead = overlay->alive_nodes()[5];
     EXPECT_TRUE(kv.put(42, 7, dead).ok);
     overlay->remove(dead);
-    cache.advance();
-    kv.sync(cache.view());
+    view.advance();
+    kv.sync(view);
     // Requests from the churned-out origin still deliver, routed entirely
     // over live nodes (expect_valid_path is implied: hops are finite and
     // the value round-trips).
@@ -218,13 +218,11 @@ TEST(KvStore, ChurnedOutOriginResolvesToALiveProxy) {
 
 namespace {
 
-/// A KvStore over a DexOverlay, re-synced after every mutation. Churn goes
-/// through the overlay, never net() directly: DexOverlay::insert/remove
-/// advance the generation that flushes its memoized routes.
+/// A KvStore over a DexOverlay, re-synced after every mutation.
 struct DexKv {
   DexKv(std::size_t n0, RecoveryMode mode, std::uint64_t seed)
-      : overlay(n0, params(mode, seed)), cache(overlay), kv(overlay) {
-    kv.sync(cache.view());
+      : overlay(n0, params(mode, seed)), view(overlay), kv(overlay) {
+    kv.sync(view);
   }
   static Params params(RecoveryMode mode, std::uint64_t seed) {
     Params p;
@@ -233,8 +231,8 @@ struct DexKv {
     return p;
   }
   void resync() {
-    cache.advance();
-    kv.sync(cache.view());
+    view.advance();
+    kv.sync(view);
   }
   void insert_random(support::Rng& rng) {
     const auto nodes = overlay.alive_nodes();
@@ -242,8 +240,8 @@ struct DexKv {
     resync();
   }
 
-  sim::DexOverlay overlay;  // declared first: cache and kv borrow it
-  sim::CachedView cache;
+  sim::DexOverlay overlay;  // declared first: view and kv borrow it
+  adversary::AdversaryView view;
   sim::KvStore kv;
 };
 
@@ -335,9 +333,9 @@ TEST(Stretch, ExactlyOneOnAStaticRing) {
   // optimum, so the stretch accounting must come out at exactly 1 — the
   // calibration point for the hop/optimal bookkeeping.
   sim::XhealOverlay overlay(graph::make_cycle(32));
-  sim::CachedView cache(overlay);
+  adversary::AdversaryView view(overlay);
   sim::KvStore kv(overlay);
-  kv.sync(cache.view());
+  kv.sync(view);
   const auto nodes = overlay.alive_nodes();
   std::uint64_t hops = 0, optimal = 0;
   for (std::uint64_t k = 0; k < 64; ++k) {
@@ -359,9 +357,9 @@ TEST(Stretch, MissPaysOneWayOnlyAndHitPaysTheRoundTrip) {
   // not be billed the round trip a hit pays — pinned by comparing the same
   // (origin, home) pair before and after the key is stored.
   sim::XhealOverlay overlay(graph::make_cycle(16));
-  sim::CachedView cache(overlay);
+  adversary::AdversaryView view(overlay);
   sim::KvStore kv(overlay);
-  kv.sync(cache.view());
+  kv.sync(view);
   const std::uint64_t key = 5;
   const NodeId home = kv.home(key);
   const NodeId origin = (home + 4) % 16;  // distance 4 on the ring
@@ -466,9 +464,9 @@ TEST(KvStore, PlacementTracksAFreshStoreThroughJoinsAndLeaves) {
   // four blocks (sim/hrw_scan.h).
   for (const std::size_t n0 : {std::size_t{24}, std::size_t{240}}) {
     sim::LawSiuOverlay overlay(n0, /*d=*/3, /*seed=*/8);
-    sim::CachedView cache(overlay);
+    adversary::AdversaryView view(overlay);
     sim::KvStore kv(overlay);
-    kv.sync(cache.view());
+    kv.sync(view);
     const auto seed_nodes = overlay.alive_nodes();
     for (std::uint64_t k = 0; k < 256; ++k) {
       ASSERT_TRUE(kv.put(k, k, seed_nodes[k % seed_nodes.size()]).ok);
@@ -481,13 +479,13 @@ TEST(KvStore, PlacementTracksAFreshStoreThroughJoinsAndLeaves) {
       } else {
         overlay.remove(nodes[rng.below(nodes.size())]);
       }
-      cache.advance();
-      kv.sync(cache.view());
+      view.advance();
+      kv.sync(view);
       if (step % 2 == 0) {  // occasionally shrink placed_ too
         kv.erase(rng.below(256), overlay.alive_nodes()[0]);
       }
       sim::KvStore fresh(overlay);
-      fresh.sync(cache.view());
+      fresh.sync(view);
       for (std::uint64_t k = 0; k < 256; ++k) {
         ASSERT_EQ(kv.home(k), fresh.home(k))
             << "key " << k << " drifted from the rendezvous argmax at step "

@@ -13,7 +13,7 @@
 //   structure       trace covers every step; population never below 3;
 //                   sampled spectral gap never negative
 //   csr             DEX_CHECK_CSR=1 is exported before the first run, so
-//                   every CachedView::advance() cross-checks patch==rebuild
+//                   every AdversaryView::advance() cross-checks patch==rebuild
 //                   (a mismatch aborts loudly rather than returning)
 //
 // A failing case is shrunk greedily (drop phases, sync engine, no serve, no
@@ -554,7 +554,7 @@ int usage(std::FILE* os, int code) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Latch the CSR cross-check before any CachedView::advance() runs: every
+  // Latch the CSR cross-check before any AdversaryView::advance() runs: every
   // fuzz case then verifies patch==rebuild on every step, for free.
   setenv("DEX_CHECK_CSR", "1", 1);
 
