@@ -76,6 +76,26 @@ expect_reject "rate must be" "${nosc[@]}" --campaign "churn:0-,rate=2"
 expect_reject "open-ended" "${nosc[@]}" --campaign "churn;burst"
 expect_reject "bad --campaign" "${nosc[@]}" --campaign "mix(churn:0-"
 
+# Plan contents: unknown names, out-of-range counts and probabilities,
+# pacing without batches, and population bounds the runner cannot honor.
+expect_reject "unknown scenario" --backend lawsiu --scenario nosuch --n0 32 --steps 5
+expect_reject "unknown workload" "${base[@]}" --workload nosuch
+expect_reject "--ops-per-step and --keys must be >= 1" \
+  "${base[@]}" --workload zipf --ops-per-step 0
+expect_reject "--zipf must be > 0" "${base[@]}" --workload zipf --zipf 0
+expect_reject "--read-frac must be in [0, 1]" \
+  "${base[@]}" --workload zipf --read-frac 2
+expect_reject "event spec out of range" "${base[@]}" --engine event --loss 1
+expect_reject "--burst only paces batches" "${base[@]}" --burst 4
+expect_reject "population bounds must satisfy" "${base[@]}" --min-n 2
+expect_reject "--insert-prob must be in [0, 1]" "${base[@]}" --insert-prob 2
+expect_reject "--batch-size must be >= 1" "${base[@]}" --batch-size 0
+
+# Flag gating: comma lists need --sweep, knobs need their mode.
+expect_reject "only with --sweep" "${base[@]}" --seed 1,2
+expect_reject "need --workload" "${base[@]}" --keys 5
+expect_reject "need --engine event" "${base[@]}" --loss 0.1
+
 # Positive control: a well-formed campaign run must succeed.
 if ! "$cli" "${nosc[@]}" --campaign "churn:0-2;burst:2-" \
     --no-trace --json /dev/null >/dev/null 2>&1; then
