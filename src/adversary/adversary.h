@@ -39,12 +39,12 @@ struct ChurnAction {
 };
 
 /// The adversary's read-only window into the network under attack, over
-/// any overlay: every driver (the runner, the CLI's script mode, the tests)
-/// builds one per run. alive_nodes() is materialized at most once per step,
-/// however many times the strategies consult it. The topology is the
-/// maintained flat CSR (graph/csr.h) that strategies, the gap sampler and
-/// the traffic layer's route/placement oracle all read by reference (object
-/// identity is stable across steps, so borrowed pointers stay valid).
+/// any overlay: every driver (the runner, the tests) builds one per run.
+/// alive_nodes() is materialized at most once per step, however many times
+/// the strategies consult it. The topology is the maintained flat CSR
+/// (graph/csr.h) that strategies, the gap sampler and the traffic layer's
+/// route/placement oracle all read by reference (object identity is stable
+/// across steps, so borrowed pointers stay valid).
 ///
 /// advance() is the one step boundary: it drops the node memo, drains the
 /// overlay's churn journal (HealingOverlay::drain_view_delta) and *patches*

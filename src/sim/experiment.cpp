@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <cstdio>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -20,18 +21,82 @@ bool name_known(const std::vector<std::string>& names,
 
 }  // namespace
 
-std::vector<TrialSpec> ExperimentPlan::expand() const {
-  DEX_ASSERT_MSG(!backends.empty() && !scenarios.empty() &&
-                     !populations.empty() && !batch_sizes.empty() &&
-                     !seeds.empty(),
-                 "every plan axis needs at least one value");
+std::optional<std::string> ExperimentPlan::validate() const {
+  if (backends.empty() || scenarios.empty() || populations.empty() ||
+      batch_sizes.empty() || seeds.empty()) {
+    return "every plan axis needs at least one value";
+  }
+  for (std::size_t batch : batch_sizes) {
+    if (batch == 0) return "--batch-size must be >= 1";
+  }
+  if (!(opts.insert_prob >= 0.0 && opts.insert_prob <= 1.0)) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%g", opts.insert_prob);
+    return std::string("--insert-prob must be in [0, 1], got ") + buf;
+  }
   for (const auto& b : backends) {
-    DEX_ASSERT_MSG(name_known(known_overlays(), b), "unknown backend in plan");
+    if (!name_known(known_overlays(), b)) {
+      return "unknown backend '" + b + "' (valid: " + overlay_names() + ")";
+    }
   }
   for (const auto& s : scenarios) {
-    DEX_ASSERT_MSG(name_known(known_strategies(), s),
-                   "unknown scenario in plan");
+    if (!name_known(known_strategies(), s)) {
+      return "unknown scenario '" + s + "' (valid: " + strategy_names() + ")";
+    }
   }
+  const TrafficSpec& t = base.traffic;
+  if (t.enabled()) {
+    if (!name_known(known_workloads(), t.workload)) {
+      return "unknown workload '" + t.workload +
+             "' (valid: " + workload_names() + ")";
+    }
+    if (t.ops_per_step == 0 || t.keyspace == 0) {
+      return "--ops-per-step and --keys must be >= 1 with a workload";
+    }
+    if (!(t.zipf_s > 0.0)) return "--zipf must be > 0";
+    if (!(t.read_fraction >= 0.0 && t.read_fraction <= 1.0)) {
+      return "--read-frac must be in [0, 1]";
+    }
+  }
+  // Same predicates the engine asserts, surfaced as messages.
+  if (base.event.enabled && !base.event.valid()) {
+    return "event spec out of range: --loss in [0, 1), --stragglers in "
+           "[0, 1], --straggler-factor >= 1, --period >= 1";
+  }
+  if (base.serve.enabled) {
+    // Closed-loop clients live on the event clock and issue the workload's
+    // requests; both prerequisites are hard.
+    if (!base.event.enabled || !t.enabled()) {
+      return "--serve needs --engine event and a --workload";
+    }
+    if (!base.serve.valid()) {
+      return "serve spec out of range: --clients, --queue-depth and "
+             "--service must be >= 1";
+    }
+  }
+  if (base.burst_every > 0 &&
+      *std::max_element(batch_sizes.begin(), batch_sizes.end()) <= 1) {
+    return "--burst only paces batches; give it something to pace with "
+           "--batch-size > 1";
+  }
+  // The bounds the runner will actually use (0 derives from n0).
+  for (std::size_t n0 : populations) {
+    const auto bounds = resolve_bounds(base, n0);
+    if (!bounds.valid()) {
+      char buf[160];
+      std::snprintf(buf, sizeof(buf),
+                    "population bounds must satisfy 3 <= min < max (got "
+                    "min=%zu max=%zu for n0=%zu; defaults derive from --n0)",
+                    bounds.min_n, bounds.max_n, n0);
+      return std::string(buf);
+    }
+  }
+  return std::nullopt;
+}
+
+std::vector<TrialSpec> ExperimentPlan::expand() const {
+  const auto problem = validate();
+  DEX_ASSERT_MSG(!problem, problem ? problem->c_str() : nullptr);
 
   std::vector<TrialSpec> trials;
   trials.reserve(trial_count());

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -86,9 +87,18 @@ struct ExperimentPlan {
            batch_sizes.size() * seeds.size();
   }
 
-  /// The deterministic trial list. Aborts (DEX_ASSERT) on unknown backend
-  /// or scenario names and on an empty axis — a malformed plan is a harness
-  /// bug, not a workload.
+  /// The one check of a plan's contents, for front-ends to call before
+  /// expand(): every axis non-empty and every name known, batch sizes and
+  /// probabilities in range, the workload, event and serve specs the
+  /// runner accepts, --burst only with batches to pace, and population
+  /// bounds the runner can honor for every n0. Returns the first problem
+  /// as a one-line message (naming the dex_sim_cli flag that sets the
+  /// field), nullopt for a runnable plan. The customize hook is not run.
+  [[nodiscard]] std::optional<std::string> validate() const;
+
+  /// The deterministic trial list. Aborts (DEX_ASSERT) with validate()'s
+  /// message on a plan that fails it: front-ends report that message
+  /// first, so an abort here is a harness bug, not a workload.
   [[nodiscard]] std::vector<TrialSpec> expand() const;
 };
 

@@ -2,21 +2,26 @@
 # CLI input validation: every malformed invocation must exit 2 with a
 # single-line diagnostic on stderr and produce no simulation output on
 # stdout — a typo'd sweep should die before it burns an hour, and exit
-# codes must be scriptable (0 ok / 2 usage). Run with the CLI binary as
-# $1 (CMake passes $<TARGET_FILE:dex_sim_cli>).
+# codes must be scriptable (0 ok / 2 usage). The same holds for the case
+# lines scenario_fuzzer replays, which pass through the same plan check
+# (ExperimentPlan::validate). Run with the CLI binary as $1 and the fuzzer
+# binary as $2 (CMake passes $<TARGET_FILE:dex_sim_cli> and
+# $<TARGET_FILE:scenario_fuzzer>).
 set -u
 
-cli="${1:?usage: test_cli_validation.sh <path-to-dex_sim_cli>}"
+usage="usage: test_cli_validation.sh <dex_sim_cli> <scenario_fuzzer>"
+cli="${1:?$usage}"
+fuzzer="${2:?$usage}"
 failures=0
 
-# expect_reject <fragment-expected-in-stderr> <flag...>
+# reject_with <binary> <fragment-expected-in-stderr> <arg...>
 # Asserts: exit code 2, exactly one stderr line, fragment present, empty
 # stdout.
-expect_reject() {
-  local fragment="$1"
-  shift
+reject_with() {
+  local bin="$1" fragment="$2"
+  shift 2
   local out err status
-  out="$("$cli" "$@" 2>/tmp/cli_validation_err)"
+  out="$("$bin" "$@" 2>/tmp/cli_validation_err)"
   status=$?
   err="$(cat /tmp/cli_validation_err)"
   if [[ $status -ne 2 ]]; then
@@ -42,6 +47,9 @@ expect_reject() {
   fi
   echo "ok   [$*] -> $err"
 }
+
+# expect_reject <fragment> <flag...>: dex_sim_cli rejects the flags.
+expect_reject() { reject_with "$cli" "$@"; }
 
 base=(--backend lawsiu --scenario churn --n0 32 --steps 5)
 
@@ -96,6 +104,15 @@ expect_reject "only with --sweep" "${base[@]}" --seed 1,2
 expect_reject "need --workload" "${base[@]}" --keys 5
 expect_reject "need --engine event" "${base[@]}" --loss 0.1
 
+# A positional argument is not a flag: usage on stderr, exit 2.
+"$cli" run.txt >/dev/null 2>&1
+if [[ $? -ne 2 ]]; then
+  echo "FAIL: a positional argument did not exit 2"
+  failures=$((failures + 1))
+else
+  echo "ok   [run.txt] positional argument exits 2"
+fi
+
 # Positive control: a well-formed campaign run must succeed.
 if ! "$cli" "${nosc[@]}" --campaign "churn:0-2;burst:2-" \
     --no-trace --json /dev/null >/dev/null 2>&1; then
@@ -115,18 +132,48 @@ else
   echo "ok   [control] well-formed serve run exits 0"
 fi
 
-# Positive control for script mode: a stored key survives churn, read back
-# through the same KvStore the traffic layer uses, and the network audits
-# clean.
-script_out="$(printf 'INIT 32 7\nPUT 1 10\nCHURN 100 0.6\nGET 1\nAUDIT\n' |
-  "$cli" 2>&1)"
-script_status=$?
-if [[ $script_status -ne 0 || "$script_out" != *"ok GET 1 = 10"* ]]; then
-  echo "FAIL: script mode (exit $script_status):"
-  echo "$script_out"
+# Positive control for durability: insert-only churn never severs a
+# route, so every acknowledged key stays readable and no write fails.
+durable_json="$(mktemp)"
+if ! "$cli" --backend dex-worstcase --scenario insert-only --n0 32 --seed 7 \
+    --steps 100 --workload zipf --no-trace --json "$durable_json" \
+    >/dev/null 2>&1; then
+  echo "FAIL: durability control did not exit 0"
+  failures=$((failures + 1))
+elif ! grep -q '"failed_lookups": 0' "$durable_json" ||
+    ! grep -q '"failed_writes": 0' "$durable_json"; then
+  echo "FAIL: durability control lost acknowledged keys:"
+  cat "$durable_json"
   failures=$((failures + 1))
 else
-  echo "ok   [control] script-mode PUT/CHURN/GET/AUDIT round-trips"
+  echo "ok   [control] insert-only zipf traffic: 0 failed lookups and writes"
+fi
+rm -f "$durable_json"
+
+# scenario_fuzzer --case/--replay lines: each probe is the well-formed line
+# below with one field changed, and must be refused before any case runs.
+good='seed=7 backend=dex-worstcase engine=event latency=fixed:2 loss=0 n0=32 steps=8 batch=2 workload=uniform ops=8 serve=0 clients=4 qdepth=8 campaign="churn:0-"'
+expect_fuzz_reject() { reject_with "$fuzzer" "$@"; }
+expect_fuzz_reject "line 1: unknown backend 'nope'" \
+  --case "${good/backend=dex-worstcase/backend=nope}"
+expect_fuzz_reject "line 1: latency must be" \
+  --case "${good/engine=event latency=fixed:2/engine=sync latency=bogus}"
+expect_fuzz_reject "line 1: serve spec out of range" \
+  --case "${good/serve=0 clients=4/serve=1 clients=0}"
+expect_fuzz_reject "line 1: population bounds must satisfy" \
+  --case "${good/n0=32/n0=2}"
+expect_fuzz_reject "line 1: unknown workload 'bogus'" \
+  --case "${good/workload=uniform/workload=bogus}"
+expect_fuzz_reject "line 1: bad value for 'n0'" --case "${good/n0=32/n0=32x}"
+expect_fuzz_reject "line 1: bad value for 'seed'" --case "${good/seed=7/seed=-1}"
+
+# Positive control: the well-formed line replays clean.
+if ! fuzz_out="$("$fuzzer" --case "$good" 2>/dev/null)" ||
+    [[ "$fuzz_out" != "ok $good" ]]; then
+  echo "FAIL: well-formed fuzzer case did not replay clean: $fuzz_out"
+  failures=$((failures + 1))
+else
+  echo "ok   [control] well-formed fuzzer case replays clean"
 fi
 
 rm -f /tmp/cli_validation_err

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -120,6 +121,20 @@ TEST(ExperimentPlan, FactoriesProduceSelfDescribedTrial) {
 }
 
 // ----------------------------------------------------------- determinism
+
+TEST(ExperimentPlan, ValidateReportsTheFirstProblemOrNothing) {
+  sim::ExperimentPlan plan = small_plan();
+  EXPECT_EQ(plan.validate(), std::nullopt);
+  // Library callers get the same one-line messages the CLI prints.
+  plan.populations = {24, 2};
+  EXPECT_EQ(plan.validate(),
+            "population bounds must satisfy 3 <= min < max (got min=4 max=4 "
+            "for n0=2; defaults derive from --n0)");
+  plan.base.serve.enabled = true;  // checked before the bounds
+  EXPECT_EQ(plan.validate(), "--serve needs --engine event and a --workload");
+  plan.scenarios.clear();
+  EXPECT_EQ(plan.validate(), "every plan axis needs at least one value");
+}
 
 TEST(Executor, ByteIdenticalOutputAcrossJobCounts) {
   const auto plan = small_plan();

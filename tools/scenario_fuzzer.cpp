@@ -12,6 +12,9 @@
 //                   departures, deletion-bounded blips with them
 //   structure       trace covers every step; population never below 3;
 //                   sampled spectral gap never negative
+//   audit           HealingOverlay::check_invariants() after every run (on
+//                   DEX: the mapping audit and the 4-zeta load caps; a
+//                   violation aborts loudly rather than returning)
 //   csr             DEX_CHECK_CSR=1 is exported before the first run, so
 //                   every AdversaryView::advance() cross-checks patch==rebuild
 //                   (a mismatch aborts loudly rather than returning)
@@ -26,11 +29,12 @@
 // Every generated case is printed to stdout as `ok <case-line>` (stderr
 // carries progress), so stdout is deterministic for a fixed --seed/--budget
 // and doubles as a seed-corpus source (tests/fuzz_corpus.txt is made of
-// these lines; `--replay FILE` re-checks them in CI).
+// these lines; `--replay FILE` re-checks them in CI). Replayed lines are
+// parsed and checked by ExperimentPlan::validate, the CLI's own check,
+// before the first case runs: a bad line exits 2 with `line N: <message>`.
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -41,13 +45,15 @@
 #include "sim/experiment.h"
 #include "sim/scenario.h"
 #include "sim/sinks.h"
+#include "support/parse.h"
 #include "support/prng.h"
 
 namespace {
 
-using dex::adversary::CampaignSpec;
+using dex::sim::ExperimentPlan;
 using dex::sim::ScenarioResult;
-using dex::sim::ScenarioSpec;
+using dex::support::parse_double;
+using dex::support::parse_u64;
 
 // ------------------------------------------------------------------ cases
 
@@ -109,50 +115,64 @@ std::optional<FuzzCase> from_line(const std::string& line,
     const std::string v = tok.substr(eq + 1);
     try {
       if (k == "seed") {
-        c.seed = std::stoull(v);
+        c.seed = parse_u64(v);
       } else if (k == "backend") {
         c.backend = v;
       } else if (k == "engine") {
         if (v != "sync" && v != "event") return fail("engine must be sync|event");
         c.event = v == "event";
       } else if (k == "latency") {
+        if (!dex::sim::LatencyModel::parse(v)) {
+          return fail("latency must be fixed:T, uniform:A,B or exp:MEAN, "
+                      "got '" + v + "'");
+        }
         c.latency = v;
       } else if (k == "loss") {
-        c.loss = std::stod(v);
+        c.loss = parse_double(v);
       } else if (k == "n0") {
-        c.n0 = std::stoull(v);
+        c.n0 = parse_u64(v);
       } else if (k == "steps") {
-        c.steps = std::stoull(v);
+        c.steps = parse_u64(v);
       } else if (k == "batch") {
-        c.batch = std::stoull(v);
+        c.batch = parse_u64(v);
       } else if (k == "workload") {
         c.workload = v == "none" ? "" : v;
       } else if (k == "ops") {
-        c.ops = std::stoull(v);
+        c.ops = parse_u64(v);
       } else if (k == "serve") {
-        c.serve = v != "0";
+        if (v != "0" && v != "1") return fail("serve must be 0|1");
+        c.serve = v == "1";
       } else if (k == "clients") {
-        c.clients = std::stoull(v);
+        c.clients = parse_u64(v);
       } else if (k == "qdepth") {
-        c.qdepth = std::stoull(v);
+        c.qdepth = parse_u64(v);
       } else {
         return fail("unknown key '" + k + "'");
       }
-    } catch (const std::exception&) {
-      return fail("bad value for '" + k + "': '" + v + "'");
+    } catch (const std::exception& e) {
+      return fail("bad value for '" + k + "': " + e.what());
     }
   }
   return c;
 }
 
-/// The case's trial spec around its already-parsed campaign.
-ScenarioSpec to_spec(const FuzzCase& c, const CampaignSpec& campaign) {
-  ScenarioSpec spec;
-  spec.seed = c.seed;
+/// The case as a one-trial ExperimentPlan: its campaign parsed, its knobs
+/// on the base spec. run_case runs the plan's one trial and run_sweep the
+/// plan over two seeds. nullopt with a one-line message in *error when the
+/// campaign does not parse or ExperimentPlan::validate rejects the plan.
+std::optional<ExperimentPlan> to_plan(const FuzzCase& c, std::string* error) {
+  auto campaign = dex::sim::parse_campaign_spec(c.campaign, error);
+  if (!campaign) return std::nullopt;
+  ExperimentPlan plan;
+  plan.backends = {c.backend};
+  plan.scenarios = {"churn"};  // ignored: base.campaign overrides it
+  plan.populations = {c.n0};
+  plan.batch_sizes = {c.batch};
+  plan.seeds = {c.seed};
+  auto& spec = plan.base;
   spec.steps = c.steps;
-  spec.batch_size = c.batch;
   spec.gap_every = 4;
-  spec.campaign = campaign;
+  spec.campaign = std::move(campaign);
   spec.label = "fuzz";
   if (!c.workload.empty()) {
     spec.traffic.workload = c.workload;
@@ -169,7 +189,11 @@ ScenarioSpec to_spec(const FuzzCase& c, const CampaignSpec& campaign) {
     spec.serve.clients = c.clients;
     spec.serve.queue_depth = c.qdepth;
   }
-  return spec;
+  if (auto problem = plan.validate()) {
+    if (error) *error = std::move(*problem);
+    return std::nullopt;
+  }
+  return plan;
 }
 
 std::string to_cli_command(const FuzzCase& c) {
@@ -289,32 +313,27 @@ struct RunOutput {
   ScenarioResult result;
 };
 
-RunOutput run_case(const FuzzCase& c, const CampaignSpec& campaign,
-                   unsigned trial_jobs = 1) {
-  auto overlay = dex::sim::make_overlay(c.backend, c.n0,
-                                        dex::sim::overlay_seed(c.seed));
+/// Runs the plan's one trial in-process, then audits the overlay it leaves.
+RunOutput run_case(const ExperimentPlan& plan, unsigned trial_jobs = 1) {
+  const dex::sim::TrialSpec trial = plan.expand().front();
+  auto overlay = trial.make_overlay();
   if (trial_jobs > 1) overlay->set_intra_jobs(trial_jobs);
-  auto strategy = dex::sim::make_campaign_strategy(campaign);
-  dex::sim::ScenarioRunner runner(*overlay, *strategy, to_spec(c, campaign));
+  auto strategy = trial.make_strategy();
+  dex::sim::ScenarioRunner runner(*overlay, *strategy, trial.spec);
   RunOutput out;
   out.result = runner.run();
+  overlay->check_invariants();
   out.trace = dex::sim::trace_csv(out.result);
   out.summary = dex::sim::summary_json(out.result);
   return out;
 }
 
-/// The sweep-jobs probe: the case as a 2-seed ExperimentPlan through the
+/// The sweep-jobs probe: the case's plan over two seeds through the
 /// Executor, trace + summary streamed into strings. Byte-identical for any
 /// jobs value or it is a violation.
-std::string run_sweep(const FuzzCase& c, const CampaignSpec& campaign,
-                      std::size_t jobs) {
-  dex::sim::ExperimentPlan plan;
-  plan.backends = {c.backend};
-  plan.scenarios = {"churn"};  // ignored: base.campaign overrides it
-  plan.populations = {c.n0};
-  plan.batch_sizes = {c.batch};
-  plan.seeds = {c.seed, c.seed + 1};
-  plan.base = to_spec(c, campaign);
+std::string run_sweep(ExperimentPlan plan, std::size_t jobs) {
+  const std::uint64_t seed = plan.seeds.front();
+  plan.seeds = {seed, seed + 1};
   std::ostringstream csv, json;
   dex::sim::CsvTraceSink trace_sink(csv);
   dex::sim::JsonSummarySink summary_sink(json);
@@ -338,25 +357,22 @@ struct CheckOptions {
 /// Runs one case and checks every applicable invariant. nullopt = clean.
 std::optional<Violation> check_case(const FuzzCase& c,
                                     const CheckOptions& opt) {
-  std::string parse_error;
-  const auto campaign = dex::sim::parse_campaign_spec(c.campaign,
-                                                      &parse_error);
-  if (!campaign) {
-    return Violation{"campaign-parse", parse_error};
-  }
+  std::string error;
+  const auto plan = to_plan(c, &error);
+  if (!plan) return Violation{"invalid-case", error};
 
-  const RunOutput a = run_case(c, *campaign);
-  const RunOutput b = run_case(c, *campaign);
+  const RunOutput a = run_case(*plan);
+  const RunOutput b = run_case(*plan);
   if (a.trace != b.trace || a.summary != b.summary) {
     return Violation{"determinism", "re-run produced different bytes"};
   }
-  const RunOutput tj = run_case(c, *campaign, /*trial_jobs=*/2);
+  const RunOutput tj = run_case(*plan, /*trial_jobs=*/2);
   if (a.trace != tj.trace || a.summary != tj.summary) {
     return Violation{"trial-jobs", "set_intra_jobs(2) changed bytes"};
   }
 
   if (!c.workload.empty()) {
-    const std::size_t offered = campaign->total_ops(c.ops, c.steps);
+    const std::size_t offered = plan->base.campaign->total_ops(c.ops, c.steps);
     std::size_t got = c.serve
                           ? a.result.serve_completed + a.result.serve_shed
                           : a.result.total_ops;
@@ -402,8 +418,8 @@ std::optional<Violation> check_case(const FuzzCase& c,
   }
 
   if (opt.sweep_probe) {
-    const std::string one = run_sweep(c, *campaign, 1);
-    const std::string four = run_sweep(c, *campaign, 4);
+    const std::string one = run_sweep(*plan, 1);
+    const std::string four = run_sweep(*plan, 4);
     if (one != four) {
       return Violation{"sweep-jobs", "Executor jobs=1 vs jobs=4 bytes differ"};
     }
@@ -538,12 +554,15 @@ int usage(std::FILE* os, int code) {
       "\n"
       "Generates N random campaign scenarios from seed S, runs each under\n"
       "the sync and event regimes and checks determinism, op\n"
-      "conservation, acked-key durability and structural invariants.\n"
+      "conservation, acked-key durability, structural invariants and the\n"
+      "overlay's own audit (check_invariants) after every run.\n"
       "Prints `ok <case>` per clean case (a corpus source); on the first\n"
       "violation shrinks to a one-line repro and exits 1.\n"
       "\n"
       "  --replay FILE   re-check the case lines in FILE (the seed corpus)\n"
       "  --case 'LINE'   re-check one serialized case line\n"
+      "                  (every line is validated before any case runs; a\n"
+      "                  bad line exits 2 with `line N: <message>`)\n"
       "  --inject-bug conservation\n"
       "                  break the conservation check's observed count by\n"
       "                  one (self-test: the fuzzer must find + shrink it)\n"
@@ -573,10 +592,19 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto number = [&]() -> std::uint64_t {
+      const char* v = value();
+      try {
+        return parse_u64(v);
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "bad value for %s: %s\n", arg.c_str(), e.what());
+        std::exit(2);
+      }
+    };
     if (arg == "--seed") {
-      seed = std::strtoull(value(), nullptr, 10);
+      seed = number();
     } else if (arg == "--budget") {
-      budget = std::strtoull(value(), nullptr, 10);
+      budget = number();
     } else if (arg == "--replay") {
       replay_path = value();
     } else if (arg == "--case") {
@@ -617,22 +645,28 @@ int main(int argc, char** argv) {
         lines.push_back(line);
       }
     }
-    std::size_t index = 0;
+    // Every line is parsed and validated before the first case runs, so a
+    // bad line costs no simulation and prints nothing on stdout.
+    std::vector<FuzzCase> cases;
     for (const auto& line : lines) {
-      ++index;
       std::string error;
-      const auto c = from_line(line, &error);
+      auto c = from_line(line, &error);
+      if (c && !to_plan(*c, &error)) c.reset();
       if (!c) {
-        std::fprintf(stderr, "line %zu: %s\n", index, error.c_str());
+        std::fprintf(stderr, "line %zu: %s\n", cases.size() + 1,
+                     error.c_str());
         return 2;
       }
-      CheckOptions replay_opt = opt;
-      replay_opt.sweep_probe = true;  // corpus is small; probe every case
-      if (const auto v = check_case(*c, replay_opt)) {
-        report_violation(*c, *v, replay_opt, repro_out);
+      cases.push_back(*c);
+    }
+    CheckOptions replay_opt = opt;
+    replay_opt.sweep_probe = true;  // corpus is small; probe every case
+    for (const auto& c : cases) {
+      if (const auto v = check_case(c, replay_opt)) {
+        report_violation(c, *v, replay_opt, repro_out);
         return 1;
       }
-      std::printf("ok %s\n", to_line(*c).c_str());
+      std::printf("ok %s\n", to_line(c).c_str());
     }
     std::fprintf(stderr, "replayed %zu case(s), all clean\n", lines.size());
     return 0;
