@@ -82,8 +82,12 @@ std::size_t FloodRebuildNetwork::max_degree() const {
 graph::Multigraph FloodRebuildNetwork::snapshot() const {
   graph::Multigraph g(alive_.size());
   const PCycle cyc(p_);
-  cyc.for_each_edge(
-      [&](Vertex x, Vertex y) { g.add_edge(owner_[x], owner_[y]); });
+  // Degree convention (as DexNetwork::snapshot): an edge between two
+  // distinct vertices dealt to one node is a self-loop counting 2.
+  cyc.for_each_edge([&](Vertex x, Vertex y) {
+    g.add_edge(owner_[x], owner_[y]);
+    if (x != y && owner_[x] == owner_[y]) g.add_edge(owner_[x], owner_[y]);
+  });
   return g;
 }
 

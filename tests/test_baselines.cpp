@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baselines/flood_rebuild.h"
 #include "baselines/law_siu.h"
 #include "baselines/random_flip.h"
@@ -87,6 +89,24 @@ TEST(FloodRebuild, GuaranteesButThetaNCost) {
   EXPECT_GT(spec.gap, 0.02);  // same deterministic guarantee as DEX
   EXPECT_LE(net.max_degree(), 3 * 9u);
   EXPECT_TRUE(g::is_connected(net.snapshot(), net.alive_mask()));
+}
+
+// Degree convention (graph/multigraph.h, DEX's Lemma 10 contraction): a
+// virtual edge between two distinct vertices dealt to the same node is a
+// self-loop counting 2, so every node's snapshot degree is 3 per vertex —
+// exactly what degree() and max_degree() report.
+TEST(FloodRebuild, DegreeMatchesSnapshotDegree) {
+  for (std::size_t n0 = 5; n0 < 400; n0 += 7) {
+    b::FloodRebuildNetwork net(n0);
+    const auto snap = net.snapshot();
+    std::size_t best = 0;
+    for (const auto u : net.alive_nodes()) {
+      ASSERT_EQ(net.degree(u), snap.degree(u))
+          << "n0 " << n0 << " node " << u;
+      best = std::max(best, snap.degree(u));
+    }
+    ASSERT_EQ(net.max_degree(), best) << "n0 " << n0;
+  }
 }
 
 TEST(FloodRebuild, ChurnKeepsPInRange) {
