@@ -84,34 +84,15 @@ graph::Multigraph AdversaryView::snapshot_without(NodeId u) const {
 graph::CsrView::PortsFn AdversaryView::ports_fn() const {
   return [this](NodeId u, std::vector<NodeId>& out) {
     const bool ok = overlay_.live_ports(u, out);
-    // Callers probe the capability before choosing this enumerator, and a
-    // precise journal delta implies the overlay is in a calm (enumerable)
-    // state — see the staggered full-marks in dex/staggered.cpp.
-    DEX_ASSERT_MSG(ok, "live_ports withdrawn mid-build");
+    DEX_ASSERT_MSG(ok, "live_ports must enumerate every alive row");
   };
 }
 
 const graph::CsrView& AdversaryView::live_csr() const {
   if (!csr_valid_) {
-    const std::vector<bool> mask = overlay_.alive_mask();
-    // Prefer the overlay's own row enumerator: rows come out in the same
-    // order apply_delta() re-derives them, so later advance() calls can
-    // patch this build in place instead of discarding it. The capability
-    // is probed per build (DEX withdraws it during staggered windows).
-    const auto first = std::find(mask.begin(), mask.end(), true);
-    std::vector<NodeId> probe;
-    if (first != mask.end() &&
-        overlay_.live_ports(static_cast<NodeId>(first - mask.begin()),
-                            probe)) {
-      csr_.build_from_ports(mask, ports_fn());
-      csr_ports_canonical_ = true;
-    } else {
-      // Fallback (flood, DEX inside a staggered window): build from a
-      // local snapshot. Rows land in snapshot port order — a valid view,
-      // but not patchable.
-      csr_.build(overlay_.snapshot(), mask);
-      csr_ports_canonical_ = false;
-    }
+    // Rows come out in the order apply_delta() re-derives them, so later
+    // advance() calls can patch this build in place.
+    csr_.build_from_ports(overlay_.alive_mask(), ports_fn());
     csr_valid_ = true;
   }
   return csr_;
@@ -120,14 +101,14 @@ const graph::CsrView& AdversaryView::live_csr() const {
 void AdversaryView::advance() {
   nodes_.reset();
   delta_.clear();
-  // Always drain — even when the standing CSR is unpatchable — so the
-  // journal never carries deltas across a rebuild boundary. The first drain
-  // also installs the journal on the overlay (and reports "full" for the
-  // untracked history before it).
+  // Always drain — even when no CSR stands — so the journal never carries
+  // deltas across a rebuild boundary. The first drain also installs the
+  // journal on the overlay (and reports "full" for the untracked history
+  // before it).
   const bool drained = overlay_.drain_view_delta(delta_);
-  if (!drained || delta_.full || !csr_valid_ || !csr_ports_canonical_) {
-    // No journal, coarse delta, or a snapshot-ordered view: fall back to
-    // the lazy from-scratch rebuild on next use.
+  if (!drained || delta_.full || !csr_valid_) {
+    // No journal or a coarse delta: fall back to the lazy from-scratch
+    // rebuild on next use.
     csr_valid_ = false;
   } else if (!delta_.empty()) {
     csr_.apply_delta(delta_, ports_fn());

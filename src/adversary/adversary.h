@@ -50,10 +50,12 @@ struct ChurnAction {
 /// overlay's churn journal (HealingOverlay::drain_view_delta) and *patches*
 /// the CSR in place when the delta is precise, paying per-step cost
 /// proportional to the churn delta. It falls back to a lazy from-scratch
-/// rebuild whenever the journal is absent/full or the standing CSR was
-/// built from a snapshot (Multigraph port order, not live_ports order, so
-/// not patchable). With DEX_CHECK_CSR=1 in the environment every advance()
-/// additionally rebuilds a reference view and asserts semantic equality.
+/// rebuild whenever the journal is absent or full (flooding keeps no
+/// journal; DEX marks every staggered-window step full). Builds and patches
+/// both enumerate rows through HealingOverlay::live_ports, on every backend
+/// and in every state, so the view never reads snapshot(). With
+/// DEX_CHECK_CSR=1 in the environment every advance() additionally rebuilds
+/// a reference view and asserts semantic equality.
 class AdversaryView {
  public:
   explicit AdversaryView(const sim::HealingOverlay& overlay);
@@ -94,8 +96,7 @@ class AdversaryView {
   void advance();
 
  private:
-  /// Row enumerator handed to build_from_ports/apply_delta; asserts the
-  /// overlay's live_ports capability (callers only use it after probing).
+  /// Row enumerator handed to build_from_ports/apply_delta.
   [[nodiscard]] graph::CsrView::PortsFn ports_fn() const;
 
   const sim::HealingOverlay& overlay_;
@@ -105,9 +106,6 @@ class AdversaryView {
   // flag alone tracks staleness.
   mutable graph::CsrView csr_;
   mutable bool csr_valid_ = false;
-  /// Whether csr_ rows are in live_ports order (patchable) rather than
-  /// Multigraph snapshot order (rebuild-only).
-  mutable bool csr_ports_canonical_ = false;
   graph::ViewDelta delta_;  ///< drain buffer (ping-pongs with the journal)
 };
 

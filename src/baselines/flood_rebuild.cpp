@@ -1,6 +1,6 @@
 #include "baselines/flood_rebuild.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "dex/pcycle.h"
 #include "support/assert.h"
@@ -29,21 +29,19 @@ void FloodRebuildNetwork::rebuild() {
   // Global recompute: p tracks (4n, 8n); every vertex is re-dealt
   // round-robin, so nearly every edge moves.
   const std::uint64_t old_p = p_;
+  const std::vector<NodeId> old_nodes = std::exchange(nodes_, alive_nodes());
   p_ = support::inflation_prime(static_cast<std::uint64_t>(n_alive_));
-  const auto nodes = alive_nodes();
-  std::vector<NodeId> fresh(p_);
-  for (Vertex z = 0; z < p_; ++z) fresh[z] = nodes[z % nodes.size()];
+  if (!cyc_ || cyc_->p() != p_) cyc_.emplace(p_);
+  rank_.assign(alive_.size(), 0);
+  for (std::uint32_t r = 0; r < nodes_.size(); ++r) rank_[nodes_[r]] = r;
   std::uint64_t changed = 0;
   if (p_ == old_p) {
     for (Vertex z = 0; z < p_; ++z) {
-      if (owner_[z] != fresh[z]) changed += 6;
+      if (owner(z) != old_nodes[z % old_nodes.size()]) changed += 6;
     }
   } else {
     changed = (3 * (p_ + old_p)) / 2;
   }
-  owner_ = std::move(fresh);
-  load_.assign(alive_.size(), 0);
-  for (Vertex z = 0; z < p_; ++z) ++load_[owner_[z]];
   // Flood of the membership change: 2 messages per edge, 2·diam rounds
   // (diam of an expander contraction: O(log n)).
   meter_.add_messages(3 * p_);
@@ -72,23 +70,33 @@ void FloodRebuildNetwork::remove(NodeId victim) {
 
 std::size_t FloodRebuildNetwork::degree(NodeId u) const {
   DEX_ASSERT(alive(u));
-  return 3 * load_[u];
+  // Vertices z < p with z ≡ rank(u) (mod n), 3 ports each.
+  return 3 * ((p_ - 1 - rank_[u]) / n_alive_ + 1);
 }
 
 std::size_t FloodRebuildNetwork::max_degree() const {
-  return 3 * *std::max_element(load_.begin(), load_.end());
+  return degree(nodes_.front());
 }
 
 graph::Multigraph FloodRebuildNetwork::snapshot() const {
   graph::Multigraph g(alive_.size());
-  const PCycle cyc(p_);
   // Degree convention (as DexNetwork::snapshot): an edge between two
   // distinct vertices dealt to one node is a self-loop counting 2.
-  cyc.for_each_edge([&](Vertex x, Vertex y) {
-    g.add_edge(owner_[x], owner_[y]);
-    if (x != y && owner_[x] == owner_[y]) g.add_edge(owner_[x], owner_[y]);
+  cyc_->for_each_edge([&](Vertex x, Vertex y) {
+    g.add_edge(owner(x), owner(y));
+    if (x != y && owner(x) == owner(y)) g.add_edge(owner(x), owner(y));
   });
   return g;
+}
+
+bool FloodRebuildNetwork::live_ports(NodeId u,
+                                     std::vector<NodeId>& out) const {
+  DEX_ASSERT(alive(u));
+  out.clear();
+  for (Vertex z = rank_[u]; z < p_; z += n_alive_) {
+    for (Vertex w : cyc_->ports(z)) out.push_back(owner(w));
+  }
+  return true;
 }
 
 }  // namespace dex::baselines

@@ -10,8 +10,10 @@
 /// contrasts DEX against.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "dex/pcycle.h"
 #include "graph/multigraph.h"
 #include "sim/meters.h"
 
@@ -41,23 +43,31 @@ class FloodRebuildNetwork {
   [[nodiscard]] std::size_t max_degree() const;
 
   [[nodiscard]] graph::Multigraph snapshot() const;
+  /// u's row of snapshot() as a multiset: the ports of its vertices
+  /// rank(u), rank(u) + n, … (the round-robin deal). Always returns true.
+  [[nodiscard]] bool live_ports(NodeId u, std::vector<NodeId>& out) const;
   [[nodiscard]] const sim::CostMeter& meter() const { return meter_; }
   [[nodiscard]] sim::StepCost last_step() const { return last_; }
   [[nodiscard]] std::uint64_t p() const { return p_; }
 
  private:
   void rebuild();
+  /// Round-robin owner of virtual vertex z.
+  [[nodiscard]] NodeId owner(Vertex z) const {
+    return nodes_[z % nodes_.size()];
+  }
 
   sim::CostMeter meter_;
   sim::StepCost last_;
   std::vector<bool> alive_;
   std::size_t n_alive_ = 0;
   std::uint64_t p_ = 0;
-  /// Round-robin owner of each virtual vertex, recomputed every step.
-  std::vector<NodeId> owner_;
-  /// Virtual vertices per node, maintained by rebuild() so the per-node
-  /// degree queries are O(1) instead of an O(p) owner scan.
-  std::vector<std::size_t> load_;
+  /// The p-cycle, replaced only when p changes (keeps its inverse table).
+  std::optional<PCycle> cyc_;
+  /// Alive ids in id order, recomputed every step: vertex z goes to
+  /// nodes_[z mod n], and rank_[u] is u's index here.
+  std::vector<NodeId> nodes_;
+  std::vector<std::uint32_t> rank_;
 };
 
 }  // namespace dex::baselines

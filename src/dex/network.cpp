@@ -44,7 +44,7 @@ std::vector<NodeId> DexNetwork::alive_nodes() const {
 
 std::uint64_t DexNetwork::total_load(NodeId u) const {
   std::uint64_t t = map_.load(u);
-  if (build_) t += build_->new_load[u] + build_->claim_count[u];
+  if (build_) t += build_->new_load[u] + build_->claims[u].size();
   if (tear_) t += tear_->old_load[u];
   return t;
 }
@@ -89,19 +89,38 @@ std::size_t DexNetwork::max_degree() const {
 }
 
 bool DexNetwork::live_ports(NodeId u, std::vector<NodeId>& out) const {
-  // During a staggered window the build/tear extras are enumerated
-  // asymmetrically (an unprocessed endpoint does not see its reverse port
-  // yet), so no symmetric per-node row exists short of a snapshot.
-  if (staggered_active()) return false;
   out.clear();
-  for (Vertex z : map_.sim(u)) {
-    for (Vertex w : cyc_->ports(z)) out.push_back(map_.owner(w));
+  append_ports(u, out);
+  if (!build_) return true;
+  // Reverse ports of u's unprocessed future vertices toward processed ones:
+  // its claims, and the unclaimed children/images of its current vertices
+  // at or above `progress` (only deflation grants claims).
+  const auto reverse_ports = [&](Vertex y) {
+    for (Vertex w : build_->cyc_new->ports(y)) {
+      if (build_processed(w)) out.push_back(build_->phi_new[w]);
+    }
+  };
+  for (Vertex y : build_->claims[u]) reverse_ports(y);
+  for (Vertex x : map_.sim(u)) {
+    if (x < build_->progress) continue;
+    if (build_->inflating) {
+      for (std::uint64_t j = 0; j <= build_->infl->c(x); ++j)
+        reverse_ports(build_->infl->child(x, j));
+    } else if (build_->defl->is_dominating(x) &&
+               build_->phi_new[build_->defl->image(x)] == kInvalidNode) {
+      reverse_ports(build_->defl->image(x));
+    }
   }
   return true;
 }
 
 void DexNetwork::ports_of(NodeId u, std::vector<std::uint64_t>& out) const {
   out.clear();
+  append_ports(u, out);
+}
+
+template <class Id>
+void DexNetwork::append_ports(NodeId u, std::vector<Id>& out) const {
   for (Vertex z : map_.sim(u)) {
     for (Vertex w : cyc_->ports(z)) out.push_back(map_.owner(w));
   }
@@ -127,7 +146,7 @@ NodeId DexNetwork::allocate_node() {
   if (build_) {
     build_->new_sim.emplace_back();
     build_->new_load.push_back(0);
-    build_->claim_count.push_back(0);
+    build_->claims.emplace_back();
   }
   if (tear_) {
     tear_->old_sim.emplace_back();
@@ -340,7 +359,7 @@ bool DexNetwork::dispatch_insert(NodeId u, NodeId attach_to) {
     // one only if the donor keeps at least one future of its own.
     auto is_future = [&](Vertex z) {
       return z >= build_->progress && build_->defl->is_dominating(z) &&
-             !build_->overrides.contains(build_->defl->image(z));
+             build_->phi_new[build_->defl->image(z)] == kInvalidNode;
     };
     Vertex give = map_.sim(w).back();
     if (spare_new_capacity(w) >= 2) {
@@ -361,7 +380,7 @@ bool DexNetwork::dispatch_insert(NodeId u, NodeId attach_to) {
     transfer_current_vertex(give, u);
     // If the newcomer's vertex carries no future new-cycle vertex, grab a
     // claim via a contending walk (Algorithm 4.9 line 4).
-    bool has_future = build_->claim_count[u] > 0 || build_->new_load[u] > 0;
+    bool has_future = !build_->claims[u].empty() || build_->new_load[u] > 0;
     for (Vertex z : map_.sim(u)) {
       if (is_future(z)) has_future = true;
     }
@@ -425,18 +444,9 @@ NodeId DexNetwork::handle_delete_recovery(NodeId victim) {
   meter_.add_rounds(2);
 
   // Open claims of the victim revert to their default generators.
-  if (build_ && build_->claim_count[victim] > 0) {
-    // det: pure set-subtraction — the surviving map contents are identical
-    // for every erase order, and nothing is recorded per erase.
-    for (auto it = build_->overrides.begin();
-         it != build_->overrides.end();) {
-      if (it->second == victim) {
-        it = build_->overrides.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    build_->claim_count[victim] = 0;
+  if (build_) {
+    for (Vertex y : build_->claims[victim]) build_->phi_new[y] = kInvalidNode;
+    build_->claims[victim].clear();
   }
 
   // Redistribute the absorbed current-cycle vertices via random walks
@@ -808,7 +818,7 @@ void DexNetwork::check_invariants() const {
     } else {
       DEX_ASSERT(map_.load(u) == 0);
       if (build_)
-        DEX_ASSERT(build_->new_load[u] == 0 && build_->claim_count[u] == 0);
+        DEX_ASSERT(build_->new_load[u] == 0 && build_->claims[u].empty());
       if (tear_) DEX_ASSERT(tear_->old_load[u] == 0);
     }
   }
@@ -819,17 +829,23 @@ void DexNetwork::check_invariants() const {
   DEX_ASSERT(coord_.spare == map_.spare_count());
   DEX_ASSERT(coord_.low == map_.low_count());
   if (build_) {
+    // Every pre-assigned unprocessed vertex sits on its claimant's list.
+    std::uint64_t open_claims = 0;
+    for (NodeId u = 0; u < alive_.size(); ++u) {
+      for (Vertex y : build_->claims[u])
+        DEX_ASSERT(!build_processed(y) && build_->phi_new[y] == u);
+      open_claims += build_->claims[u].size();
+    }
     for (Vertex y = 0; y < build_->p_new; ++y) {
       if (build_processed(y)) {
         DEX_ASSERT_MSG(build_->phi_new[y] != kInvalidNode &&
                            alive_[build_->phi_new[y]],
                        "processed new vertex without alive owner");
+      } else if (build_->phi_new[y] != kInvalidNode) {
+        --open_claims;
       }
     }
-    std::uint64_t open_claims = 0;
-    for (NodeId u = 0; u < alive_.size(); ++u)
-      open_claims += build_->claim_count[u];
-    DEX_ASSERT(open_claims == build_->overrides.size());
+    DEX_ASSERT(open_claims == 0);
   }
   if (tear_) {
     for (Vertex x = tear_->progress; x < tear_->p_old; ++x) {

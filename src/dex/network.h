@@ -25,7 +25,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "dex/index_maps.h"
@@ -166,13 +165,11 @@ class DexNetwork {
   /// for the batch engine and the walk tests.
   void ports_of(NodeId u, std::vector<std::uint64_t>& out) const;
 
-  /// Incremental-view surface (graph/csr.h). Calm-mode live adjacency of u:
-  /// the current-cycle part of ports_of, same multiset convention as
-  /// snapshot(). Returns false during a staggered rebuild — the build/tear
-  /// extras enumerate asymmetrically between processed and unprocessed
-  /// endpoints, so there is no cheap symmetric row to offer and callers
-  /// must take the snapshot path (the journal reports full deltas across
-  /// those windows anyway).
+  /// Incremental-view surface (graph/csr.h): u's row of snapshot() as a
+  /// multiset, in any state. It is ports_of plus, inside a staggered build,
+  /// the reverse ports of u's unprocessed future vertices toward processed
+  /// ones (ports_of lists a processed–unprocessed edge only at its processed
+  /// end). Always returns true.
   [[nodiscard]] bool live_ports(NodeId u, std::vector<NodeId>& out) const;
 
   /// Installs (or clears, with nullptr) the churn journal the network
@@ -230,13 +227,15 @@ class DexNetwork {
     std::optional<DeflationMap> defl;
     std::uint64_t progress = 0;  ///< old vertices [0, progress) processed
     std::uint64_t batch = 1;     ///< old vertices per step
-    std::vector<NodeId> phi_new;             ///< owner once materialized
+    /// Owner once materialized. Before that, the claimant of a vertex
+    /// pre-assigned by a deflation grant (contending grabs, insertion
+    /// grants), else kInvalidNode.
+    std::vector<NodeId> phi_new;
     std::vector<std::vector<Vertex>> new_sim;  ///< per-node materialized
     std::vector<std::uint32_t> new_load;
-    /// Pre-assignments of not-yet-materialized new vertices (deflation
-    /// contending grabs, insertion grants): consumed at processing time.
-    std::unordered_map<Vertex, NodeId> overrides;
-    std::vector<std::uint32_t> claim_count;  ///< per-node open overrides
+    /// Per-node open pre-assignments, in grant order; processing a claimed
+    /// vertex consumes its entry.
+    std::vector<std::vector<Vertex>> claims;
   };
 
   /// Phase 2: the previous cycle being discarded group by group after the
@@ -322,6 +321,10 @@ class DexNetwork {
   void end_step();
 
   [[nodiscard]] NodeId pick_recovery_neighbor(NodeId victim) const;
+  /// Appends ports_of(u) to `out` (u64 for the walk engine, NodeId for
+  /// live_ports).
+  template <class Id>
+  void append_ports(NodeId u, std::vector<Id>& out) const;
 
   // --- churn journal (graph/csr.h ViewDelta; no-ops when none installed).
   // Entries after a full mark are dropped — the full mark supersedes them

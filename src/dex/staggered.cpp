@@ -57,12 +57,9 @@ bool DexNetwork::build_processed(Vertex y) const {
 
 NodeId DexNetwork::owner_future(Vertex y) const {
   DEX_ASSERT(build_);
-  if (build_processed(y)) {
-    DEX_ASSERT(build_->phi_new[y] != kInvalidNode);
-    return build_->phi_new[y];
-  }
-  auto it = build_->overrides.find(y);
-  if (it != build_->overrides.end()) return it->second;
+  const NodeId o = build_->phi_new[y];
+  if (o != kInvalidNode) return o;  // materialized or claimed
+  DEX_ASSERT(!build_processed(y));
   return map_.owner(build_generator(y));
 }
 
@@ -71,7 +68,7 @@ std::int64_t DexNetwork::spare_new_capacity(NodeId w) const {
   std::int64_t avail = build_->new_load[w];
   for (Vertex z : map_.sim(w)) {
     if (z >= build_->progress && build_->defl->is_dominating(z) &&
-        !build_->overrides.contains(build_->defl->image(z)))
+        build_->phi_new[build_->defl->image(z)] == kInvalidNode)
       ++avail;
   }
   return avail - 1;  // one vertex stays reserved for w itself
@@ -86,9 +83,9 @@ void DexNetwork::grant_new_vertex(NodeId w, NodeId to) {
   for (Vertex z : map_.sim(w)) {
     if (z >= build_->progress && build_->defl->is_dominating(z)) {
       const Vertex y = build_->defl->image(z);
-      if (!build_->overrides.contains(y)) {
-        build_->overrides.emplace(y, to);
-        ++build_->claim_count[to];
+      if (build_->phi_new[y] == kInvalidNode) {
+        build_->phi_new[y] = to;
+        build_->claims[to].push_back(y);
         meter_.add_messages(2);
         return;
       }
@@ -196,7 +193,7 @@ void DexNetwork::start_staggered(bool inflate) {
   b.phi_new.assign(b.p_new, kInvalidNode);
   b.new_sim.assign(alive_.size(), {});
   b.new_load.assign(alive_.size(), 0);
-  b.claim_count.assign(alive_.size(), 0);
+  b.claims.assign(alive_.size(), {});
   b.progress = 0;
   b.batch = staggered_batch(p_old);
   if (inflate) {
@@ -253,11 +250,11 @@ void DexNetwork::advance_build() {
     // contending and grab a future vertex elsewhere (Alg. 4.9 line 4).
     for (NodeId o : touched) {
       if (!alive_[o]) continue;
-      if (b.new_load[o] > 0 || b.claim_count[o] > 0) continue;
+      if (b.new_load[o] > 0 || !b.claims[o].empty()) continue;
       bool has_future = false;
       for (Vertex z : map_.sim(o)) {
         if (z >= b.progress && b.defl->is_dominating(z) &&
-            !b.overrides.contains(b.defl->image(z))) {
+            b.phi_new[b.defl->image(z)] == kInvalidNode) {
           has_future = true;
           break;
         }
@@ -286,15 +283,16 @@ std::uint64_t DexNetwork::process_build_vertex(Vertex x) {
   std::uint64_t max_route = 0;
 
   auto materialize = [&](Vertex y) {
-    NodeId tgt = o;
-    auto it = b.overrides.find(y);
-    if (it != b.overrides.end()) {
-      tgt = it->second;
-      DEX_ASSERT(b.claim_count[tgt] > 0);
-      --b.claim_count[tgt];
-      b.overrides.erase(it);
+    NodeId tgt = b.phi_new[y];
+    if (tgt == kInvalidNode) {
+      tgt = o;
+      b.phi_new[y] = o;
+    } else {
+      auto& cl = b.claims[tgt];
+      const auto it = std::find(cl.begin(), cl.end(), y);
+      DEX_ASSERT(it != cl.end());
+      cl.erase(it);
     }
-    b.phi_new[y] = tgt;
     b.new_sim[tgt].push_back(y);
     ++b.new_load[tgt];
     // Cycle edges: located via the old cycle's neighborhood, O(1) hops.
@@ -323,7 +321,6 @@ std::uint64_t DexNetwork::process_build_vertex(Vertex x) {
 
 void DexNetwork::finish_build_phase() {
   BuildState b = std::move(*build_);
-  DEX_ASSERT_MSG(b.overrides.empty(), "unconsumed claims at phase-1 end");
 
   VirtualMapping nm(b.p_new, alive_.size(), prm_.low_threshold());
   for (Vertex y = 0; y < b.p_new; ++y) {

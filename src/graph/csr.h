@@ -29,14 +29,14 @@
 /// The row contract: an alive node's row is its masked snapshot row as a
 /// multiset (self-loops and multi-edges kept), so its length is the snapshot
 /// degree. Row order is whatever the producer enumerated — Multigraph port
-/// order for build(), live_ports order for build_from_ports()/apply_delta()
-/// — and the two differ on most rows, so a view is patched only by the
-/// enumerator that built it (AdversaryView tracks this). Every consumer is
-/// row-order-independent, which keeps the switch out of the emitted bytes:
-/// the traffic layer's distances, path lengths, reach sums and sorted region
-/// sets; the strategies and survivors_connected, which only count; and
-/// spectral_gap/sweep_cut, whose matvec adds into each target in source-id
-/// order with one value per source, and whose sweep counts cut edges.
+/// order for build(), the PortsFn's order for build_from_ports() and
+/// apply_delta(), which must be the one that built the view. The run loop's
+/// view (AdversaryView) only ever uses HealingOverlay::live_ports. Every
+/// consumer is row-order-independent anyway: the traffic layer's distances,
+/// path lengths, reach sums and sorted region sets; the strategies and
+/// survivors_connected, which only count; and spectral_gap/sweep_cut, whose
+/// matvec adds into each target in source-id order with one value per
+/// source, and whose sweep counts cut edges.
 
 #include <cstdint>
 #include <functional>

@@ -100,35 +100,33 @@ class HealingOverlay {
   [[nodiscard]] virtual std::vector<bool> alive_mask() const = 0;
 
   /// The real topology as a multigraph over the full id capacity; combine
-  /// with alive_mask() for the graph algorithms. The run loop reads the
-  /// AdversaryView's CSR instead, built from here only without live_ports.
+  /// with alive_mask() for the graph algorithms. The run loop never reads
+  /// it (AdversaryView builds its CSR from live_ports); examples use it for
+  /// whole-graph measurements, and tests check live rows against it.
   [[nodiscard]] virtual graph::Multigraph snapshot() const = 0;
+
+  /// Fills `out` with the live neighbors of alive node `u`: its masked
+  /// snapshot() row as a multiset, in the overlay's own fixed order (which
+  /// may differ from Multigraph port order). Every backend enumerates every
+  /// row in every state, DEX's staggered windows included, and returns
+  /// true; the bool remains for existing overriders.
+  [[nodiscard]] virtual bool live_ports(NodeId u,
+                                        std::vector<NodeId>& out) const = 0;
 
   /// Load of a node: virtual vertices simulated for DEX, degree for the
   /// graph-maintained baselines.
   [[nodiscard]] virtual std::size_t load(NodeId u) const = 0;
 
-  /// Max degree in the real topology. Default prefers the live-ports
-  /// surface — one reused buffer, no Multigraph materialization — and only
-  /// falls back to a snapshot scan for overlays without it (the runner
-  /// calls this every step when ScenarioSpec::measure_degree is on).
-  /// live_ports row sizes equal snapshot degrees by contract, so the two
-  /// paths report the same number.
+  /// Max degree in the real topology: the longest live_ports row, whose
+  /// length is the snapshot degree by contract (the runner calls this every
+  /// step when ScenarioSpec::measure_degree is on).
   [[nodiscard]] virtual std::size_t max_degree() const {
     std::vector<NodeId> buf;
     std::size_t best = 0;
-    bool live = true;
     for (auto u : alive_nodes()) {
-      if (!live_ports(u, buf)) {
-        live = false;
-        break;
-      }
+      (void)live_ports(u, buf);
       best = std::max(best, buf.size());
     }
-    if (live) return best;
-    best = 0;
-    const auto g = snapshot();
-    for (auto u : alive_nodes()) best = std::max(best, g.degree(u));
     return best;
   }
 
@@ -165,22 +163,6 @@ class HealingOverlay {
   [[nodiscard]] virtual StepCost last_step_cost() const = 0;
 
   // ----- optional capabilities -----
-
-  /// Fills `out` with the live neighbors of alive node `u` in the overlay's
-  /// own canonical order and returns true, or returns false when the
-  /// backend has no cheap adjacency surface (callers then fall back to
-  /// snapshot()). The emitted multiset always equals the snapshot degree
-  /// convention; the *order* may differ from Multigraph port order, so a
-  /// CsrView must stick with whichever enumerator built it (AdversaryView
-  /// tracks this). May be temporarily unavailable — DexNetwork says no
-  /// during staggered rebuild windows — so the capability is per-call, not
-  /// per-type.
-  [[nodiscard]] virtual bool live_ports(NodeId u,
-                                        std::vector<NodeId>& out) const {
-    (void)u;
-    (void)out;
-    return false;
-  }
 
   /// Moves the ids touched since the previous drain into `out` and returns
   /// true; returns false when the backend keeps no journal (callers must
@@ -248,11 +230,11 @@ class HealingOverlay {
 
 /// The boilerplate every adapter shares: it owns the network object and
 /// forwards n()/alive()/alive_nodes()/alive_mask()/snapshot()/max_degree()/
-/// meter()/last_step_cost() to it. Small API differences between the
-/// networks are absorbed with `if constexpr` probes (XhealNetwork exposes
-/// the topology as graph() rather than a snapshot() copy; DexNetwork
-/// reports step cost through last_report()) so each concrete adapter
-/// overrides only its genuine behavior. All forwards stay virtual — an
+/// live_ports()/meter()/last_step_cost() to it. Small API differences
+/// between the networks are absorbed with `if constexpr` probes
+/// (XhealNetwork exposes the topology as graph() rather than a snapshot()
+/// copy; DexNetwork reports step cost through last_report()) so each
+/// concrete adapter overrides only its genuine behavior. All forwards stay virtual — an
 /// adapter can still specialize any of them (e.g. XhealOverlay's
 /// allocation-free max_degree()).
 template <typename Net>
@@ -293,11 +275,7 @@ class OverlayAdapter : public HealingOverlay {
 
   [[nodiscard]] bool live_ports(NodeId u,
                                 std::vector<NodeId>& out) const override {
-    if constexpr (requires(const Net& n) { n.live_ports(u, out); }) {
-      return net_.live_ports(u, out);
-    } else {
-      return false;
-    }
+    return net_.live_ports(u, out);
   }
 
   /// Generic journal plumbing: networks that accept a set_view_journal

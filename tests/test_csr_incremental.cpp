@@ -74,65 +74,51 @@ dex::sim::ChurnBatch swinging_batch(const dex::sim::HealingOverlay& overlay,
   return batch;
 }
 
-/// True when the overlay's live-ports surface is currently available
-/// (per-call capability: DEX withdraws it during staggered windows).
-bool live_available(const dex::sim::HealingOverlay& overlay,
-                    std::vector<NodeId>& buf) {
-  const auto alive = overlay.alive_nodes();
-  return !alive.empty() && overlay.live_ports(alive.front(), buf);
-}
-
 class IncrementalCsr : public ::testing::TestWithParam<std::string> {};
 
 // The tentpole property: drain + patch == rebuild, after every one of a
 // few hundred randomized batch steps. The maintenance loop below is the
-// same decision procedure AdversaryView::advance runs (patch only a
-// ports-canonical view with a precise delta; anything else rebuilds), so a
-// divergence here is a journal hole or a patcher bug, not test drift.
+// same decision procedure AdversaryView::advance runs (patch a standing
+// view with a precise delta; anything else rebuilds), so a divergence here
+// is a journal hole or a patcher bug, not test drift.
 TEST_P(IncrementalCsr, PatchedViewMatchesRebuildUnderRandomChurn) {
   const std::string backend = GetParam();
   auto overlay = dex::sim::make_overlay(backend, 48, /*seed=*/7);
   ASSERT_NE(overlay, nullptr);
   dex::support::Rng rng(0xC5Full);
 
-  std::vector<NodeId> probe;
   CsrView view;
   bool valid = false;
-  bool canonical = false;  // rows in live_ports order (patchable)?
   const CsrView::PortsFn ports = [&](NodeId u, std::vector<NodeId>& out) {
-    ASSERT_TRUE(overlay->live_ports(u, out))
-        << "live_ports withdrawn while a canonical view depends on it";
+    ASSERT_TRUE(overlay->live_ports(u, out));
   };
 
   ViewDelta delta;
+  std::vector<NodeId> row;
   std::size_t patched_steps = 0;
   bool journaled = false;
   for (int t = 0; t < 240; ++t) {
     overlay->apply(random_batch(*overlay, rng));
+    // live_ports is total: every alive row, after every step, in every
+    // state (DEX's staggered windows and flooding included).
+    for (const NodeId u : overlay->alive_nodes()) {
+      ASSERT_TRUE(overlay->live_ports(u, row))
+          << backend << " step " << t << " node " << u;
+    }
 
     delta.clear();
     const bool drained = overlay->drain_view_delta(delta);
     journaled = journaled || drained;
-    const bool live = live_available(*overlay, probe);
-    if (drained && !delta.full && valid && canonical && live) {
+    if (drained && !delta.full && valid) {
       if (!delta.empty()) view.apply_delta(delta, ports);
       ++patched_steps;
-    } else if (live) {
+    } else {
       view.build_from_ports(overlay->alive_mask(), ports);
       valid = true;
-      canonical = true;
-    } else {
-      view.build(overlay->snapshot(), overlay->alive_mask());
-      valid = true;
-      canonical = false;
     }
 
     CsrView ref;
-    if (canonical) {
-      ref.build_from_ports(overlay->alive_mask(), ports);
-    } else {
-      ref.build(overlay->snapshot(), overlay->alive_mask());
-    }
+    ref.build_from_ports(overlay->alive_mask(), ports);
     ASSERT_TRUE(view.equal_to(ref))
         << backend << " diverged from a fresh rebuild at step " << t;
   }
@@ -150,11 +136,12 @@ TEST_P(IncrementalCsr, PatchedViewMatchesRebuildUnderRandomChurn) {
 }
 
 // The row contract (graph/csr.h) on the view the strategies read: after
-// every randomized batch step, each alive row of AdversaryView's CSR — patched,
-// rebuilt from live_ports, or built from the snapshot inside a staggered
-// window — has the snapshot degree as its length and, sorted, equals the
-// sorted masked snapshot row. Row order is deliberately left unchecked:
-// it differs between the two enumerators, and no consumer may depend on it.
+// every randomized batch step, each alive row of AdversaryView's CSR —
+// patched or rebuilt from live_ports, inside a staggered window or not —
+// and each live_ports row itself has the snapshot degree as its length
+// and, sorted, equals the sorted masked snapshot row. Row order is
+// deliberately left unchecked: it differs from Multigraph port order, and
+// no consumer may depend on it.
 TEST_P(IncrementalCsr, RowsEqualMaskedSnapshotRowsAsMultisets) {
   const std::string backend = GetParam();
   auto overlay = dex::sim::make_overlay(backend, 48, /*seed=*/11);
@@ -164,7 +151,12 @@ TEST_P(IncrementalCsr, RowsEqualMaskedSnapshotRowsAsMultisets) {
   dex::adversary::AdversaryView view(*overlay);
   dex::support::Rng rng(0x5EEDull);
 
-  std::size_t staggered_steps = 0;
+  // A staggered step is in Phase 1 (building the next cycle) until the
+  // swap bumps cycle_epoch(), and in Phase 2 (tearing the old one down)
+  // after it.
+  std::size_t build_steps = 0;
+  std::size_t teardown_steps = 0;
+  std::uint64_t calm_epoch = 0;
   std::size_t type2_steps = 0;
   std::vector<NodeId> want;
   std::vector<NodeId> got;
@@ -172,8 +164,16 @@ TEST_P(IncrementalCsr, RowsEqualMaskedSnapshotRowsAsMultisets) {
     const auto out = overlay->apply(swinging_batch(*overlay, rng, t));
     view.advance();
     if (out.used_type2) ++type2_steps;
-    if (dex_overlay != nullptr && dex_overlay->net().staggered_active())
-      ++staggered_steps;
+    if (dex_overlay != nullptr) {
+      const auto& net = dex_overlay->net();
+      if (!net.staggered_active()) {
+        calm_epoch = net.cycle_epoch();
+      } else if (net.cycle_epoch() == calm_epoch) {
+        ++build_steps;
+      } else {
+        ++teardown_steps;
+      }
+    }
 
     const CsrView& live = view.live_csr();
     const auto g = overlay->snapshot();
@@ -186,23 +186,29 @@ TEST_P(IncrementalCsr, RowsEqualMaskedSnapshotRowsAsMultisets) {
       for (NodeId v : g.ports(u)) {
         if (mask[v]) want.push_back(v);
       }
+      std::sort(want.begin(), want.end());
       const auto row = live.neighbors(u);
       got.assign(row.begin(), row.end());
       ASSERT_EQ(got.size(), g.degree(u))
           << backend << " step " << t << " node " << u;
-      std::sort(want.begin(), want.end());
       std::sort(got.begin(), got.end());
       ASSERT_EQ(got, want) << backend << " step " << t << " node " << u;
+      ASSERT_TRUE(overlay->live_ports(u, got));
+      std::sort(got.begin(), got.end());
+      ASSERT_EQ(got, want) << backend << " live_ports, step " << t
+                           << " node " << u;
     }
   }
-  // The swings must reach the two DEX paths that leave the patcher: the
-  // type-2 rebuild (a full delta) and, in worst-case mode, the staggered
-  // window (no live_ports, so the CSR is built from the snapshot).
+  // The swings must reach the DEX paths that leave the patcher: the type-2
+  // rebuild (a full delta) and, in worst-case mode, both phases of the
+  // staggered window (full deltas; in Phase 1 live_ports adds the reverse
+  // ports of unprocessed future vertices).
   if (dex_overlay != nullptr) {
     EXPECT_GT(type2_steps, 0u) << backend;
   }
   if (backend == "dex-worstcase") {
-    EXPECT_GT(staggered_steps, 0u);
+    EXPECT_GT(build_steps, 0u);
+    EXPECT_GT(teardown_steps, 0u);
   }
 }
 

@@ -208,7 +208,8 @@ TEST(ScenarioRunner, ScriptedStrategyReplaysExactly) {
 namespace {
 
 /// Counts materializations to prove AdversaryView coalesces repeated view
-/// queries within a step. A triangle whose nodes can only leave.
+/// queries within a step and builds its CSR from live_ports alone. A
+/// triangle whose nodes can only leave.
 class CountingOverlay final : public sim::HealingOverlay {
  public:
   const char* name() const override { return "counting"; }
@@ -239,6 +240,15 @@ class CountingOverlay final : public sim::HealingOverlay {
     g.add_edge(2, 0);
     return g;
   }
+  bool live_ports(sim::NodeId u,
+                  std::vector<sim::NodeId>& out) const override {
+    ++ports_calls;
+    out.clear();
+    for (sim::NodeId v = 0; v < 3; ++v) {
+      if (v != u && alive_[v]) out.push_back(v);
+    }
+    return true;
+  }
   std::size_t load(sim::NodeId) const override { return 2; }
   const sim::CostMeter& meter() const override { return meter_; }
   sim::StepCost last_step_cost() const override { return {}; }
@@ -246,6 +256,7 @@ class CountingOverlay final : public sim::HealingOverlay {
   mutable std::size_t nodes_calls = 0;
   mutable std::size_t mask_calls = 0;
   mutable std::size_t snapshot_calls = 0;
+  mutable std::size_t ports_calls = 0;
 
  private:
   std::vector<bool> alive_{true, true, true};
@@ -264,19 +275,23 @@ TEST(AdversaryView, MaterializesEachComponentOncePerStep) {
     (void)view.live_csr();
   }
   EXPECT_EQ(nodes, (std::vector<sim::NodeId>{0, 1, 2}));
-  // No live_ports() here, so the CSR is built from one snapshot and mask.
+  // One CSR build: one mask and one live_ports row per alive node. The
+  // overlay keeps no journal, so every step rebuilds.
   EXPECT_EQ(overlay.nodes_calls, 1u);
-  EXPECT_EQ(overlay.snapshot_calls, 1u);
   EXPECT_EQ(overlay.mask_calls, 1u);
+  EXPECT_EQ(overlay.ports_calls, 3u);
+  EXPECT_EQ(view.live_csr().neighbors(0).size(), 2u);
   overlay.remove(1);
   view.advance();
   EXPECT_EQ(view.alive_nodes(), (std::vector<sim::NodeId>{0, 2}));
   EXPECT_EQ(view.n(), 2u);
   EXPECT_EQ(overlay.nodes_calls, 2u);
-  EXPECT_EQ(overlay.snapshot_calls, 1u);  // not queried since advance
+  EXPECT_EQ(overlay.mask_calls, 1u);  // not queried since advance
   EXPECT_FALSE(view.live_csr().alive(1));
-  EXPECT_EQ(overlay.snapshot_calls, 2u);
+  EXPECT_EQ(view.live_csr().neighbors(0).size(), 1u);
   EXPECT_EQ(overlay.mask_calls, 2u);
+  EXPECT_EQ(overlay.ports_calls, 5u);
+  EXPECT_EQ(overlay.snapshot_calls, 0u);
 }
 
 // ------------------------------------------------------------ factories

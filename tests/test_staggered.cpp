@@ -2,9 +2,13 @@
 // Drives the network across inflation and deflation boundaries with churn
 // *during* the staggered phases, auditing invariants at every step:
 // connectivity, bounded loads (≤ 8ζ total mid-rebuild), coordinator counter
-// exactness, and per-step costs that never spike to Θ(n).
+// exactness, per-step costs that never spike to Θ(n), and live_ports rows
+// that match the snapshot inside every rebuild window.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "dex/network.h"
 #include "graph/bfs.h"
@@ -24,6 +28,28 @@ Params worst_case(std::uint64_t seed) {
   return p;
 }
 
+/// graph/csr.h's row contract inside a window: each alive node's live_ports
+/// row, sorted, equals its sorted masked snapshot row. In Phase 1 that needs
+/// the reverse ports of its unprocessed future vertices, claims included.
+void expect_rows_match_snapshot(const DexNetwork& net) {
+  if (!net.staggered_active()) return;
+  const auto g = net.snapshot();
+  const auto mask = net.alive_mask();
+  std::vector<NodeId> want;
+  std::vector<NodeId> got;
+  for (NodeId u = 0; u < mask.size(); ++u) {
+    if (!mask[u]) continue;
+    want.clear();
+    for (NodeId v : g.ports(u)) {
+      if (mask[v]) want.push_back(v);
+    }
+    ASSERT_TRUE(net.live_ports(u, got));
+    std::sort(want.begin(), want.end());
+    std::sort(got.begin(), got.end());
+    ASSERT_EQ(got, want) << "node " << u;
+  }
+}
+
 /// Insert until at least one inflation has started and completed.
 void drive_through_inflation(DexNetwork& net, dex::support::Rng& rng,
                              std::size_t max_steps = 20000) {
@@ -34,6 +60,7 @@ void drive_through_inflation(DexNetwork& net, dex::support::Rng& rng,
     const auto nodes = net.alive_nodes();
     net.insert(nodes[rng.below(nodes.size())]);
     net.check_invariants();
+    expect_rows_match_snapshot(net);
   }
   ASSERT_LT(steps, max_steps) << "inflation never completed";
 }
@@ -51,6 +78,7 @@ void drive_through_deflation(DexNetwork& net, dex::support::Rng& rng,
       net.insert(nodes[rng.below(nodes.size())]);
     }
     net.check_invariants();
+    expect_rows_match_snapshot(net);
   }
   ASSERT_LT(steps, max_steps) << "deflation never completed";
 }
@@ -128,10 +156,36 @@ TEST(Staggered, MixedChurnDuringInflationKeepsInvariants) {
       net.insert(nodes[rng.below(nodes.size())]);
     }
     net.check_invariants();
+    expect_rows_match_snapshot(net);
     ++mixed;
   }
   EXPECT_FALSE(net.staggered_active());
   EXPECT_TRUE(dex::graph::is_connected(net.snapshot(), net.alive_mask()));
+}
+
+TEST(Staggered, LiveRowsMatchSnapshotUnderInsertsDuringDeflation) {
+  // At n ≈ 300 a phase spans several steps, so newcomers arrive mid-build;
+  // a newcomer without a future vertex claims one (Algorithm 4.9 line 4),
+  // and its live_ports row must then carry that claim's reverse ports.
+  DexNetwork net(300, worst_case(32));
+  dex::support::Rng rng(110);
+  drive_through_inflation(net, rng);
+  const auto target = net.deflation_count() + 1;
+  for (int t = 0; t < 20000 && (net.deflation_count() < target ||
+                                net.staggered_active());
+       ++t) {
+    const auto nodes = net.alive_nodes();
+    const double insert_prob = net.staggered_active() ? 0.7 : 0.05;
+    if (rng.chance(insert_prob)) {
+      net.insert(nodes[rng.below(nodes.size())]);
+    } else {
+      net.remove(nodes[rng.below(nodes.size())]);
+    }
+    net.check_invariants();
+    expect_rows_match_snapshot(net);
+  }
+  EXPECT_EQ(net.deflation_count(), target);
+  EXPECT_FALSE(net.staggered_active());
 }
 
 TEST(Staggered, CoordinatorDeletionDuringRebuild) {
@@ -147,6 +201,7 @@ TEST(Staggered, CoordinatorDeletionDuringRebuild) {
     net.remove(net.coordinator());
     net.insert(net.alive_nodes().front());
     net.check_invariants();
+    expect_rows_match_snapshot(net);
     ++kills;
   }
   EXPECT_GT(kills, 0);

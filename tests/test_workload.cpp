@@ -83,6 +83,13 @@ class BrittleOverlay final : public sim::HealingOverlay {
     return alive_;
   }
   [[nodiscard]] graph::Multigraph snapshot() const override { return g_; }
+  /// isolate() drops every port to a victim, so each row is already live.
+  [[nodiscard]] bool live_ports(NodeId u,
+                                std::vector<NodeId>& out) const override {
+    const auto ports = g_.ports(u);
+    out.assign(ports.begin(), ports.end());
+    return true;
+  }
   [[nodiscard]] std::size_t load(NodeId u) const override {
     return g_.degree(u);
   }
