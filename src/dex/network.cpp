@@ -77,17 +77,6 @@ graph::Multigraph DexNetwork::snapshot() const {
   return g;
 }
 
-std::size_t DexNetwork::max_degree() const {
-  std::vector<std::uint64_t> ports;
-  std::size_t best = 0;
-  for (NodeId u = 0; u < alive_.size(); ++u) {
-    if (!alive_[u]) continue;
-    ports_of(u, ports);
-    best = std::max(best, ports.size());
-  }
-  return best;
-}
-
 bool DexNetwork::live_ports(NodeId u, std::vector<NodeId>& out) const {
   out.clear();
   append_ports(u, out);

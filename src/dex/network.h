@@ -126,12 +126,6 @@ class DexNetwork {
   /// use alive_mask() with the graph algorithms.
   [[nodiscard]] graph::Multigraph snapshot() const;
 
-  /// Max real degree over alive nodes, via ports_of with one reused buffer
-  /// — O(n·ζ) and allocation-light, unlike deriving it from snapshot()
-  /// (which materializes the whole multigraph). Matches snapshot()'s degree
-  /// convention exactly.
-  [[nodiscard]] std::size_t max_degree() const;
-
   [[nodiscard]] const sim::CostMeter& meter() const { return meter_; }
   [[nodiscard]] const StepReport& last_report() const { return report_; }
 

@@ -179,9 +179,11 @@ TEST_P(IncrementalCsr, RowsEqualMaskedSnapshotRowsAsMultisets) {
     const auto g = overlay->snapshot();
     const auto mask = overlay->alive_mask();
     ASSERT_EQ(live.alive_count(), overlay->n()) << backend << " step " << t;
+    std::size_t max_degree = 0;
     for (NodeId u = 0; u < mask.size(); ++u) {
       ASSERT_EQ(live.alive(u), mask[u]) << backend << " step " << t;
       if (!mask[u]) continue;
+      max_degree = std::max(max_degree, g.degree(u));
       want.clear();
       for (NodeId v : g.ports(u)) {
         if (mask[v]) want.push_back(v);
@@ -198,6 +200,7 @@ TEST_P(IncrementalCsr, RowsEqualMaskedSnapshotRowsAsMultisets) {
       ASSERT_EQ(got, want) << backend << " live_ports, step " << t
                            << " node " << u;
     }
+    ASSERT_EQ(overlay->max_degree(), max_degree) << backend << " step " << t;
   }
   // The swings must reach the DEX paths that leave the patcher: the type-2
   // rebuild (a full delta) and, in worst-case mode, both phases of the
