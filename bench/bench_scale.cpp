@@ -27,7 +27,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -37,6 +36,7 @@
 #include "metrics/table.h"
 #include "sim/experiment.h"
 #include "sim/sinks.h"
+#include "support/parse.h"
 
 using namespace dex;
 using Clock = std::chrono::steady_clock;
@@ -113,8 +113,7 @@ void emit_phase_row(std::ofstream& json, const char* backend, std::size_t n,
 
 int main(int argc, char** argv) {
   const std::size_t max_n =
-      argc > 1 ? static_cast<std::size_t>(std::strtoull(argv[1], nullptr, 10))
-               : 1000000;
+      dex::support::positional_u64(argc, argv, 1, 1000000);
   const std::string json_path = argc > 2 ? argv[2] : "BENCH_scale.json";
   if (max_n < 2000) {
     std::fprintf(stderr, "bench_scale: max_n must be >= 2000\n");

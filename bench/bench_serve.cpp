@@ -25,7 +25,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -34,6 +33,7 @@
 #include "metrics/table.h"
 #include "sim/experiment.h"
 #include "sim/scenario.h"
+#include "support/parse.h"
 
 using namespace dex;
 using Clock = std::chrono::steady_clock;
@@ -108,9 +108,7 @@ void emit_curve_row(std::ofstream& json, const char* cell,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t n0 =
-      argc > 1 ? static_cast<std::size_t>(std::strtoull(argv[1], nullptr, 10))
-               : 10000;
+  const std::size_t n0 = dex::support::positional_u64(argc, argv, 1, 10000);
   const std::string json_path = argc > 2 ? argv[2] : "BENCH_serve.json";
   if (n0 < 100) {
     std::fprintf(stderr, "bench_serve: n0 must be >= 100\n");

@@ -7,11 +7,11 @@
 //   $ ./adversary_attack [deletions=120] [seed=5]
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "graph/spectral.h"
 #include "sim/overlay.h"
 #include "sim/scenario.h"
+#include "support/parse.h"
 
 namespace sim = dex::sim;
 
@@ -47,9 +47,8 @@ void duel(sim::HealingOverlay& overlay, std::size_t deletions,
 
 int main(int argc, char** argv) {
   const std::size_t deletions =
-      argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 120;
-  const std::uint64_t seed =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 5;
+      dex::support::positional_u64(argc, argv, 1, 120);
+  const std::uint64_t seed = dex::support::positional_u64(argc, argv, 2, 5);
   const std::size_t n0 = 200;
 
   std::printf("target: union of 2 random Hamiltonian cycles (Law-Siu)\n");

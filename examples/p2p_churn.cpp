@@ -11,19 +11,17 @@
 //   $ ./p2p_churn [phases=6] [seed=42]
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "graph/bfs.h"
 #include "graph/spectral.h"
 #include "metrics/table.h"
 #include "sim/overlay.h"
 #include "sim/scenario.h"
+#include "support/parse.h"
 
 int main(int argc, char** argv) {
-  const std::size_t phases =
-      argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 6;
-  const std::uint64_t seed =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 42;
+  const std::size_t phases = dex::support::positional_u64(argc, argv, 1, 6);
+  const std::uint64_t seed = dex::support::positional_u64(argc, argv, 2, 42);
 
   dex::Params prm;
   prm.seed = seed;

@@ -5,18 +5,16 @@
 //   $ ./quickstart [steps=2000] [seed=7]
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "adversary/adversary.h"
 #include "graph/spectral.h"
 #include "metrics/stats.h"
 #include "sim/scenario.h"
+#include "support/parse.h"
 
 int main(int argc, char** argv) {
-  const std::size_t steps = argc > 1 ? std::strtoul(argv[1], nullptr, 10)
-                                     : 2000;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                                      : 7;
+  const std::size_t steps = dex::support::positional_u64(argc, argv, 1, 2000);
+  const std::uint64_t seed = dex::support::positional_u64(argc, argv, 2, 7);
 
   dex::Params params;
   params.seed = seed;

@@ -6,10 +6,10 @@
 //   $ ./visualize_mapping 7 10 2 | dot -Tsvg > mapping.svg   # with graphviz
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 
 #include "dex/network.h"
+#include "support/parse.h"
 #include "support/prng.h"
 
 namespace {
@@ -49,11 +49,9 @@ void print_dot(const dex::DexNetwork& net) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t n0 = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 7;
-  const std::size_t churn =
-      argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 10;
-  const std::uint64_t seed =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 2;
+  const std::size_t n0 = dex::support::positional_u64(argc, argv, 1, 7);
+  const std::size_t churn = dex::support::positional_u64(argc, argv, 2, 10);
+  const std::uint64_t seed = dex::support::positional_u64(argc, argv, 3, 2);
 
   dex::Params prm;
   prm.seed = seed;

@@ -7,6 +7,8 @@
 
 #include <cctype>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -39,6 +41,20 @@ inline double parse_double(const std::string& v) try {
   return out;
 } catch (const std::exception&) {  // invalid_argument or out_of_range
   throw std::invalid_argument("expected a number, got '" + v + "'");
+}
+
+/// Positional argument `i` of a driver program (examples, benches) parsed
+/// by parse_u64, or `fallback` when there are fewer arguments. A malformed
+/// value prints "<program>: argument <i>: <message>" and exits 2.
+inline std::uint64_t positional_u64(int argc, char** argv, int i,
+                                    std::uint64_t fallback) {
+  if (argc <= i) return fallback;
+  try {
+    return parse_u64(argv[i]);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: argument %d: %s\n", argv[0], i, e.what());
+    std::exit(2);
+  }
 }
 
 }  // namespace dex::support

@@ -4,14 +4,17 @@
 # stdout — a typo'd sweep should die before it burns an hour, and exit
 # codes must be scriptable (0 ok / 2 usage). The same holds for the case
 # lines scenario_fuzzer replays, which pass through the same plan check
-# (ExperimentPlan::validate). Run with the CLI binary as $1 and the fuzzer
-# binary as $2 (CMake passes $<TARGET_FILE:dex_sim_cli> and
-# $<TARGET_FILE:scenario_fuzzer>).
+# (ExperimentPlan::validate), and for the positional arguments of the
+# example drivers (support::positional_u64). Run with the CLI binary as $1,
+# the fuzzer binary as $2 and the quickstart example as $3 (CMake passes
+# $<TARGET_FILE:dex_sim_cli>, $<TARGET_FILE:scenario_fuzzer> and
+# $<TARGET_FILE:quickstart>).
 set -u
 
-usage="usage: test_cli_validation.sh <dex_sim_cli> <scenario_fuzzer>"
+usage="usage: test_cli_validation.sh <dex_sim_cli> <scenario_fuzzer> <quickstart>"
 cli="${1:?$usage}"
 fuzzer="${2:?$usage}"
+quickstart="${3:?$usage}"
 failures=0
 
 # reject_with <binary> <fragment-expected-in-stderr> <arg...>
@@ -167,6 +170,14 @@ expect_fuzz_reject "line 1: unknown workload 'bogus'" \
 expect_fuzz_reject "line 1: bad value for 'n0'" --case "${good/n0=32/n0=32x}"
 expect_fuzz_reject "line 1: bad value for 'seed'" --case "${good/seed=7/seed=-1}"
 
+# --replay numbers lines as the file does: comments and blank lines count,
+# so the message names the line to edit.
+corpus="$(mktemp)"
+printf '# a comment\n\n%s\n' "${good/backend=dex-worstcase/backend=nope}" \
+  >"$corpus"
+expect_fuzz_reject "line 3: unknown backend 'nope'" --replay "$corpus"
+rm -f "$corpus"
+
 # Positive control: the well-formed line replays clean.
 if ! fuzz_out="$("$fuzzer" --case "$good" 2>/dev/null)" ||
     [[ "$fuzz_out" != "ok $good" ]]; then
@@ -175,6 +186,11 @@ if ! fuzz_out="$("$fuzzer" --case "$good" 2>/dev/null)" ||
 else
   echo "ok   [control] well-formed fuzzer case replays clean"
 fi
+
+# Example drivers parse positional arguments strictly: trailing garbage or
+# a non-number exits 2 instead of running as if the argument were 0.
+reject_with "$quickstart" "argument 2: expected a non-negative integer, got 'abc'" 10 abc
+reject_with "$quickstart" "argument 1: expected a non-negative integer, got '-5'" -5
 
 rm -f /tmp/cli_validation_err
 if [[ $failures -ne 0 ]]; then

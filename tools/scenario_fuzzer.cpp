@@ -39,6 +39,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adversary/campaign.h"
@@ -629,8 +630,10 @@ int main(int argc, char** argv) {
 
   // Replay modes: corpus file or a single case line.
   if (!replay_path.empty() || !case_line.empty()) {
-    std::vector<std::string> lines;
-    if (!case_line.empty()) lines.push_back(case_line);
+    // Each case line with its line number in the file (--case is line 1),
+    // so a message points at the line to edit.
+    std::vector<std::pair<std::size_t, std::string>> lines;
+    if (!case_line.empty()) lines.emplace_back(1, case_line);
     if (!replay_path.empty()) {
       std::ifstream in(replay_path);
       if (!in) {
@@ -638,23 +641,22 @@ int main(int argc, char** argv) {
         return 2;
       }
       std::string line;
-      while (std::getline(in, line)) {
+      for (std::size_t number = 1; std::getline(in, line); ++number) {
         if (!line.empty() && line.back() == '\r') line.pop_back();
         if (line.empty() || line[0] == '#') continue;
         if (line.rfind("ok ", 0) == 0) line = line.substr(3);
-        lines.push_back(line);
+        lines.emplace_back(number, line);
       }
     }
     // Every line is parsed and validated before the first case runs, so a
     // bad line costs no simulation and prints nothing on stdout.
     std::vector<FuzzCase> cases;
-    for (const auto& line : lines) {
+    for (const auto& [number, line] : lines) {
       std::string error;
       auto c = from_line(line, &error);
       if (c && !to_plan(*c, &error)) c.reset();
       if (!c) {
-        std::fprintf(stderr, "line %zu: %s\n", cases.size() + 1,
-                     error.c_str());
+        std::fprintf(stderr, "line %zu: %s\n", number, error.c_str());
         return 2;
       }
       cases.push_back(*c);
