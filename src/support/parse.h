@@ -43,8 +43,8 @@ inline double parse_double(const std::string& v) try {
   throw std::invalid_argument("expected a number, got '" + v + "'");
 }
 
-/// Positional argument `i` of a driver program (examples, benches) parsed
-/// by parse_u64, or `fallback` when there are fewer arguments. A malformed
+/// Positional argument `i` of an example or bench program, parsed by
+/// parse_u64, or `fallback` when there are fewer arguments. A malformed
 /// value prints "<program>: argument <i>: <message>" and exits 2.
 inline std::uint64_t positional_u64(int argc, char** argv, int i,
                                     std::uint64_t fallback) {

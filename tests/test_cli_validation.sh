@@ -5,7 +5,7 @@
 # codes must be scriptable (0 ok / 2 usage). The same holds for the case
 # lines scenario_fuzzer replays, which pass through the same plan check
 # (ExperimentPlan::validate), and for the positional arguments of the
-# example drivers (support::positional_u64). Run with the CLI binary as $1,
+# example programs (support::positional_u64). Run with the CLI binary as $1,
 # the fuzzer binary as $2 and the quickstart example as $3 (CMake passes
 # $<TARGET_FILE:dex_sim_cli>, $<TARGET_FILE:scenario_fuzzer> and
 # $<TARGET_FILE:quickstart>).
@@ -187,7 +187,7 @@ else
   echo "ok   [control] well-formed fuzzer case replays clean"
 fi
 
-# Example drivers parse positional arguments strictly: trailing garbage or
+# Example programs parse positional arguments strictly: trailing garbage or
 # a non-number exits 2 instead of running as if the argument were 0.
 reject_with "$quickstart" "argument 2: expected a non-negative integer, got 'abc'" 10 abc
 reject_with "$quickstart" "argument 1: expected a non-negative integer, got '-5'" -5
