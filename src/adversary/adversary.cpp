@@ -64,7 +64,12 @@ void push_capped_attaches(const AdversaryView& view, support::Rng& rng,
 // ----------------------------------------------------------- AdversaryView
 
 AdversaryView::AdversaryView(const sim::HealingOverlay& overlay)
-    : overlay_(overlay), removal_oracle_(overlay.has_removal_oracle()) {}
+    : overlay_(overlay), removal_oracle_(overlay.has_removal_oracle()) {
+  // Start the journal now: its first drain reports "full", and draining it
+  // here rather than in the first advance() lets that advance patch the
+  // CSR the first step built instead of discarding it.
+  (void)overlay_.drain_view_delta(delta_);
+}
 
 std::size_t AdversaryView::n() const { return overlay_.n(); }
 
@@ -134,11 +139,14 @@ std::vector<NodeId> sample_safe_victims(const graph::CsrView& g,
                                         std::size_t want) {
   std::vector<NodeId> victims;
   if (want == 0) return victims;
-  std::vector<bool> blocked(g.node_count(), false);
-  std::vector<std::uint32_t> lost(g.node_count(), 0);
+  // The ids the draw touches, at most want·(degree + 1) of them: a chosen
+  // victim maps to 0, a neighbor of victims to the ports it lost to them.
+  // Either is blocked from becoming a victim. Only looked up, never
+  // iterated, so hash order cannot reach the output.
+  std::unordered_map<NodeId, std::uint32_t> lost;
   for (NodeId v : order) {
     if (victims.size() >= want) break;
-    if (!g.alive(v) || blocked[v]) continue;
+    if (!g.alive(v) || lost.contains(v)) continue;
     // Victims are kept pairwise non-adjacent (neighbors get blocked), so a
     // chosen victim's neighbors all survive — which already gives it a
     // surviving neighbor, provided it has a non-self neighbor at all.
@@ -153,22 +161,18 @@ std::vector<NodeId> sample_safe_victims(const graph::CsrView& g,
       const auto row = g.neighbors(w);
       const auto to_v =
           static_cast<std::size_t>(std::count(row.begin(), row.end(), v));
-      ok = row.size() > lost[w] + to_v;
+      const auto it = lost.find(w);
+      ok = row.size() > (it == lost.end() ? 0 : it->second) + to_v;
     }
     if (!ok) continue;
     victims.push_back(v);
-    blocked[v] = true;
+    lost.try_emplace(v, 0);
     for (NodeId w : ports) {
-      if (w == v) continue;
-      blocked[w] = true;
-      ++lost[w];
+      if (w != v) ++lost[w];
     }
   }
   // Trim until the survivors are connected (rarely needed on expanders).
-  std::vector<bool> removed(g.node_count(), false);
-  for (NodeId v : victims) removed[v] = true;
-  while (!victims.empty() && !graph::survivors_connected(g, removed)) {
-    removed[victims.back()] = false;
+  while (!victims.empty() && !graph::survivors_connected(g, victims)) {
     victims.pop_back();
   }
   return victims;

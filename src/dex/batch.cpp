@@ -54,9 +54,7 @@ const char* precondition_violation(const DexNetwork& net,
       });
       live = &local;
     }
-    std::vector<bool> removed(live->node_count(), false);
-    for (NodeId v : req.deletions) removed[v] = true;
-    if (!graph::survivors_connected(*live, removed))
+    if (!graph::survivors_connected(*live, req.deletions))
       return "deletions would disconnect the network";
   }
   return nullptr;

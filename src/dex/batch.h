@@ -46,12 +46,15 @@ struct BatchResult {
 
 /// Applies one batch step. Aborts (DEX_ASSERT) if the request violates the
 /// model's preconditions. `prevalidated = true` skips the precondition
-/// re-check (connectivity BFS) — pass it only when batch_feasible() was
-/// just consulted on the unchanged network, as DexOverlay::apply does.
+/// re-check (connectivity included) — pass it only when batch_feasible()
+/// was just consulted on the unchanged network, as DexOverlay::apply does.
 /// `live` optionally points at a caller-maintained current CSR of the live
 /// topology (see HealingOverlay::set_live_view_provider); the connectivity
-/// precondition (graph::survivors_connected) then runs on it instead of on
-/// a CSR built locally from live_ports.
+/// precondition (graph::survivors_connected with the victim ids) then runs
+/// on it instead of on a CSR built locally from live_ports. The run loop's
+/// view is usually certified connected by the draw's own check, so the
+/// preflight grows balls only from the victims' neighbors: its cost follows
+/// the batch, not n. A locally built CSR always pays a full BFS.
 BatchResult apply_batch(DexNetwork& net, const BatchRequest& req,
                         bool prevalidated = false,
                         const graph::CsrView* live = nullptr);

@@ -1,6 +1,8 @@
 #include "graph/csr.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <functional>
 
 #include "graph/bfs.h"
 #include "support/assert.h"
@@ -45,6 +47,7 @@ void CsrView::build(const Multigraph& g, const std::vector<bool>& alive) {
   stamp_.assign(n, 0);
   epoch_ = 0;
   built_ = true;
+  drop_certificate();
 }
 
 void CsrView::build_from_ports(const std::vector<bool>& alive,
@@ -70,6 +73,13 @@ void CsrView::build_from_ports(const std::vector<bool>& alive,
   stamp_.assign(n, 0);
   epoch_ = 0;
   built_ = true;
+  drop_certificate();
+}
+
+void CsrView::drop_certificate() const {
+  certified_ = false;
+  anchor_ = kInvalidNode;
+  pending_.clear();
 }
 
 void CsrView::ensure_capacity(NodeId id) {
@@ -152,9 +162,13 @@ void CsrView::apply_delta(const ViewDelta& d, const PortsFn& ports) {
     if (stamp_[u] == epoch_) return;
     stamp_[u] = epoch_;
     rewrite_row(u, ports);
+    if (certified_) pending_.push_back(u);
   };
   for (const NodeId u : touch_scratch_) touch(u);
   for (const NodeId u : d.dirty) touch(u);
+  // Past alive_count() pending sources the local check would cost as much
+  // as the full BFS it replaces.
+  if (pending_.size() > alive_count_) drop_certificate();
 
   // Compact once the abandoned slack dominates the live payload; the
   // threshold keeps tiny views from compacting on every step.
@@ -195,29 +209,189 @@ void csr_bfs_fill(const CsrView& g, NodeId src, std::vector<std::uint32_t>& dist
   }
 }
 
-bool survivors_connected(const CsrView& g, const std::vector<bool>& removed) {
-  const auto kept = [&](NodeId u) {
-    return g.alive(u) && (u >= removed.size() || !removed[u]);
-  };
-  NodeId start = kInvalidNode;
-  std::size_t survivors = 0;
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    if (!kept(u)) continue;
-    if (start == kInvalidNode) start = u;
-    ++survivors;
+namespace {
+
+/// QueryMark label of a removed id (ball indices stay far below it).
+constexpr std::uint32_t kRemoved = ~std::uint32_t{0};
+/// End of a ball's queue in CsrView::next_.
+constexpr std::uint32_t kNoNext = ~std::uint32_t{0};
+
+}  // namespace
+
+std::size_t CsrView::begin_query(std::span<const NodeId> removed) const {
+  if (mark_.size() < node_count()) mark_.resize(node_count());
+  if (++query_epoch_ == 0) {  // wrapped: stale marks could alias
+    std::fill(mark_.begin(), mark_.end(), QueryMark{});
+    query_epoch_ = 1;
   }
-  if (survivors <= 1) return true;
-  std::vector<char> seen(g.node_count(), 0);
-  std::vector<NodeId> queue{start};
-  seen[start] = 1;
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    for (const NodeId w : g.neighbors(queue[head])) {
-      if (seen[w] || !kept(w)) continue;
-      seen[w] = 1;
-      queue.push_back(w);
+  std::size_t gone = 0;
+  for (const NodeId r : removed) {
+    if (!alive(r) || mark_[r].epoch == query_epoch_) continue;
+    mark_[r] = {query_epoch_, kRemoved};
+    ++gone;
+  }
+  return gone;
+}
+
+bool CsrView::connected_by_bfs(std::size_t survivors) const {
+  // Every marked id is removed, and rows hold only alive ids, so "unmarked"
+  // is "kept and not yet reached".
+  NodeId start = 0;
+  while (!alive(start) || mark_[start].epoch == query_epoch_) ++start;
+  frontier_.assign(1, start);
+  mark_[start] = {query_epoch_, 0};
+  for (std::size_t head = 0; head < frontier_.size(); ++head) {
+    for (const NodeId w : neighbors(frontier_[head])) {
+      if (mark_[w].epoch == query_epoch_) continue;
+      mark_[w] = {query_epoch_, 0};
+      frontier_.push_back(w);
     }
   }
-  return queue.size() == survivors;
+  return frontier_.size() == survivors;
+}
+
+std::optional<bool> CsrView::connected_locally(
+    std::span<const NodeId> removed) const {
+  frontier_.clear();
+  next_.clear();
+  balls_.clear();
+  const auto add_source = [this](NodeId u) {
+    if (!alive(u) || mark_[u].epoch == query_epoch_) return;
+    const auto b = static_cast<std::uint32_t>(balls_.size());
+    const auto at = static_cast<std::uint32_t>(frontier_.size());
+    mark_[u] = {query_epoch_, b};
+    frontier_.push_back(u);
+    next_.push_back(kNoNext);
+    balls_.push_back({b, at, at, 1});
+  };
+  add_source(anchor_);
+  for (const NodeId u : pending_) add_source(u);
+  for (const NodeId r : removed) {
+    if (!alive(r)) continue;
+    for (const NodeId w : neighbors(r)) add_source(w);
+  }
+  if (balls_.empty()) return std::nullopt;
+
+  // Smallest ball first: a small ball grows until it touches another one,
+  // and the merged ball waits while the small ones catch up. In an expander
+  // each ball then stops once it meets the union of the others, instead of
+  // every ball growing to the radius at which the last two meet.
+  heap_.clear();
+  for (std::uint32_t b = 0; b < balls_.size(); ++b) heap_.emplace_back(1, b);
+  std::size_t labels = balls_.size();
+  while (labels > 1) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+    const auto [size, b] = heap_.back();
+    heap_.pop_back();
+    if (balls_[b].root != b || balls_[b].size != size) continue;  // stale
+    // A ball with nothing left to expand is a whole component of the
+    // survivors, and some other ball lies outside it.
+    if (balls_[b].head == kNoNext) return false;
+    grow_ball(b, labels);
+    heap_.emplace_back(balls_[b].size, b);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+  }
+  return true;
+}
+
+std::uint32_t CsrView::find_ball(std::uint32_t b) const {
+  while (balls_[b].root != b) {
+    balls_[b].root = balls_[balls_[b].root].root;  // path halving
+    b = balls_[b].root;
+  }
+  return b;
+}
+
+void CsrView::grow_ball(std::uint32_t b, std::size_t& labels) const {
+  Ball& ball = balls_[b];
+  const std::uint32_t limit = heap_.empty() ? ~std::uint32_t{0}
+                                            : heap_.front().first;
+  while (ball.head != kNoNext && ball.size <= limit) {
+    const std::uint32_t at = ball.head;
+    ball.head = next_[at];
+    for (const NodeId w : neighbors(frontier_[at])) {
+      QueryMark& m = mark_[w];
+      if (m.epoch != query_epoch_) {  // new: queue it in this ball
+        const auto idx = static_cast<std::uint32_t>(frontier_.size());
+        m = {query_epoch_, b};
+        frontier_.push_back(w);
+        next_.push_back(kNoNext);
+        if (ball.head == kNoNext) {
+          ball.head = idx;
+        } else {
+          next_[ball.tail] = idx;
+        }
+        ball.tail = idx;
+        ++ball.size;
+        continue;
+      }
+      if (m.label == kRemoved) continue;
+      const std::uint32_t other = find_ball(m.label);
+      if (other == b) continue;
+      // Absorb the other ball: its queue joins the end of this one.
+      Ball& o = balls_[other];
+      if (o.head != kNoNext) {
+        if (ball.head == kNoNext) {
+          ball.head = o.head;
+        } else {
+          next_[ball.tail] = o.head;
+        }
+        ball.tail = o.tail;
+      }
+      ball.size += o.size;
+      o.root = b;
+      if (--labels == 1) return;
+    }
+  }
+}
+
+void CsrView::certify_if_attached(std::span<const NodeId> removed) const {
+  NodeId kept = kInvalidNode;
+  for (const NodeId r : removed) {
+    if (!alive(r)) continue;
+    bool attached = false;
+    for (const NodeId w : neighbors(r)) {
+      if (mark_[w].epoch == query_epoch_ && mark_[w].label == kRemoved) {
+        continue;
+      }
+      attached = true;
+      kept = w;
+      break;
+    }
+    if (!attached) return;
+  }
+  if (kept == kInvalidNode) {  // nothing removed: any alive node anchors
+    kept = 0;
+    while (kept < node_count() && !alive(kept)) ++kept;
+    if (kept == node_count()) return;
+  }
+  certified_ = true;
+  anchor_ = kept;
+  pending_.clear();
+}
+
+bool survivors_connected(const CsrView& g, std::span<const NodeId> removed) {
+  const std::size_t survivors = g.alive_count() - g.begin_query(removed);
+  bool connected = true;
+  if (survivors > 1) {
+    const std::optional<bool> local =
+        g.certified_ ? g.connected_locally(removed) : std::nullopt;
+    if (!local) {
+      connected = g.connected_by_bfs(survivors);
+    } else {
+      connected = *local;
+      // det: opt-in debug gate (DEX_CHECK_CSR) — adds a cross-check, never
+      // changes an answer or an emitted byte.
+      static const bool check = std::getenv("DEX_CHECK_CSR") != nullptr;
+      if (check) {
+        (void)g.begin_query(removed);
+        DEX_ASSERT_MSG(g.connected_by_bfs(survivors) == connected,
+                       "local connectivity check disagrees with the BFS");
+      }
+    }
+  }
+  if (connected) g.certify_if_attached(removed);
+  return connected;
 }
 
 std::vector<NodeId> csr_shortest_path(const CsrView& g, NodeId src,

@@ -37,10 +37,34 @@
 /// survivors_connected, which only count; and spectral_gap/sweep_cut, whose
 /// matvec adds into each target in source-id order with one value per
 /// source, and whose sweep counts cut edges.
+///
+/// The connectivity certificate. A view also remembers whether it is known
+/// to be connected, so survivors_connected can answer from the churn delta
+/// instead of a BFS over every node. The fact behind it: let H be a
+/// connected graph and H' be H after some nodes and edges are removed and
+/// some nodes attached. Call a survivor *touched* when its row changed or it
+/// was born. Then H' is connected iff its touched nodes and one fixed node
+/// of H (the anchor, while it survives) lie in one component C of H'. Any
+/// other component has no touched node, so it keeps its H adjacency and is
+/// closed in H; H is connected, so that component holds all of H, the
+/// anchor included — but the anchor lies in C. For a query, H' is the
+/// current view minus the removed ids, and the touched nodes are the
+/// pending list plus the kept neighbors of the removed ids. Lifecycle:
+///
+///  * build() / build_from_ports() reset it to "unknown".
+///  * survivors_connected(R) certifies the view when its answer is true and
+///    every removed node keeps a surviving neighbor (then the view itself
+///    is connected): it records an anchor and empties the pending list.
+///  * While certified, apply_delta() appends every row it rewrites (born
+///    ids, dirty ids, neighbors of the dead) to the pending list. Once the
+///    list outgrows alive_count() the certificate is dropped — a full BFS
+///    is cheaper than growing balls from that many sources.
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/multigraph.h"
@@ -130,7 +154,35 @@ class CsrView {
   /// Whether any build has run at least once.
   [[nodiscard]] bool built() const { return built_; }
 
+  /// Whether the view carries a connectivity certificate (see the file
+  /// comment), i.e. whether survivors_connected answers locally.
+  [[nodiscard]] bool certified() const { return certified_; }
+
  private:
+  friend bool survivors_connected(const CsrView& g,
+                                  std::span<const NodeId> removed);
+
+  /// Opens a survivors_connected query: a fresh epoch in the query marks,
+  /// with every alive id of `removed` marked removed. Returns how many
+  /// alive ids were removed (duplicates count once).
+  std::size_t begin_query(std::span<const NodeId> removed) const;
+  /// Full BFS over the kept nodes of the open query.
+  bool connected_by_bfs(std::size_t survivors) const;
+  /// Grows balls from the pending sources, the anchor and the kept
+  /// neighbors of `removed`; nullopt when there is no source (the caller
+  /// falls back to the BFS).
+  std::optional<bool> connected_locally(std::span<const NodeId> removed) const;
+  /// Expands ball `b` (a union-find root) one vertex at a time while it is
+  /// no larger than the smallest ball waiting in the heap, merging every
+  /// ball it touches into itself and counting `labels` down (it stops at 1).
+  void grow_ball(std::uint32_t b, std::size_t& labels) const;
+  [[nodiscard]] std::uint32_t find_ball(std::uint32_t b) const;
+  /// Certifies the view when every alive removed id of the open query has
+  /// a kept neighbor (called only after a connected answer).
+  void certify_if_attached(std::span<const NodeId> removed) const;
+  /// Back to "unknown": no anchor, no pending sources.
+  void drop_certificate() const;
+
   void ensure_capacity(NodeId id);
   /// Re-enumerates u's row via `ports` and writes it in place or at the
   /// arena tail (see apply_delta).
@@ -152,6 +204,40 @@ class CsrView {
   std::uint32_t epoch_ = 0;
   std::vector<NodeId> row_scratch_;    ///< rewrite_row enumeration buffer
   std::vector<NodeId> touch_scratch_;  ///< neighbors-of-the-dead work list
+
+  // Connectivity certificate and query scratch. survivors_connected takes
+  // the view by const reference and keeps them up to date, so they are
+  // mutable: a cache of a derived fact, never a change to the graph. Not
+  // safe for concurrent queries on one view.
+  mutable bool certified_ = false;
+  mutable NodeId anchor_ = kInvalidNode;  ///< a node of the certified graph
+  mutable std::vector<NodeId> pending_;   ///< rows rewritten since then
+  /// Per-id query state: epoch == query_epoch_ means u was removed or
+  /// reached in the open query, told apart by label (the ball it joined,
+  /// or kRemoved). Side by side so a visit costs one cache line; allocated on
+  /// the first query, so no query clears O(n) memory.
+  struct QueryMark {
+    std::uint32_t epoch = 0;
+    std::uint32_t label = 0;
+  };
+  mutable std::vector<QueryMark> mark_;
+  mutable std::uint32_t query_epoch_ = 0;
+  /// Discovered ids in discovery order: the BFS queue, and for the local
+  /// check the storage of every ball's queue.
+  mutable std::vector<NodeId> frontier_;
+  /// frontier_ index of the next id in the same ball's queue (or kNoNext);
+  /// linked lists, so merging two balls' queues is O(1).
+  mutable std::vector<std::uint32_t> next_;
+  struct Ball {
+    std::uint32_t root;  ///< union-find parent
+    std::uint32_t head;  ///< frontier_ index of the next id to expand
+    std::uint32_t tail;  ///< frontier_ index of the last id queued
+    std::uint32_t size;  ///< ids discovered, merged balls included
+  };
+  mutable std::vector<Ball> balls_;
+  /// Min-heap of (size, ball) — entries go stale when a ball grows or
+  /// merges, and are skipped when popped.
+  mutable std::vector<std::pair<std::uint32_t, std::uint32_t>> heap_;
 };
 
 /// BFS distances from `src` over the live view, written into `dist`
@@ -161,11 +247,21 @@ class CsrView {
 void csr_bfs_fill(const CsrView& g, NodeId src, std::vector<std::uint32_t>& dist,
                   std::vector<NodeId>& scratch);
 
-/// Whether the alive nodes outside `removed` (short mask = kept) are
-/// mutually reachable — the one connectivity check behind the §5-safe victim
-/// sampler, DEX's batch precondition and is_connected.
+/// Whether the alive nodes outside `removed` (ids; dead, out-of-range and
+/// repeated ids are ignored) are mutually reachable — the one connectivity
+/// check behind the §5-safe victim sampler, DEX's batch precondition and
+/// is_connected. On a certified view (see CsrView) it grows balls from the
+/// pending rows, the anchor and the kept neighbors of `removed`, smallest
+/// ball first, and joins two balls with union-find where they meet. It
+/// stops at one ball (connected) or at a ball with nothing left to expand
+/// (a whole component without the rest: not connected), so its cost
+/// follows the churn delta, not n. Otherwise it runs a full BFS. Counting
+/// the survivors costs O(|removed|). A true answer with every removed node
+/// attached to a survivor certifies the view. The answer is the same bool
+/// either way; DEX_CHECK_CSR=1 asserts every local answer against the full
+/// BFS.
 [[nodiscard]] bool survivors_connected(const CsrView& g,
-                                       const std::vector<bool>& removed = {});
+                                       std::span<const NodeId> removed = {});
 
 /// BFS shortest path src -> dst inclusive of both endpoints ({src} when
 /// src == dst, empty when unreachable or either endpoint is dead). Parent

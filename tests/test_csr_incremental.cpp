@@ -215,6 +215,74 @@ TEST_P(IncrementalCsr, RowsEqualMaskedSnapshotRowsAsMultisets) {
   }
 }
 
+// The connectivity certificate (graph/csr.h) under burst churn: after
+// every step, random removal sets — and sets that cut one node off by
+// removing its whole neighborhood — are asked of the maintained view and of
+// a fresh rebuild. The rebuild has no certificate, so it answers by full
+// BFS; the maintained view answers locally whenever it holds one, from the
+// rows the step's delta rewrote plus the removed ids' neighbors. Every
+// 40th step rebuilds the maintained view as a full delta would, on top of
+// the backends' own full deltas (flooding's every step, DEX's type-2).
+TEST_P(IncrementalCsr, LocalConnectivityAnswersEqualTheFullBfs) {
+  const std::string backend = GetParam();
+  auto overlay = dex::sim::make_overlay(backend, 48, /*seed=*/23);
+  ASSERT_NE(overlay, nullptr);
+  dex::support::Rng rng(0xB0257ull);
+  const CsrView::PortsFn ports = [&](NodeId u, std::vector<NodeId>& out) {
+    ASSERT_TRUE(overlay->live_ports(u, out));
+  };
+
+  CsrView view;
+  bool valid = false;
+  ViewDelta delta;
+  std::size_t full_steps = 0;
+  std::size_t local_true = 0;
+  std::size_t local_false = 0;
+  std::vector<NodeId> removed;
+  for (int t = 0; t < 240; ++t) {
+    overlay->apply(swinging_batch(*overlay, rng, t));
+    delta.clear();
+    const bool drained = overlay->drain_view_delta(delta);
+    if (drained && !delta.full && valid && t % 40 != 0) {
+      if (!delta.empty()) view.apply_delta(delta, ports);
+    } else {
+      view.build_from_ports(overlay->alive_mask(), ports);
+      valid = true;
+      ++full_steps;
+    }
+
+    const auto alive = overlay->alive_nodes();
+    for (int q = 0; q < 4; ++q) {
+      removed.clear();
+      if (q == 3) {
+        // Cut one node off: remove every neighbor it has.
+        const NodeId u = alive[rng.below(alive.size())];
+        for (const NodeId w : view.neighbors(u)) {
+          if (w != u) removed.push_back(w);
+        }
+      } else {
+        const std::size_t k = rng.below(1 + 2 * (q + 1));
+        for (std::size_t i = 0; i < k; ++i) {
+          removed.push_back(alive[rng.below(alive.size())]);
+        }
+      }
+      // A fresh view per query: a true answer would certify it.
+      CsrView ref;
+      ref.build_from_ports(overlay->alive_mask(), ports);
+      ASSERT_FALSE(ref.certified());
+      const bool local = view.certified();
+      const bool want = dex::graph::survivors_connected(ref, removed);
+      ASSERT_EQ(dex::graph::survivors_connected(view, removed), want)
+          << backend << " step " << t << " query " << q
+          << (local ? " (local)" : " (full BFS)");
+      if (local) ++(want ? local_true : local_false);
+    }
+  }
+  EXPECT_GE(full_steps, 6u) << backend;
+  EXPECT_GT(local_true, 200u) << backend;
+  EXPECT_GT(local_false, 20u) << backend;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, IncrementalCsr,
                          ::testing::ValuesIn(dex::sim::known_overlays()),
                          [](const ::testing::TestParamInfo<std::string>& i) {

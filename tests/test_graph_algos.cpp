@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <initializer_list>
+#include <utility>
+#include <vector>
 
 #include "graph/bfs.h"
 #include "graph/conductance.h"
@@ -14,6 +18,63 @@
 #include "graph/spectral.h"
 
 namespace g = dex::graph;
+
+namespace {
+
+std::vector<g::NodeId> ids(std::initializer_list<g::NodeId> list) {
+  return list;
+}
+
+/// A Multigraph plus the CsrView patched from it through apply_delta, the
+/// way the run loop maintains its view from an overlay's journal.
+struct PatchableGraph {
+  explicit PatchableGraph(g::Multigraph start)
+      : graph(std::move(start)), alive(graph.node_count(), true) {
+    rebuild();
+  }
+
+  void rebuild() {
+    alive.resize(graph.node_count(), true);
+    view.build_from_ports(alive, ports());
+  }
+  /// A newcomer with edges to `targets`.
+  void attach(std::initializer_list<g::NodeId> targets) {
+    g::ViewDelta d;
+    const g::NodeId u = graph.add_node();
+    alive.push_back(true);
+    d.born.push_back(u);
+    for (const g::NodeId t : targets) {
+      graph.add_edge(u, t);
+      d.dirty.push_back(t);
+    }
+    view.apply_delta(d, ports());
+  }
+  void cut(g::NodeId u, g::NodeId v) {
+    ASSERT_TRUE(graph.remove_edge(u, v));
+    g::ViewDelta d;
+    d.dirty = {u, v};
+    view.apply_delta(d, ports());
+  }
+  void kill(g::NodeId u) {
+    alive[u] = false;
+    g::ViewDelta d;
+    d.died.push_back(u);
+    view.apply_delta(d, ports());
+  }
+  [[nodiscard]] g::CsrView::PortsFn ports() const {
+    return [this](g::NodeId u, std::vector<g::NodeId>& out) {
+      for (const g::NodeId v : graph.ports(u)) {
+        if (alive[v]) out.push_back(v);
+      }
+    };
+  }
+
+  g::Multigraph graph;
+  std::vector<bool> alive;
+  g::CsrView view;
+};
+
+}  // namespace
 
 TEST(Bfs, DistancesOnPath) {
   const auto p = g::make_path(5);
@@ -144,15 +205,156 @@ TEST(Conductance, CheegerSandwich) {
   }
 }
 
-TEST(Csr, SurvivorsConnectedHonorsTheRemovedMask) {
+TEST(Csr, SurvivorsConnectedHonorsTheRemovedIds) {
   g::CsrView path;
   path.build(g::make_path(5), {});
   EXPECT_TRUE(g::survivors_connected(path));
-  EXPECT_FALSE(g::survivors_connected(path, {false, false, true}));
-  EXPECT_TRUE(g::survivors_connected(path, {true, false, false}));
+  EXPECT_FALSE(g::survivors_connected(path, ids({2})));
+  EXPECT_TRUE(g::survivors_connected(path, ids({0})));
   // At most one survivor is vacuously connected.
-  EXPECT_TRUE(g::survivors_connected(path, {true, true, true, true}));
-  EXPECT_TRUE(g::survivors_connected(path, {true, true, true, true, true}));
+  EXPECT_TRUE(g::survivors_connected(path, ids({0, 1, 2, 3})));
+  EXPECT_TRUE(g::survivors_connected(path, ids({0, 1, 2, 3, 4})));
+}
+
+// Removal sets that disconnect, each asked of a freshly built view (full
+// BFS) and of a view that was certified connected and then patched
+// (local check from the pending rows and the removed ids' neighbors).
+TEST(Csr, DisconnectingRemovalsOnBuiltAndCertifiedViews) {
+  // Barbell: cliques {0..3} and {5..8} hung off the bridge node 4.
+  g::Multigraph barbell(9);
+  for (g::NodeId u = 0; u < 4; ++u) {
+    for (g::NodeId v = u + 1; v < 4; ++v) {
+      barbell.add_edge(u, v);
+      barbell.add_edge(u + 5, v + 5);
+    }
+  }
+  barbell.add_edge(3, 4);
+  barbell.add_edge(4, 5);
+  g::Multigraph star(7);
+  for (g::NodeId leaf = 1; leaf < 7; ++leaf) star.add_edge(0, leaf);
+  // A cloud {c, c's first neighbor} cut off by removing its boundary.
+  dex::support::Rng rng(17);
+  const auto expander = g::make_random_regular(60, 4, rng);
+  const g::NodeId c = 11;
+  const g::NodeId c2 = expander.ports(c)[0];
+  std::vector<g::NodeId> boundary;
+  for (const g::NodeId u : {c, c2}) {
+    for (const g::NodeId w : expander.ports(u)) {
+      if (w != c && w != c2 &&
+          std::find(boundary.begin(), boundary.end(), w) == boundary.end()) {
+        boundary.push_back(w);
+      }
+    }
+  }
+
+  struct Case {
+    const char* name;
+    g::Multigraph graph;
+    std::vector<g::NodeId> removed;
+  };
+  const Case cases[] = {{"path interior", g::make_path(7), {3}},
+                        {"barbell bridge", barbell, {4}},
+                        {"star center", star, {0}},
+                        {"cloud boundary", expander, boundary}};
+  for (const auto& tc : cases) {
+    PatchableGraph built(tc.graph);
+    EXPECT_FALSE(g::survivors_connected(built.view, tc.removed)) << tc.name;
+    EXPECT_FALSE(built.view.certified()) << tc.name;
+
+    PatchableGraph patched(tc.graph);
+    ASSERT_TRUE(g::survivors_connected(patched.view)) << tc.name;
+    ASSERT_TRUE(patched.view.certified()) << tc.name;
+    // A newcomer attached to the first node the case keeps.
+    g::NodeId target = 0;
+    while (std::find(tc.removed.begin(), tc.removed.end(), target) !=
+           tc.removed.end()) {
+      ++target;
+    }
+    patched.attach({target});
+    ASSERT_TRUE(patched.view.certified()) << tc.name;
+    EXPECT_FALSE(g::survivors_connected(patched.view, tc.removed)) << tc.name;
+    EXPECT_TRUE(patched.view.certified()) << tc.name;
+    EXPECT_TRUE(g::survivors_connected(patched.view)) << tc.name;
+  }
+}
+
+// A patch that itself disconnects a certified view: the certificate only
+// covers the graph it was taken on, so the rewritten rows must be sources.
+// Without them the lone anchor would answer "connected".
+TEST(Csr, PatchThatDisconnectsACertifiedViewIsSeen) {
+  {
+    PatchableGraph p(g::make_path(5));
+    ASSERT_TRUE(g::survivors_connected(p.view));
+    p.cut(2, 3);
+    ASSERT_TRUE(p.view.certified());
+    EXPECT_FALSE(g::survivors_connected(p.view));
+    EXPECT_FALSE(g::survivors_connected(p.view, ids({0})));
+    EXPECT_TRUE(g::survivors_connected(p.view, ids({3, 4})));
+  }
+  {
+    PatchableGraph p(g::make_path(5));
+    ASSERT_TRUE(g::survivors_connected(p.view));
+    p.kill(2);
+    ASSERT_TRUE(p.view.certified());
+    EXPECT_FALSE(g::survivors_connected(p.view));
+    EXPECT_FALSE(g::survivors_connected(p.view, ids({4})));
+    EXPECT_TRUE(g::survivors_connected(p.view, ids({0, 1})));
+  }
+  {
+    // A newcomer with no edge to the old graph.
+    PatchableGraph p(g::make_cycle(6));
+    ASSERT_TRUE(g::survivors_connected(p.view));
+    p.attach({});
+    ASSERT_TRUE(p.view.certified());
+    EXPECT_FALSE(g::survivors_connected(p.view));
+  }
+}
+
+// A rebuild replaces the graph, so it must drop the certificate.
+TEST(Csr, BuildDropsTheCertificate) {
+  g::Multigraph halves(4);
+  halves.add_edge(0, 1);
+  halves.add_edge(2, 3);
+  g::CsrView view;
+  view.build(g::make_path(4), {});
+  ASSERT_TRUE(g::survivors_connected(view));
+  ASSERT_TRUE(view.certified());
+  view.build(halves, {});
+  EXPECT_FALSE(view.certified());
+  EXPECT_FALSE(g::survivors_connected(view));
+
+  PatchableGraph p(g::make_path(4));
+  ASSERT_TRUE(g::survivors_connected(p.view));
+  p.graph = halves;
+  p.rebuild();
+  EXPECT_FALSE(p.view.certified());
+  EXPECT_FALSE(g::survivors_connected(p.view));
+}
+
+// A true answer certifies only when every removed node keeps a surviving
+// neighbor: here node 3 is isolated, so the view itself is not connected.
+TEST(Csr, UnattachedRemovalDoesNotCertify) {
+  g::Multigraph graph = g::make_path(3);
+  graph.add_node();
+  g::CsrView view;
+  view.build(graph, {});
+  EXPECT_TRUE(g::survivors_connected(view, ids({3})));
+  EXPECT_FALSE(view.certified());
+  EXPECT_FALSE(g::survivors_connected(view));
+}
+
+// Rewriting more rows than there are alive nodes drops the certificate.
+TEST(Csr, CertificateDropsOncePendingOutgrowsTheView) {
+  PatchableGraph p(g::make_cycle(8));
+  ASSERT_TRUE(g::survivors_connected(p.view));
+  p.cut(0, 1);
+  p.cut(2, 3);
+  p.cut(4, 5);
+  p.cut(6, 7);
+  ASSERT_TRUE(p.view.certified());  // 8 pending rows, 8 alive nodes
+  p.cut(1, 2);
+  EXPECT_FALSE(p.view.certified());
+  EXPECT_FALSE(g::survivors_connected(p.view));
 }
 
 TEST(Spectral, CsrExclusionEqualsIsolatedCopyBitForBit) {
