@@ -69,13 +69,20 @@ AdversaryView::AdversaryView(const sim::HealingOverlay& overlay)
   // here rather than in the first advance() lets that advance patch the
   // CSR the first step built instead of discarding it.
   (void)overlay_.drain_view_delta(delta_);
+  // The alive list too, so advance() patches it from the first step on.
+  // Allocated before the CSR and its scratch, it sits below them in the
+  // heap and does not keep their memory resident once they are freed.
+  (void)alive_nodes();
 }
 
 std::size_t AdversaryView::n() const { return overlay_.n(); }
 
 const std::vector<NodeId>& AdversaryView::alive_nodes() const {
-  if (!nodes_) nodes_ = overlay_.alive_nodes();
-  return *nodes_;
+  if (!nodes_valid_) {
+    nodes_ = overlay_.alive_nodes();
+    nodes_valid_ = true;
+  }
+  return nodes_;
 }
 
 std::size_t AdversaryView::load(NodeId u) const { return overlay_.load(u); }
@@ -103,24 +110,71 @@ const graph::CsrView& AdversaryView::live_csr() const {
   return csr_;
 }
 
+void AdversaryView::patch_alive_nodes() {
+  gone_.clear();
+  come_.clear();
+  for (const auto* ids : {&delta_.died, &delta_.born}) {
+    for (const NodeId u : *ids) {
+      (overlay_.alive(u) ? come_ : gone_).push_back(u);
+    }
+  }
+  if (gone_.empty() && come_.empty()) return;
+  std::sort(gone_.begin(), gone_.end());
+  std::sort(come_.begin(), come_.end());
+  come_.erase(std::unique(come_.begin(), come_.end()), come_.end());
+
+  // Drop the dead: slide each run between two of them left in one block
+  // move. `out` trails `in` by the number dropped so far.
+  auto in = nodes_.begin();
+  auto out = nodes_.begin();
+  for (const NodeId u : gone_) {
+    const auto at = std::lower_bound(in, nodes_.end(), u);
+    if (at == nodes_.end() || *at != u) continue;  // absent or a duplicate
+    out = out == in ? at : std::move(in, at, out);
+    in = at + 1;
+  }
+  if (out != in) nodes_.erase(std::move(in, nodes_.end(), out), nodes_.end());
+
+  // Insert the born from the back: each run above the next insertion point
+  // moves right once, by the number of ids still to insert below it.
+  come_.erase(std::remove_if(come_.begin(), come_.end(),
+                             [this](NodeId u) {
+                               return std::binary_search(nodes_.begin(),
+                                                         nodes_.end(), u);
+                             }),
+              come_.end());
+  if (come_.empty()) return;
+  const std::size_t listed = nodes_.size();
+  nodes_.resize(listed + come_.size());
+  auto src_end = nodes_.begin() + static_cast<std::ptrdiff_t>(listed);
+  auto dst_end = nodes_.end();
+  for (auto it = come_.rbegin(); it != come_.rend(); ++it) {
+    const auto at = std::upper_bound(nodes_.begin(), src_end, *it);
+    dst_end = std::move_backward(at, src_end, dst_end);
+    *--dst_end = *it;
+    src_end = at;
+  }
+}
+
 void AdversaryView::advance() {
-  nodes_.reset();
   delta_.clear();
   // Always drain — even when no CSR stands — so the journal never carries
   // deltas across a rebuild boundary. The first drain also installs the
   // journal on the overlay (and reports "full" for the untracked history
   // before it).
   const bool drained = overlay_.drain_view_delta(delta_);
-  if (!drained || delta_.full || !csr_valid_) {
+  if (!drained || delta_.full) {
     // No journal or a coarse delta: fall back to the lazy from-scratch
-    // rebuild on next use.
+    // rebuilds on next use.
     csr_valid_ = false;
-  } else if (!delta_.empty()) {
-    csr_.apply_delta(delta_, ports_fn());
+    nodes_valid_ = false;
+  } else {
+    if (csr_valid_ && !delta_.empty()) csr_.apply_delta(delta_, ports_fn());
+    if (nodes_valid_) patch_alive_nodes();
   }
-  // Opt-in cross-check: DEX_CHECK_CSR=1 rebuilds a reference view after
-  // every patch and asserts semantic equality (tests and debugging; the
-  // rebuild obviously forfeits the incremental speedup).
+  // Opt-in cross-check: DEX_CHECK_CSR=1 rebuilds a reference view and
+  // alive list after every patch and asserts equality (tests and
+  // debugging; the rebuild obviously forfeits the incremental speedup).
   // det: opt-in debug gate — flips extra *checking* on, never changes what
   // the run computes or emits.
   static const bool check_csr = std::getenv("DEX_CHECK_CSR") != nullptr;
@@ -129,6 +183,10 @@ void AdversaryView::advance() {
     ref.build_from_ports(overlay_.alive_mask(), ports_fn());
     DEX_ASSERT_MSG(csr_.equal_to(ref),
                    "incremental CSR diverged from a fresh rebuild");
+  }
+  if (check_csr && nodes_valid_) {
+    DEX_ASSERT_MSG(nodes_ == overlay_.alive_nodes(),
+                   "patched alive list diverged from the overlay's");
   }
 }
 
@@ -380,9 +438,10 @@ sim::ChurnBatch BurstChurn::next_batch(const AdversaryView& view,
   deletes = n > floor_n ? std::min(deletes, n - floor_n) : 0;
 
   if (deletes > 0) {
-    auto order = view.alive_nodes();
-    rng.shuffle(order);
-    batch.victims = sample_safe_victims(view.live_csr(), order, deletes);
+    const auto& alive = view.alive_nodes();
+    order_.assign(alive.begin(), alive.end());
+    rng.shuffle(order_);
+    batch.victims = sample_safe_victims(view.live_csr(), order_, deletes);
   }
   const std::unordered_set<NodeId> dying(batch.victims.begin(),
                                          batch.victims.end());
@@ -412,9 +471,10 @@ sim::ChurnBatch FlashCrowd::next_batch(const AdversaryView& view,
   const std::size_t floor_n = delete_floor(min_n);
   const std::size_t deletes =
       n > floor_n ? std::min(batch_size, n - floor_n) : 0;
-  auto order = view.alive_nodes();
-  rng.shuffle(order);
-  batch.victims = sample_safe_victims(view.live_csr(), order, deletes);
+  const auto& alive = view.alive_nodes();
+  order_.assign(alive.begin(), alive.end());
+  rng.shuffle(order_);
+  batch.victims = sample_safe_victims(view.live_csr(), order_, deletes);
   return batch;
 }
 

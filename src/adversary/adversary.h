@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <vector>
 
 #include "graph/csr.h"
@@ -40,22 +39,24 @@ struct ChurnAction {
 
 /// The adversary's read-only window into the network under attack, over
 /// any overlay: every driver (the runner, the tests) builds one per run.
-/// alive_nodes() is materialized at most once per step, however many times
-/// the strategies consult it. The topology is the maintained flat CSR
-/// (graph/csr.h) that strategies, the gap sampler and the traffic layer's
-/// route/placement oracle all read by reference (object identity is stable
-/// across steps, so borrowed pointers stay valid).
+/// Two things are maintained across steps rather than rebuilt: the
+/// ascending alive list (alive_nodes()) and the flat CSR (graph/csr.h) that
+/// strategies, the gap sampler and the traffic layer's route/placement
+/// oracle all read by reference (object identity is stable across steps,
+/// so borrowed pointers stay valid).
 ///
-/// advance() is the one step boundary: it drops the node memo, drains the
-/// overlay's churn journal (HealingOverlay::drain_view_delta) and *patches*
-/// the CSR in place when the delta is precise, paying per-step cost
-/// proportional to the churn delta. It falls back to a lazy from-scratch
+/// advance() is the one step boundary: it drains the overlay's churn
+/// journal (HealingOverlay::drain_view_delta) and *patches* both in place
+/// when the delta is precise, paying per-step cost proportional to the
+/// churn delta (O(1) for an empty one). The alive list drops the ids that
+/// died and inserts the ids born, each at its sorted position, with block
+/// moves of the runs between them. Both fall back to a lazy from-scratch
 /// rebuild whenever the journal is absent or full (flooding keeps no
 /// journal; DEX marks every staggered-window step full). Builds and patches
 /// both enumerate rows through HealingOverlay::live_ports, on every backend
 /// and in every state, so the view never reads snapshot(). With
 /// DEX_CHECK_CSR=1 in the environment every advance() additionally rebuilds
-/// a reference view and asserts semantic equality.
+/// a reference view and the alive list and asserts that they are equal.
 class AdversaryView {
  public:
   explicit AdversaryView(const sim::HealingOverlay& overlay);
@@ -66,7 +67,8 @@ class AdversaryView {
   AdversaryView& operator=(const AdversaryView&) = delete;
 
   [[nodiscard]] std::size_t n() const;
-  /// The alive ids; valid until the next advance().
+  /// The alive ids, ascending; valid until the next advance(), which
+  /// patches the same buffer.
   [[nodiscard]] const std::vector<NodeId>& alive_nodes() const;
   /// Load of a node (virtual vertices for DEX; degree for baselines).
   [[nodiscard]] std::size_t load(NodeId u) const;
@@ -98,10 +100,20 @@ class AdversaryView {
  private:
   /// Row enumerator handed to build_from_ports/apply_delta.
   [[nodiscard]] graph::CsrView::PortsFn ports_fn() const;
+  /// Brings nodes_ up to date with the drained delta_. Each born or died id
+  /// takes its liveness from the overlay as it stands, so an id listed in
+  /// both, or a list read after the overlay already changed, comes out
+  /// right.
+  void patch_alive_nodes();
 
   const sim::HealingOverlay& overlay_;
   bool removal_oracle_;
-  mutable std::optional<std::vector<NodeId>> nodes_;
+  // The alive list keeps its buffer across steps; the flag tracks whether
+  // it is current.
+  mutable std::vector<NodeId> nodes_;
+  mutable bool nodes_valid_ = false;
+  std::vector<NodeId> gone_;  ///< patch scratch: ids to drop, ascending
+  std::vector<NodeId> come_;  ///< patch scratch: ids to insert, ascending
   // The CSR keeps its buffers across rebuilds (build() reuses them); the
   // flag alone tracks staleness.
   mutable graph::CsrView csr_;
@@ -276,6 +288,7 @@ class BurstChurn final : public Strategy {
  private:
   double frac_;
   RandomChurn single_;
+  std::vector<NodeId> order_;  ///< the shuffled alive list, reused per draw
 };
 
 /// Flash crowd, batch-native: waves of pure insertion (newcomers spread
@@ -289,6 +302,9 @@ class FlashCrowd final : public Strategy {
   sim::ChurnBatch next_batch(const AdversaryView& view, support::Rng& rng,
                              std::size_t min_n, std::size_t max_n,
                              std::size_t batch_size) override;
+
+ private:
+  std::vector<NodeId> order_;  ///< the shuffled alive list, reused per draw
 };
 
 /// Correlated mass failure, batch-native: picks a random epicenter and

@@ -48,6 +48,7 @@ void CsrView::build(const Multigraph& g, const std::vector<bool>& alive) {
   epoch_ = 0;
   built_ = true;
   drop_certificate();
+  last_valid_ = false;
 }
 
 void CsrView::build_from_ports(const std::vector<bool>& alive,
@@ -74,6 +75,7 @@ void CsrView::build_from_ports(const std::vector<bool>& alive,
   epoch_ = 0;
   built_ = true;
   drop_certificate();
+  last_valid_ = false;
 }
 
 void CsrView::drop_certificate() const {
@@ -106,6 +108,14 @@ void CsrView::rewrite_row(NodeId u, const PortsFn& ports) {
               edges_.begin() + row_start_[u]);
     garbage_ += old_len - new_len;
   } else {
+    // Grown rows move to the arena tail. When the tail is out of room,
+    // compacting in place reclaims the slack instead of letting the vector
+    // double, which would copy the whole arena and keep both copies
+    // resident. Only a sizable slack is worth a pass over the arena.
+    if (edges_.size() + new_len > edges_.capacity() && garbage_ >= new_len &&
+        garbage_ >= live_edge_count_ / 16) {
+      compact();
+    }
     garbage_ += old_len;
     DEX_ASSERT_MSG(edges_.size() + new_len <=
                        static_cast<std::size_t>(~std::uint32_t{0}),
@@ -117,21 +127,47 @@ void CsrView::rewrite_row(NodeId u, const PortsFn& ports) {
 }
 
 void CsrView::compact() {
-  std::vector<NodeId> packed;
-  packed.reserve(live_edge_count_);
+  // In place, in arena order: each row slides left over the slack before
+  // it, so no second arena is ever allocated. While the pass runs, a row's
+  // first slot holds its id (the neighbor it displaced waits in
+  // row_start_), and one bit per slot marks where rows begin.
+  std::vector<bool> head(edges_.size(), false);
   for (NodeId u = 0; u < row_len_.size(); ++u) {
-    const auto row = neighbors(u);
-    const std::uint32_t at = static_cast<std::uint32_t>(packed.size());
-    packed.insert(packed.end(), row.begin(), row.end());
-    row_start_[u] = at;
+    if (row_len_[u] == 0) {
+      row_start_[u] = 0;
+      continue;
+    }
+    const std::uint32_t at = row_start_[u];
+    head[at] = true;
+    row_start_[u] = edges_[at];
+    edges_[at] = u;
   }
-  edges_.swap(packed);
+  std::size_t out = 0;
+  for (std::size_t at = 0; at < edges_.size();) {
+    if (!head[at]) {
+      ++at;
+      continue;
+    }
+    const NodeId u = edges_[at];
+    const std::size_t len = row_len_[u];
+    edges_[out] = row_start_[u];
+    if (out != at) {
+      std::copy(edges_.begin() + static_cast<std::ptrdiff_t>(at + 1),
+                edges_.begin() + static_cast<std::ptrdiff_t>(at + len),
+                edges_.begin() + static_cast<std::ptrdiff_t>(out + 1));
+    }
+    row_start_[u] = static_cast<std::uint32_t>(out);
+    out += len;
+    at += len;
+  }
+  edges_.resize(out);
   garbage_ = 0;
 }
 
 void CsrView::apply_delta(const ViewDelta& d, const PortsFn& ports) {
   DEX_ASSERT_MSG(built_, "apply_delta on a never-built CsrView");
   DEX_ASSERT_MSG(!d.full, "a full delta means rebuild, not patch");
+  last_valid_ = false;
   ++epoch_;
   touch_scratch_.clear();
 
@@ -370,7 +406,29 @@ void CsrView::certify_if_attached(std::span<const NodeId> removed) const {
   pending_.clear();
 }
 
+bool CsrView::answered(std::span<const NodeId> removed) const {
+  return last_valid_ && std::equal(removed.begin(), removed.end(),
+                                   last_removed_.begin(), last_removed_.end());
+}
+
 bool survivors_connected(const CsrView& g, std::span<const NodeId> removed) {
+  // det: opt-in debug gate (DEX_CHECK_CSR) — adds a cross-check, never
+  // changes an answer or an emitted byte.
+  static const bool check = std::getenv("DEX_CHECK_CSR") != nullptr;
+  const auto check_against_bfs = [&g, removed](bool connected,
+                                               const char* what) {
+    const std::size_t survivors = g.alive_count() - g.begin_query(removed);
+    const bool bfs = survivors <= 1 || g.connected_by_bfs(survivors);
+    DEX_ASSERT_MSG(bfs == connected, what);
+  };
+  if (g.answered(removed)) {
+    if (check) {
+      check_against_bfs(
+          g.last_connected_,
+          "remembered connectivity answer disagrees with the BFS");
+    }
+    return g.last_connected_;
+  }
   const std::size_t survivors = g.alive_count() - g.begin_query(removed);
   bool connected = true;
   if (survivors > 1) {
@@ -380,17 +438,16 @@ bool survivors_connected(const CsrView& g, std::span<const NodeId> removed) {
       connected = g.connected_by_bfs(survivors);
     } else {
       connected = *local;
-      // det: opt-in debug gate (DEX_CHECK_CSR) — adds a cross-check, never
-      // changes an answer or an emitted byte.
-      static const bool check = std::getenv("DEX_CHECK_CSR") != nullptr;
       if (check) {
-        (void)g.begin_query(removed);
-        DEX_ASSERT_MSG(g.connected_by_bfs(survivors) == connected,
-                       "local connectivity check disagrees with the BFS");
+        check_against_bfs(connected,
+                          "local connectivity check disagrees with the BFS");
       }
     }
   }
   if (connected) g.certify_if_attached(removed);
+  g.last_removed_.assign(removed.begin(), removed.end());
+  g.last_connected_ = connected;
+  g.last_valid_ = true;
   return connected;
 }
 

@@ -59,6 +59,13 @@
 ///    ids, dirty ids, neighbors of the dead) to the pending list. Once the
 ///    list outgrows alive_count() the certificate is dropped — a full BFS
 ///    is cheaper than growing balls from that many sources.
+///
+/// The view also remembers its last survivors_connected answer: the
+/// removed ids, in order, and the bool. Asking the same question again
+/// before the next build or patch costs O(|removed|) — the §5 sampler and
+/// DEX's batch preflight ask exactly the same one each step. The repeat
+/// leaves the certificate as it is: the first query already certified the
+/// view if it could.
 
 #include <cstdint>
 #include <functional>
@@ -122,8 +129,10 @@ class CsrView {
   /// neighbors are re-enumerated automatically — the journal need not list
   /// them), `d.born` ids become alive, and every dirty id's row is
   /// re-enumerated via `ports`. Rows that shrink or keep their length are
-  /// rewritten in place; rows that grow relocate to the arena tail, and the
-  /// abandoned slack is compacted away once it exceeds the live edge count.
+  /// rewritten in place; rows that grow relocate to the arena tail. The
+  /// abandoned slack is compacted away, in place, once it exceeds the live
+  /// edge count, or earlier when a grown row would otherwise make the arena
+  /// reallocate.
   /// Requires a prior build_from_ports()/apply_delta() with the same
   /// canonical `ports` order; d.full is the caller's job to handle (assert).
   void apply_delta(const ViewDelta& d, const PortsFn& ports);
@@ -182,12 +191,16 @@ class CsrView {
   void certify_if_attached(std::span<const NodeId> removed) const;
   /// Back to "unknown": no anchor, no pending sources.
   void drop_certificate() const;
+  /// Whether the last answer was to exactly `removed` (same ids, same
+  /// order) on the view as it stands.
+  [[nodiscard]] bool answered(std::span<const NodeId> removed) const;
 
   void ensure_capacity(NodeId id);
   /// Re-enumerates u's row via `ports` and writes it in place or at the
   /// arena tail (see apply_delta).
   void rewrite_row(NodeId u, const PortsFn& ports);
-  /// Rebuilds the arena in id order, dropping the abandoned slack.
+  /// Drops the abandoned slack from the arena, in place: rows keep their
+  /// arena order and slide left, so no second arena is allocated.
   void compact();
 
   std::vector<std::uint32_t> row_start_;  ///< arena offset per id
@@ -212,6 +225,10 @@ class CsrView {
   mutable bool certified_ = false;
   mutable NodeId anchor_ = kInvalidNode;  ///< a node of the certified graph
   mutable std::vector<NodeId> pending_;   ///< rows rewritten since then
+  /// The last survivors_connected query since the last build or patch.
+  mutable bool last_valid_ = false;
+  mutable bool last_connected_ = false;
+  mutable std::vector<NodeId> last_removed_;
   /// Per-id query state: epoch == query_epoch_ means u was removed or
   /// reached in the open query, told apart by label (the ball it joined,
   /// or kRemoved). Side by side so a visit costs one cache line; allocated on
@@ -257,9 +274,10 @@ void csr_bfs_fill(const CsrView& g, NodeId src, std::vector<std::uint32_t>& dist
 /// (a whole component without the rest: not connected), so its cost
 /// follows the churn delta, not n. Otherwise it runs a full BFS. Counting
 /// the survivors costs O(|removed|). A true answer with every removed node
-/// attached to a survivor certifies the view. The answer is the same bool
-/// either way; DEX_CHECK_CSR=1 asserts every local answer against the full
-/// BFS.
+/// attached to a survivor certifies the view. A repeat of the previous
+/// query on an unchanged view is answered from memory in O(|removed|). The
+/// answer is the same bool every way; DEX_CHECK_CSR=1 asserts every local
+/// or remembered answer against the full BFS.
 [[nodiscard]] bool survivors_connected(const CsrView& g,
                                        std::span<const NodeId> removed = {});
 

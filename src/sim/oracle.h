@@ -15,12 +15,14 @@
 /// both at radius ~diam/2, ~O(sqrt n) vertices instead of the O(n + m) a
 /// full frontier costs.
 ///
-/// Full single-source vectors are still needed by the re-homing transfer
-/// pricing, which reads every survivor's distance from a new home. from()
-/// and reach() memoize those over the step's CsrView (graph/csr.h), keyed
-/// by root, in a small FIFO ring of reusable slots; distance() answers
-/// from a memoized root whenever either endpoint is one, and otherwise
-/// takes exactly one probe. Eviction affects only speed.
+/// Full single-source vectors are still needed where re-homing prices an
+/// orphaned key (its old host died): the charge is the mean distance from
+/// the new home to every survivor. A handover (the old host survived) is
+/// one point query. from() and reach() memoize the full vectors over the
+/// step's CsrView (graph/csr.h), keyed by root, in a small FIFO ring of
+/// reusable slots; distance() answers from a memoized root whenever either
+/// endpoint is one, and otherwise takes exactly one probe. Eviction affects
+/// only speed.
 ///
 /// The owner (sim::KvStore) calls attach() once per churn step with the
 /// step's frozen CsrView; attach clears the memo (the topology changed) but
@@ -52,7 +54,8 @@ class DistanceOracle {
   [[nodiscard]] std::uint32_t distance(graph::NodeId u, graph::NodeId v);
 
   /// The full distance vector from `src` (memoizing it as a root). Used by
-  /// the re-homing transfer pricing, which needs every survivor's distance.
+  /// the re-homing transfer pricing of a new home that receives an orphaned
+  /// key, which needs every survivor's distance.
   /// Lifetime: the reference stays valid (and keeps meaning `src`) only
   /// until the next from()/reach() on a new root — which may recycle the
   /// slot — or attach(). Read it before materializing another root.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "graph/bfs.h"
 #include "sim/hrw_scan.h"
@@ -130,6 +131,14 @@ KvStore::Placement KvStore::scan_candidates(std::uint64_t key) const {
   return pl;
 }
 
+const KvStore::Placement& KvStore::unplaced(std::uint64_t key) const {
+  auto it = scanned_.find(key);
+  if (it == scanned_.end()) {
+    it = scanned_.emplace(key, scan_candidates(key)).first;
+  }
+  return it->second;
+}
+
 NodeId KvStore::resolve_origin(NodeId origin) const {
   if (origin != kInvalidNode && csr_->alive(origin)) return origin;
   return alive_[support::mix64(origin) % alive_.size()];
@@ -161,29 +170,18 @@ KvStore::SyncStats KvStore::sync(const adversary::AdversaryView& view) {
   csr_ = &view.live_csr();
   oracle_.attach(*csr_);
 
-  // Membership delta + fresh sorted alive set in one ascending bitmap walk
-  // against the previous (sorted) alive list — no per-step sort.
+  // Membership delta against the previous alive list: both lists are
+  // ascending, and the view keeps its own patched from the churn journal.
+  const std::vector<NodeId>& now = view.alive_nodes();
   added_scratch_.clear();
-  alive_scratch_.clear();
-  alive_scratch_.reserve(csr_->alive_count());
-  {
-    std::size_t i = 0;
-    for (NodeId u = 0; u < csr_->node_count(); ++u) {
-      if (!csr_->alive(u)) continue;
-      alive_scratch_.push_back(u);
-      while (i < alive_.size() && alive_[i] < u) ++i;
-      if (i < alive_.size() && alive_[i] == u) {
-        ++i;
-      } else {
-        added_scratch_.push_back(u);
-      }
-    }
-  }
-  const std::size_t surviving = alive_scratch_.size() - added_scratch_.size();
+  std::set_difference(now.begin(), now.end(), alive_.begin(), alive_.end(),
+                      std::back_inserter(added_scratch_));
+  const std::size_t surviving = now.size() - added_scratch_.size();
   const bool any_removed = surviving != alive_.size();
   const bool first = !synced_;
-  alive_.swap(alive_scratch_);
+  alive_.assign(now.begin(), now.end());
   synced_ = true;
+  scanned_.clear();
   last_moved_.clear();
   SyncStats out;
   if (first || placed_.empty()) return out;
@@ -229,29 +227,45 @@ KvStore::SyncStats KvStore::sync(const adversary::AdversaryView& view) {
   }
   if (moves.empty()) return out;
 
-  // One BFS per distinct destination prices every transfer to it: the exact
-  // old->new distance when the old host survived (a handover), else the mean
-  // distance from the new home (the expected pull from wherever the healed
-  // overlay recovered the item). The oracle memoizes these frontiers, so
-  // the step's ops aimed at the same homes reuse them for free.
+  // A transfer costs the exact old->new distance when the old host survived
+  // (a handover), else the mean distance from the new home (the expected
+  // pull from wherever the healed overlay recovered the item). Only the
+  // mean needs a full BFS, so a destination gets one only when some key it
+  // receives lost its host; the oracle memoizes that frontier, and the
+  // step's ops aimed at the same home reuse it for free. A destination of
+  // handovers alone pays one two-sided probe per key.
   std::sort(moves.begin(), moves.end(), [](const Move& a, const Move& b) {
     return a.to != b.to ? a.to < b.to : a.key < b.key;
   });
   for (std::size_t i = 0; i < moves.size();) {
     const NodeId to = moves[i].to;
-    const auto& dist = oracle_.from(to);
-    const auto reach = oracle_.reach(to);
-    const std::uint64_t mean = std::max<std::uint64_t>(
-        reach.count ? reach.sum / reach.count : 1, 1);
-    for (; i < moves.size() && moves[i].to == to; ++i) {
-      const NodeId from = moves[i].from;
-      const bool from_alive = csr_->alive(from);
-      out.messages += from_alive && dist[from] != graph::kUnreached
-                          ? dist[from]
-                          : mean;
-      last_moved_.push_back(moves[i].key);
+    std::size_t end = i;
+    bool orphans = false;
+    for (; end < moves.size() && moves[end].to == to; ++end) {
+      orphans = orphans || !csr_->alive(moves[end].from);
+    }
+    const auto mean = [this, to] {
+      const auto reach = oracle_.reach(to);
+      return std::max<std::uint64_t>(reach.count ? reach.sum / reach.count : 1,
+                                     1);
+    };
+    if (orphans) {
+      const auto& dist = oracle_.from(to);
+      const std::uint64_t pull = mean();
+      for (; i < end; ++i) {
+        const NodeId from = moves[i].from;
+        out.messages += csr_->alive(from) && dist[from] != graph::kUnreached
+                            ? dist[from]
+                            : pull;
+      }
+    } else {
+      for (; i < end; ++i) {
+        const std::uint32_t d = oracle_.distance(to, moves[i].from);
+        out.messages += d != graph::kUnreached ? d : mean();
+      }
     }
   }
+  for (const Move& m : moves) last_moved_.push_back(m.key);
   std::sort(last_moved_.begin(), last_moved_.end());
   out.moved_keys = moves.size();
   return out;
@@ -265,9 +279,10 @@ KvStore::OpResult KvStore::put(std::uint64_t key, std::uint64_t value,
   if (it != placed_.end()) {
     if (!route_op(resolve_origin(origin), it->second.home(), r)) return r;
   } else {
-    Placement pl = scan_candidates(key);
+    const Placement& pl = unplaced(key);
     if (!route_op(resolve_origin(origin), pl.home(), r)) return r;
-    placed_.emplace(key, std::move(pl));
+    placed_.emplace(key, pl);
+    scanned_.erase(key);
   }
   values_[key] = value;
   r.ok = true;
@@ -279,7 +294,7 @@ KvStore::OpResult KvStore::get(std::uint64_t key, NodeId origin) {
   OpResult r;
   const auto it = placed_.find(key);
   const NodeId home =
-      it != placed_.end() ? it->second.home() : scan_candidates(key).home();
+      it != placed_.end() ? it->second.home() : unplaced(key).home();
   if (!route_op(resolve_origin(origin), home, r)) return r;
   const auto vit = values_.find(key);
   // A miss pays only the one-way request: no value travels back, and a
@@ -297,7 +312,7 @@ KvStore::OpResult KvStore::erase(std::uint64_t key, NodeId origin) {
   OpResult r;
   const auto it = placed_.find(key);
   const NodeId home =
-      it != placed_.end() ? it->second.home() : scan_candidates(key).home();
+      it != placed_.end() ? it->second.home() : unplaced(key).home();
   if (!route_op(resolve_origin(origin), home, r)) return r;
   r.ok = values_.erase(key) > 0;
   placed_.erase(key);
@@ -324,7 +339,7 @@ std::vector<std::uint64_t> KvStore::keys_at(
 NodeId KvStore::home(std::uint64_t key) const {
   DEX_ASSERT_MSG(synced_, "KvStore::sync must run before operations");
   const auto it = placed_.find(key);
-  return it != placed_.end() ? it->second.home() : scan_candidates(key).home();
+  return it != placed_.end() ? it->second.home() : unplaced(key).home();
 }
 
 // ------------------------------------------------------------ TrafficEngine
@@ -420,8 +435,7 @@ TrafficStepStats TrafficEngine::begin_step(
 TrafficEngine::IssuedOp TrafficEngine::issue_op() {
   // Draws in this order: key, origin, read coin (the coin only when the key
   // is acknowledged right now). The origin pool is the store's ascending
-  // alive list — identical content to view.alive_nodes() (every backend
-  // scans ids ascending), minus the per-step vector copy.
+  // alive list, the view's as of the last sync.
   const auto& nodes = kv_.alive();
   DEX_ASSERT(!nodes.empty());
   IssuedOp op;

@@ -146,12 +146,13 @@ class KvStore {
   };
 
   /// Refreshes the cached live view (one flat CSR per step, borrowed from
-  /// the caller's AdversaryView), updates the sorted alive set
-  /// incrementally from the membership delta, and re-homes keys displaced
-  /// by the change.
+  /// the caller's AdversaryView), takes the view's sorted alive list and
+  /// its difference from the previous one, and re-homes keys displaced by
+  /// the change.
   /// Transfer charge per moved key: the BFS distance from its new home to
-  /// its old one when the old host survived, else the mean BFS distance
-  /// from the new home (the expected recovery pull).
+  /// its old one when the old host survived (a handover, priced with one
+  /// two-sided probe), else the mean BFS distance from the new home (the
+  /// expected recovery pull, one full frontier per such home).
   SyncStats sync(const adversary::AdversaryView& view);
 
   struct OpResult {
@@ -185,7 +186,8 @@ class KvStore {
   [[nodiscard]] std::size_t size() const { return values_.size(); }
 
   /// Current home of `key` (its placement if stored, else where it would be
-  /// placed). Requires a prior sync().
+  /// placed; put() reuses that scan until the next sync()). Requires a
+  /// prior sync().
   [[nodiscard]] graph::NodeId home(std::uint64_t key) const;
 
   /// Keys re-homed by the most recent sync(), ascending — the hotspot
@@ -206,8 +208,9 @@ class KvStore {
     return *csr_;
   }
 
-  /// The ascending alive-node list maintained by sync() — the same content
-  /// view.alive_nodes() would return, without the per-step copy.
+  /// The ascending alive-node list as of the last sync(): a copy of
+  /// view.alive_nodes() then, which placement scans and origins use until
+  /// the next sync().
   [[nodiscard]] const std::vector<graph::NodeId>& alive() const {
     return alive_;
   }
@@ -243,6 +246,9 @@ class KvStore {
   /// node into an empty list, since every node left outside it was
   /// skipped or truncated there and the floor is the largest such score.
   [[nodiscard]] Placement scan_candidates(std::uint64_t key) const;
+  /// The placement of a key not yet stored: scanned once per sync() and
+  /// kept in scanned_ until then.
+  [[nodiscard]] const Placement& unplaced(std::uint64_t key) const;
   static void merge_candidate(Placement& pl, Candidate c);
   [[nodiscard]] graph::NodeId resolve_origin(graph::NodeId origin) const;
   /// Routes origin -> home; fills hops/optimal_hops; returns delivery.
@@ -256,9 +262,13 @@ class KvStore {
   std::vector<graph::NodeId> alive_;  ///< ascending; maintained by sync()
   bool synced_ = false;
   std::unordered_map<std::uint64_t, Placement> placed_;
+  /// Scans of keys not in placed_ since the last sync(), which clears it:
+  /// the serving front-end asks home() when a write is issued, and put()
+  /// places the key from the same scan when the write completes.
+  /// det: looked up, never iterated.
+  mutable std::unordered_map<std::uint64_t, Placement> scanned_;
   std::unordered_map<std::uint64_t, std::uint64_t> values_;
   std::vector<std::uint64_t> last_moved_;
-  std::vector<graph::NodeId> alive_scratch_;
   std::vector<graph::NodeId> added_scratch_;
 };
 

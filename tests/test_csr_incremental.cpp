@@ -13,9 +13,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "adversary/adversary.h"
 #include "graph/csr.h"
 #include "sim/overlay.h"
 #include "sim/scenario.h"
@@ -281,6 +283,46 @@ TEST_P(IncrementalCsr, LocalConnectivityAnswersEqualTheFullBfs) {
   EXPECT_GE(full_steps, 6u) << backend;
   EXPECT_GT(local_true, 200u) << backend;
   EXPECT_GT(local_false, 20u) << backend;
+}
+
+// The alive list AdversaryView patches from the churn journal must equal
+// the overlay's own list after every advance(), on every backend: under
+// swinging batch churn (DEX's type-2 rebuilds and staggered windows drain
+// full deltas, flooding keeps no journal), across several changes drained
+// at once (among them an id born and dead within one drain), and every
+// 40th step
+// on a fresh view, as after a forced rebuild. The fresh view's list is
+// first read after the overlay has already changed, so the next delta
+// names ids the list already reflects.
+TEST_P(IncrementalCsr, PatchedAliveListEqualsTheOverlays) {
+  const std::string backend = GetParam();
+  auto overlay = dex::sim::make_overlay(backend, 48, /*seed=*/31);
+  ASSERT_NE(overlay, nullptr);
+  dex::support::Rng rng(0xA11Eull);
+  std::optional<dex::adversary::AdversaryView> view;
+  view.emplace(*overlay);
+  for (int t = 0; t < 240; ++t) {
+    const bool fresh = t % 40 == 20;
+    if (fresh) {
+      view.reset();
+      view.emplace(*overlay);
+    } else {
+      (void)view->alive_nodes();  // a current list: advance() patches it
+    }
+    overlay->apply(swinging_batch(*overlay, rng, t));
+    if (t % 5 == 0) {
+      overlay->apply(random_batch(*overlay, rng));
+      // Born and dead within one drain: listed in both born and died.
+      overlay->remove(overlay->insert(overlay->alive_nodes().front()));
+    }
+    if (fresh) (void)view->alive_nodes();  // read after the change
+    view->advance();
+    ASSERT_EQ(view->alive_nodes(), overlay->alive_nodes())
+        << backend << " step " << t;
+    view->advance();  // an empty delta
+    ASSERT_EQ(view->alive_nodes(), overlay->alive_nodes())
+        << backend << " step " << t << " (empty delta)";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, IncrementalCsr,

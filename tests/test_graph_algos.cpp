@@ -357,6 +357,55 @@ TEST(Csr, CertificateDropsOncePendingOutgrowsTheView) {
   EXPECT_FALSE(g::survivors_connected(p.view));
 }
 
+// The remembered answer covers one view: a patch that disconnects (or
+// reconnects) it must be seen by the very query answered before it.
+TEST(Csr, RememberedAnswerDiesWithThePatch) {
+  PatchableGraph p(g::make_path(5));
+  ASSERT_TRUE(g::survivors_connected(p.view, ids({0})));
+  p.cut(2, 3);
+  EXPECT_FALSE(g::survivors_connected(p.view, ids({0})));
+
+  PatchableGraph q(g::make_path(4));
+  ASSERT_FALSE(g::survivors_connected(q.view, ids({1})));
+  q.attach({0, 2});  // a newcomer bridges the gap node 1 leaves
+  EXPECT_TRUE(g::survivors_connected(q.view, ids({1})));
+
+  PatchableGraph r(g::make_cycle(6));
+  ASSERT_TRUE(g::survivors_connected(r.view, ids({2})));
+  r.kill(5);
+  EXPECT_FALSE(g::survivors_connected(r.view, ids({2})));
+}
+
+// On an unchanged view only the very same removed list, in the same order,
+// is answered from memory; a prefix, an extension or another id is asked
+// afresh.
+TEST(Csr, RememberedAnswerKeysOnTheRemovedList) {
+  PatchableGraph p(g::make_path(5));
+  EXPECT_FALSE(g::survivors_connected(p.view, ids({2})));
+  EXPECT_TRUE(g::survivors_connected(p.view, ids({0})));
+  EXPECT_FALSE(g::survivors_connected(p.view, ids({0, 2})));
+  EXPECT_TRUE(g::survivors_connected(p.view, ids({0})));
+  EXPECT_TRUE(g::survivors_connected(p.view, ids({0, 1})));
+  EXPECT_FALSE(g::survivors_connected(p.view, ids({0, 1, 3})));
+  EXPECT_TRUE(g::survivors_connected(p.view));
+  EXPECT_FALSE(g::survivors_connected(p.view, ids({2})));
+  EXPECT_FALSE(g::survivors_connected(p.view, ids({2})));
+}
+
+// Rows that keep growing relocate to the arena tail until the slack is
+// compacted away in place; every row must survive each compaction.
+TEST(Csr, GrowingRowsSurviveCompaction) {
+  PatchableGraph p(g::make_cycle(8));
+  for (int i = 0; i < 600; ++i) {
+    const auto hub = static_cast<g::NodeId>(i % 3);
+    p.attach({hub, static_cast<g::NodeId>(hub + 3)});
+    if (i % 50 == 49) p.kill(static_cast<g::NodeId>(8 + i - 10));
+    g::CsrView ref;
+    ref.build_from_ports(p.alive, p.ports());
+    ASSERT_TRUE(p.view.equal_to(ref)) << "after attach " << i;
+  }
+}
+
 TEST(Spectral, CsrExclusionEqualsIsolatedCopyBitForBit) {
   // GreedySpectralDeletion's no-oracle path: excluding v (and any node it
   // orphans) on the CSR must give exactly the Multigraph answer with v

@@ -502,6 +502,73 @@ TEST(KvStore, PlacementTracksAFreshStoreThroughJoinsAndLeaves) {
   }
 }
 
+// Re-homing prices a handover (the old host survived) with one point probe
+// and builds a full frontier only for a destination that receives an
+// orphaned key; the charge must equal pricing every move from a full BFS
+// of its new home, as one sync() did before.
+TEST(KvStore, RehashMessagesEqualFullBfsPricingUnderChurn) {
+  sim::LawSiuOverlay overlay(64, /*d=*/3, /*seed=*/12);
+  adversary::AdversaryView view(overlay);
+  sim::KvStore kv(overlay);
+  kv.sync(view);
+  constexpr std::uint64_t kKeys = 512;
+  const auto seed_nodes = overlay.alive_nodes();
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(kv.put(k, k, seed_nodes[k % seed_nodes.size()]).ok);
+  }
+  support::Rng rng(4242);
+  std::vector<NodeId> before(kKeys);
+  std::vector<std::uint32_t> dist;
+  std::vector<NodeId> queue;
+  std::size_t handovers = 0;
+  std::size_t orphans = 0;
+  for (int step = 0; step < 80; ++step) {
+    for (std::uint64_t k = 0; k < kKeys; ++k) before[k] = kv.home(k);
+    // One to three events, so a step can mix joins and leaves.
+    const std::size_t events = 1 + rng.below(3);
+    for (std::size_t e = 0; e < events; ++e) {
+      const auto nodes = overlay.alive_nodes();
+      if (rng.chance(0.5) || nodes.size() < 40) {
+        overlay.insert(nodes[rng.below(nodes.size())]);
+      } else {
+        overlay.remove(nodes[rng.below(nodes.size())]);
+      }
+    }
+    view.advance();
+    const auto stats = kv.sync(view);
+
+    const graph::CsrView& live = view.live_csr();
+    std::uint64_t want = 0;
+    std::size_t moved = 0;
+    for (std::uint64_t k = 0; k < kKeys; ++k) {
+      const NodeId to = kv.home(k);
+      const NodeId from = before[k];
+      if (to == from) continue;
+      ++moved;
+      graph::csr_bfs_fill(live, to, dist, queue);
+      if (live.alive(from) && dist[from] != graph::kUnreached) {
+        want += dist[from];
+        ++handovers;
+        continue;
+      }
+      std::uint64_t sum = 0;
+      std::uint64_t count = 0;
+      for (NodeId u = 0; u < dist.size(); ++u) {
+        if (live.alive(u) && dist[u] != graph::kUnreached) {
+          sum += dist[u];
+          ++count;
+        }
+      }
+      want += std::max<std::uint64_t>(count ? sum / count : 1, 1);
+      ++orphans;
+    }
+    ASSERT_EQ(stats.moved_keys, moved) << "step " << step;
+    ASSERT_EQ(stats.messages, want) << "step " << step;
+  }
+  EXPECT_GT(handovers, 50u);
+  EXPECT_GT(orphans, 50u);
+}
+
 // ------------------------------------------------- conformance (E7 gate)
 
 TEST(WorkloadConformance, AllSixBackendsServeTenKZipfOpsUnderChurnNoLoss) {
