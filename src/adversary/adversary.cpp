@@ -70,8 +70,6 @@ AdversaryView::AdversaryView(const sim::HealingOverlay& overlay)
   // CSR the first step built instead of discarding it.
   (void)overlay_.drain_view_delta(delta_);
   // The alive list too, so advance() patches it from the first step on.
-  // Allocated before the CSR and its scratch, it sits below them in the
-  // heap and does not keep their memory resident once they are freed.
   (void)alive_nodes();
 }
 

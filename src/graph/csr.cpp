@@ -108,14 +108,6 @@ void CsrView::rewrite_row(NodeId u, const PortsFn& ports) {
               edges_.begin() + row_start_[u]);
     garbage_ += old_len - new_len;
   } else {
-    // Grown rows move to the arena tail. When the tail is out of room,
-    // compacting in place reclaims the slack instead of letting the vector
-    // double, which would copy the whole arena and keep both copies
-    // resident. Only a sizable slack is worth a pass over the arena.
-    if (edges_.size() + new_len > edges_.capacity() && garbage_ >= new_len &&
-        garbage_ >= live_edge_count_ / 16) {
-      compact();
-    }
     garbage_ += old_len;
     DEX_ASSERT_MSG(edges_.size() + new_len <=
                        static_cast<std::size_t>(~std::uint32_t{0}),
@@ -127,40 +119,15 @@ void CsrView::rewrite_row(NodeId u, const PortsFn& ports) {
 }
 
 void CsrView::compact() {
-  // In place, in arena order: each row slides left over the slack before
-  // it, so no second arena is ever allocated. While the pass runs, a row's
-  // first slot holds its id (the neighbor it displaced waits in
-  // row_start_), and one bit per slot marks where rows begin.
-  std::vector<bool> head(edges_.size(), false);
+  std::vector<NodeId> packed;
+  packed.reserve(live_edge_count_);
   for (NodeId u = 0; u < row_len_.size(); ++u) {
-    if (row_len_[u] == 0) {
-      row_start_[u] = 0;
-      continue;
-    }
-    const std::uint32_t at = row_start_[u];
-    head[at] = true;
-    row_start_[u] = edges_[at];
-    edges_[at] = u;
+    const auto row = neighbors(u);
+    const std::uint32_t at = static_cast<std::uint32_t>(packed.size());
+    packed.insert(packed.end(), row.begin(), row.end());
+    row_start_[u] = at;
   }
-  std::size_t out = 0;
-  for (std::size_t at = 0; at < edges_.size();) {
-    if (!head[at]) {
-      ++at;
-      continue;
-    }
-    const NodeId u = edges_[at];
-    const std::size_t len = row_len_[u];
-    edges_[out] = row_start_[u];
-    if (out != at) {
-      std::copy(edges_.begin() + static_cast<std::ptrdiff_t>(at + 1),
-                edges_.begin() + static_cast<std::ptrdiff_t>(at + len),
-                edges_.begin() + static_cast<std::ptrdiff_t>(out + 1));
-    }
-    row_start_[u] = static_cast<std::uint32_t>(out);
-    out += len;
-    at += len;
-  }
-  edges_.resize(out);
+  edges_.swap(packed);
   garbage_ = 0;
 }
 

@@ -129,10 +129,8 @@ class CsrView {
   /// neighbors are re-enumerated automatically — the journal need not list
   /// them), `d.born` ids become alive, and every dirty id's row is
   /// re-enumerated via `ports`. Rows that shrink or keep their length are
-  /// rewritten in place; rows that grow relocate to the arena tail. The
-  /// abandoned slack is compacted away, in place, once it exceeds the live
-  /// edge count, or earlier when a grown row would otherwise make the arena
-  /// reallocate.
+  /// rewritten in place; rows that grow relocate to the arena tail, and the
+  /// abandoned slack is compacted away once it exceeds the live edge count.
   /// Requires a prior build_from_ports()/apply_delta() with the same
   /// canonical `ports` order; d.full is the caller's job to handle (assert).
   void apply_delta(const ViewDelta& d, const PortsFn& ports);
@@ -199,8 +197,7 @@ class CsrView {
   /// Re-enumerates u's row via `ports` and writes it in place or at the
   /// arena tail (see apply_delta).
   void rewrite_row(NodeId u, const PortsFn& ports);
-  /// Drops the abandoned slack from the arena, in place: rows keep their
-  /// arena order and slide left, so no second arena is allocated.
+  /// Rebuilds the arena in id order, dropping the abandoned slack.
   void compact();
 
   std::vector<std::uint32_t> row_start_;  ///< arena offset per id

@@ -228,41 +228,26 @@ KvStore::SyncStats KvStore::sync(const adversary::AdversaryView& view) {
   if (moves.empty()) return out;
 
   // A transfer costs the exact old->new distance when the old host survived
-  // (a handover), else the mean distance from the new home (the expected
-  // pull from wherever the healed overlay recovered the item). Only the
-  // mean needs a full BFS, so a destination gets one only when some key it
-  // receives lost its host; the oracle memoizes that frontier, and the
-  // step's ops aimed at the same home reuse it for free. A destination of
-  // handovers alone pays one two-sided probe per key.
-  std::sort(moves.begin(), moves.end(), [](const Move& a, const Move& b) {
-    return a.to != b.to ? a.to < b.to : a.key < b.key;
+  // (a handover: one two-sided probe), else the mean distance from the new
+  // home (the expected pull from wherever the healed overlay recovered the
+  // item), which needs a full BFS from it. Orphaned keys sort first within
+  // each destination, so that BFS, when one is needed, is memoized before
+  // the handovers to the same home and answers them too; the step's ops
+  // aimed at that home reuse it for free.
+  std::sort(moves.begin(), moves.end(), [this](const Move& a, const Move& b) {
+    if (a.to != b.to) return a.to < b.to;
+    const bool a_orphan = !csr_->alive(a.from);
+    const bool b_orphan = !csr_->alive(b.from);
+    return a_orphan != b_orphan ? a_orphan : a.key < b.key;
   });
-  for (std::size_t i = 0; i < moves.size();) {
-    const NodeId to = moves[i].to;
-    std::size_t end = i;
-    bool orphans = false;
-    for (; end < moves.size() && moves[end].to == to; ++end) {
-      orphans = orphans || !csr_->alive(moves[end].from);
-    }
-    const auto mean = [this, to] {
-      const auto reach = oracle_.reach(to);
-      return std::max<std::uint64_t>(reach.count ? reach.sum / reach.count : 1,
-                                     1);
-    };
-    if (orphans) {
-      const auto& dist = oracle_.from(to);
-      const std::uint64_t pull = mean();
-      for (; i < end; ++i) {
-        const NodeId from = moves[i].from;
-        out.messages += csr_->alive(from) && dist[from] != graph::kUnreached
-                            ? dist[from]
-                            : pull;
-      }
+  for (const Move& m : moves) {
+    const std::uint32_t d = oracle_.distance(m.to, m.from);
+    if (d != graph::kUnreached) {
+      out.messages += d;
     } else {
-      for (; i < end; ++i) {
-        const std::uint32_t d = oracle_.distance(to, moves[i].from);
-        out.messages += d != graph::kUnreached ? d : mean();
-      }
+      const auto reach = oracle_.reach(m.to);
+      out.messages += std::max<std::uint64_t>(
+          reach.count ? reach.sum / reach.count : 1, 1);
     }
   }
   for (const Move& m : moves) last_moved_.push_back(m.key);

@@ -392,20 +392,6 @@ TEST(Csr, RememberedAnswerKeysOnTheRemovedList) {
   EXPECT_FALSE(g::survivors_connected(p.view, ids({2})));
 }
 
-// Rows that keep growing relocate to the arena tail until the slack is
-// compacted away in place; every row must survive each compaction.
-TEST(Csr, GrowingRowsSurviveCompaction) {
-  PatchableGraph p(g::make_cycle(8));
-  for (int i = 0; i < 600; ++i) {
-    const auto hub = static_cast<g::NodeId>(i % 3);
-    p.attach({hub, static_cast<g::NodeId>(hub + 3)});
-    if (i % 50 == 49) p.kill(static_cast<g::NodeId>(8 + i - 10));
-    g::CsrView ref;
-    ref.build_from_ports(p.alive, p.ports());
-    ASSERT_TRUE(p.view.equal_to(ref)) << "after attach " << i;
-  }
-}
-
 TEST(Spectral, CsrExclusionEqualsIsolatedCopyBitForBit) {
   // GreedySpectralDeletion's no-oracle path: excluding v (and any node it
   // orphans) on the CSR must give exactly the Multigraph answer with v
