@@ -1,9 +1,13 @@
 // E8 — Corollary 2 (§5): batches of εn insertions/deletions per step.
 // Sweep n and ε; report messages and rounds per batch against the
 // O(n log² n) / O(log³ n) envelopes, and the frequency of type-2 fallbacks.
+// The shape check is a gate: the binary exits 1 and names the row when a
+// normalized column passes its ceiling or a batch falls back to type-2.
 
 #include <cmath>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "adversary/adversary.h"
 #include "bench_common.h"
@@ -12,7 +16,20 @@
 
 using namespace dex;
 
+namespace {
+
+/// One table row, kept for the gate.
+struct Row {
+  std::string name;
+  double msgs_ratio = 0;
+  double rounds_ratio = 0;
+  std::uint64_t type2 = 0;
+};
+
+}  // namespace
+
 int main() {
+  std::vector<Row> rows;
   std::printf("=== E8 / Corollary 2: batched churn ===\n\n");
   metrics::Table t({"n", "eps", "batch size", "msgs / (n log^2 n)",
                     "rounds / log^3 n", "walk epochs", "type2 used"});
@@ -56,11 +73,15 @@ int main() {
         if (res.used_type2) ++type2;
         net.check_invariants();
       }
+      rows.push_back({"E8 n=" + std::to_string(n0) +
+                          " eps=" + metrics::Table::num(eps, 3),
+                      msgs_ratio_acc / kBatches, rounds_ratio_acc / kBatches,
+                      type2});
       t.add_row({std::to_string(n0), metrics::Table::num(eps, 3),
                  std::to_string(static_cast<std::size_t>(
                      eps * static_cast<double>(n0))),
-                 metrics::Table::num(msgs_ratio_acc / kBatches, 3),
-                 metrics::Table::num(rounds_ratio_acc / kBatches, 3),
+                 metrics::Table::num(rows.back().msgs_ratio, 3),
+                 metrics::Table::num(rows.back().rounds_ratio, 3),
                  std::to_string(epochs), std::to_string(type2)});
     }
   }
@@ -69,5 +90,19 @@ int main() {
       "\nShape check (Cor. 2): both normalized columns stay bounded (do not\n"
       "grow down the n sweep) — messages are O(n log^2 n) and rounds are\n"
       "O(log^3 n) per batch.\n");
-  return 0;
+  // The seeded rows peak at 0.021 and 0.005 (n = 256, eps = 1/8), and at
+  // 0.023 and 0.007 over 32 seeds; no batch falls back to type-2 on any of
+  // them. The ceilings leave a 1.4x and a 1.5x margin over the seeded peaks.
+  constexpr double kMaxMsgsRatio = 0.03;
+  constexpr double kMaxRoundsRatio = 0.0075;
+  bool ok = true;
+  for (const Row& r : rows) {
+    ok &= bench::claim_at_most(r.name, "msgs / (n log^2 n)", r.msgs_ratio,
+                               kMaxMsgsRatio);
+    ok &= bench::claim_at_most(r.name, "rounds / log^3 n", r.rounds_ratio,
+                               kMaxRoundsRatio);
+    ok &= bench::claim_at_most(r.name, "type2 used",
+                               static_cast<double>(r.type2), 0.0);
+  }
+  return ok ? 0 : 1;
 }

@@ -7,6 +7,9 @@
 /// ad-hoc stepping), so the per-backend view_of()/apply() overloads this
 /// header used to carry are gone.
 
+#include <cstdio>
+#include <string>
+
 #include "adversary/adversary.h"
 #include "sim/overlay.h"
 #include "sim/scenario.h"
@@ -28,6 +31,17 @@ inline double hops_per_op(const sim::ScenarioResult& r) {
   return r.total_ops == 0 ? 0.0
                           : static_cast<double>(r.total_op_hops) /
                                 static_cast<double>(r.total_ops);
+}
+
+/// A shape check as a gate: holds one normalized value to the ceiling set
+/// beside the bench's "Shape check" text. A value above it names its row on
+/// stderr and returns false; a passing value prints nothing.
+inline bool claim_at_most(const std::string& row, const char* column,
+                          double value, double ceiling) {
+  if (value <= ceiling) return true;
+  std::fprintf(stderr, "claim gate FAIL: %s: %s = %.4f > %.4f\n",
+               row.c_str(), column, value, ceiling);
+  return false;
 }
 
 }  // namespace dex::bench

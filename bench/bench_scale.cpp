@@ -29,7 +29,6 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -70,10 +69,9 @@ sim::EventSpec event_spec() {
 /// One timed single trial with phase attribution on; returns the result and
 /// fills wall_ms.
 sim::ScenarioResult timed_trial(const char* backend, std::size_t n,
-                                std::size_t steps, unsigned intra_jobs,
-                                double& wall_ms, bool event = false) {
+                                std::size_t steps, double& wall_ms,
+                                bool event = false) {
   auto overlay = sim::make_overlay(backend, n, sim::overlay_seed(1));
-  if (intra_jobs > 1) overlay->set_intra_jobs(intra_jobs);
   auto strategy = sim::make_strategy("churn");
   auto spec = traffic_spec(steps);
   spec.seed = 1;
@@ -199,7 +197,7 @@ int main(int argc, char** argv) {
         if (n < 10000) continue;  // the small sizes say nothing about scale
         constexpr std::size_t kSteps = 20;
         double ms = 0.0;
-        const auto res = timed_trial(backend, n, kSteps, /*intra_jobs=*/1, ms);
+        const auto res = timed_trial(backend, n, kSteps, ms);
         emit_phase_row(json, backend, n, kSteps, res, ms);
         t.add_row({backend, std::to_string(n), std::to_string(kSteps),
                    metrics::Table::num(ms, 0),
@@ -232,8 +230,7 @@ int main(int argc, char** argv) {
         constexpr std::size_t kSteps = 20;
         double ms = 0.0;
         const auto res =
-            timed_trial(backend, n, kSteps, /*intra_jobs=*/1, ms,
-                        /*event=*/true);
+            timed_trial(backend, n, kSteps, ms, /*event=*/true);
         emit_phase_row(json, backend, n, kSteps, res, ms, "event");
         t.add_row({backend, std::to_string(n), std::to_string(kSteps),
                    metrics::Table::num(ms, 0),
@@ -256,15 +253,13 @@ int main(int argc, char** argv) {
   if (!frontier.empty()) {
     std::printf("\n-- the frontier: n > 100k, per-delta backends only --\n\n");
     std::ofstream json(json_path, std::ios::app);
-    const unsigned intra =
-        std::max(1u, std::thread::hardware_concurrency());
     metrics::Table t({"backend", "n0", "steps", "wall ms", "churn us/st",
                       "view us/st", "traffic us/st", "us/op"});
     for (const char* backend : {"dex-amortized", "lawsiu"}) {
       for (const std::size_t n : frontier) {
         constexpr std::size_t kSteps = 10;
         double ms = 0.0;
-        const auto res = timed_trial(backend, n, kSteps, intra, ms);
+        const auto res = timed_trial(backend, n, kSteps, ms);
         emit_phase_row(json, backend, n, kSteps, res, ms);
         t.add_row({backend, std::to_string(n), std::to_string(kSteps),
                    metrics::Table::num(ms, 0),
@@ -279,10 +274,7 @@ int main(int argc, char** argv) {
     std::printf(
         "\nShape check: one n=1M trial with zipf traffic completes in minutes\n"
         "— per-step cost is the churn delta (view patch) plus the served ops\n"
-        "(shared BFS frontiers), never an O(n + m) rebuild. DEX additionally\n"
-        "fans its walk-port enumeration across %u threads (byte-identical\n"
-        "traces; see --trial-jobs).\n",
-        intra);
+        "(shared BFS frontiers), never an O(n + m) rebuild.\n");
   }
   return 0;
 }

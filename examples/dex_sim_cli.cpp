@@ -127,7 +127,7 @@ void print_usage(std::FILE* out) {
       "                   [--period=T]\n"
       "                   [--serve] [--clients=C] [--think=T]\n"
       "                   [--queue-depth=D] [--service=T] [--op-timeout=T]\n"
-      "                   [--sweep] [--jobs=J] [--trial-jobs=J]\n"
+      "                   [--sweep] [--jobs=J]\n"
       "                   [--csv=FILE] [--json=FILE]\n"
       "\n"
       "Every flag accepts both the =VALUE form and a following VALUE arg.\n"
@@ -154,8 +154,8 @@ void print_usage(std::FILE* out) {
       "  --campaign 'flash-crowd:0-50;mass-failure:50-60,rate=0.3;burst:60-'\n"
       "Steps covered by no phase are quiet (no churn, unit load). The\n"
       "campaign string is archived in the summary's campaign field, and all\n"
-      "byte-determinism contracts (--jobs/--trial-jobs) hold\n"
-      "under campaigns unchanged.\n"
+      "byte-determinism contract (--jobs) holds under campaigns\n"
+      "unchanged.\n"
       "\n"
       "--workload serves key-value traffic through every overlay between\n"
       "churn steps (requests route via p-cycle paths on DEX, BFS on the\n"
@@ -175,8 +175,7 @@ void print_usage(std::FILE* out) {
       "of nodes at --straggler-factor x latency, and --period ticks between\n"
       "batch injections — latency above the period makes healing race\n"
       "churn. The vtime/in_flight/dropped columns fill in, the summary\n"
-      "archives the regime, and every --jobs/--trial-jobs value stays\n"
-      "byte-identical.\n"
+      "archives the regime, and every --jobs value stays byte-identical.\n"
       "\n"
       "--serve (event engine + workload only) replaces the per-step request\n"
       "batches with the concurrent serving front-end: --clients closed-loop\n"
@@ -192,10 +191,7 @@ void print_usage(std::FILE* out) {
       "--sweep expands comma-listed --backend/--scenario/--n0/--batch-size/\n"
       "--seed axes into a grid (--backend all = every backend) and runs the\n"
       "trials on --jobs threads; rows gain a leading trial column and the\n"
-      "output is byte-identical for every --jobs value. --trial-jobs adds\n"
-      "threads *inside* each trial (parallel walk-port enumeration on DEX;\n"
-      "also byte-identical) — raise it for few-but-huge trials instead of\n"
-      "--jobs.\n",
+      "output is byte-identical for every --jobs value.\n",
       dex::sim::overlay_names(), dex::sim::strategy_names(),
       dex::sim::workload_names());
 }
@@ -213,7 +209,6 @@ int main(int argc, char** argv) {
   bool sweep = false;
   bool trace = true;
   std::size_t jobs = 1;
-  unsigned trial_jobs = 1;
   std::string csv_path;
   std::string json_path;
   std::string campaign;  // --campaign as given; parsed below
@@ -318,8 +313,6 @@ int main(int argc, char** argv) {
         serve_knob = true;
       } else if (parse_flag(argc, argv, i, "jobs", v)) {
         jobs = parse_u64(v);
-      } else if (parse_flag(argc, argv, i, "trial-jobs", v)) {
-        trial_jobs = static_cast<unsigned>(parse_u64(v));
       } else if (parse_flag(argc, argv, i, "csv", v)) {
         csv_path = v;
       } else if (parse_flag(argc, argv, i, "json", v)) {
@@ -444,7 +437,6 @@ int main(int argc, char** argv) {
   dex::sim::JsonSummarySink json_sink(*json_os, /*trial_field=*/sweep);
   dex::sim::ExecutorOptions opts;
   opts.jobs = sweep ? jobs : 1;
-  opts.trial_jobs = trial_jobs;
   dex::sim::Executor executor(opts);
   if (trace) executor.add_sink(csv_sink);
   executor.add_sink(json_sink);

@@ -168,7 +168,7 @@ BatchResult apply_batch(DexNetwork& net, const BatchRequest& req,
       return true;
     };
     auto walk = sim::run_walks(std::move(tokens), ports_fn, rng, round_limit,
-                               accept_target, net.walk_jobs());
+                               accept_target);
     meter.add_rounds(walk.rounds);
     meter.add_messages(walk.messages);
     std::vector<Vertex> remaining;
@@ -235,7 +235,7 @@ BatchResult apply_batch(DexNetwork& net, const BatchRequest& req,
       return true;
     };
     auto walk = sim::run_walks(std::move(tokens), ports_fn, rng, round_limit,
-                               accept_host, net.walk_jobs());
+                               accept_host);
     meter.add_rounds(walk.rounds);
     meter.add_messages(walk.messages);
     std::vector<Pending> remaining;

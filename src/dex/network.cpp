@@ -630,8 +630,7 @@ void DexNetwork::rebalance_inflated(VirtualMapping& nm, const PCycle& nc) {
     }
     if (tokens.empty()) return;
 
-    auto res = sim::run_walks(std::move(tokens), vports, rng_, round_limit,
-                              /*accept=*/{}, walk_jobs_);
+    auto res = sim::run_walks(std::move(tokens), vports, rng_, round_limit);
     meter_.add_rounds(res.rounds);
     meter_.add_messages(res.messages);
 
@@ -700,8 +699,7 @@ void DexNetwork::resolve_contenders_deflated(VirtualMapping& nm,
       t.tag = u;
       tokens.push_back(t);
     }
-    auto res = sim::run_walks(std::move(tokens), vports, rng_, round_limit,
-                              /*accept=*/{}, walk_jobs_);
+    auto res = sim::run_walks(std::move(tokens), vports, rng_, round_limit);
     meter_.add_rounds(res.rounds);
     meter_.add_messages(res.messages);
 

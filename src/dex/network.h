@@ -171,12 +171,6 @@ class DexNetwork {
   /// sim::HealingOverlay::drain_view_delta). Borrowed, not owned.
   void set_view_journal(graph::ViewDelta* j) { journal_ = j; }
 
-  /// Intra-step walk parallelism: thread budget handed to sim::run_walks
-  /// for the type-2 rebalance/contender epochs (byte-identical results for
-  /// every value; see token_engine.h).
-  void set_walk_jobs(unsigned jobs) { walk_jobs_ = jobs == 0 ? 1 : jobs; }
-  [[nodiscard]] unsigned walk_jobs() const { return walk_jobs_; }
-
   support::Rng& rng() { return rng_; }
   sim::CostMeter& meter_mut() { return meter_; }
 
@@ -359,7 +353,6 @@ class DexNetwork {
 
   CoordinatorState coord_;
   graph::ViewDelta* journal_ = nullptr;  ///< borrowed; see set_view_journal
-  unsigned walk_jobs_ = 1;
   std::uint64_t cycle_epoch_ = 0;
   std::uint64_t inflations_ = 0;
   std::uint64_t deflations_ = 0;

@@ -10,45 +10,16 @@
 namespace dex::graph {
 
 void CsrView::build(const Multigraph& g, const std::vector<bool>& alive) {
-  const std::size_t n = g.node_count();
-  const auto is_alive = [&alive](NodeId u) {
-    return alive.empty() || alive[u];
-  };
-  alive_.assign(n, 0);
-  alive_count_ = 0;
-  row_start_.resize(n);
-  row_len_.resize(n);
-  std::size_t total = 0;
-  for (NodeId u = 0; u < n; ++u) {
-    if (!is_alive(u)) continue;
-    alive_[u] = 1;
-    ++alive_count_;
-    total += g.degree(u);  // upper bound; dead neighbors trimmed below
-  }
-  edges_.resize(total);
-  std::size_t at = 0;
-  for (NodeId u = 0; u < n; ++u) {
-    row_start_[u] = static_cast<std::uint32_t>(at);
-    std::size_t len = 0;
-    if (alive_[u]) {
-      for (const NodeId v : g.ports(u)) {
-        if (is_alive(v)) {
-          edges_[at + len] = v;
-          ++len;
-        }
-      }
+  std::vector<bool> everyone;
+  if (alive.empty()) everyone.assign(g.node_count(), true);
+  const std::vector<bool>& mask = alive.empty() ? everyone : alive;
+  DEX_ASSERT_MSG(mask.size() == g.node_count(),
+                 "alive mask must cover the graph");
+  build_from_ports(mask, [&g, &mask](NodeId u, std::vector<NodeId>& out) {
+    for (const NodeId v : g.ports(u)) {
+      if (mask[v]) out.push_back(v);
     }
-    row_len_[u] = static_cast<std::uint32_t>(len);
-    at += len;
-  }
-  edges_.resize(at);
-  live_edge_count_ = at;
-  garbage_ = 0;
-  stamp_.assign(n, 0);
-  epoch_ = 0;
-  built_ = true;
-  drop_certificate();
-  last_valid_ = false;
+  });
 }
 
 void CsrView::build_from_ports(const std::vector<bool>& alive,

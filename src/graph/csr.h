@@ -116,13 +116,15 @@ class CsrView {
   using PortsFn = std::function<void(NodeId, std::vector<NodeId>&)>;
 
   /// Rebuilds from `g` restricted to `alive` (empty mask = everything
-  /// alive). Buffers are reused across calls — building once per step in a
-  /// long scenario settles into zero allocations.
+  /// alive): build_from_ports over `g.ports(u)` in port order, dead
+  /// endpoints dropped.
   void build(const Multigraph& g, const std::vector<bool>& alive);
 
   /// Rebuilds from a live-ports enumerator over `alive` (the overlay's own
   /// adjacency surface — no Multigraph materialization). Rows land in id
   /// order with no slack; the canonical order is whatever `ports` emits.
+  /// Buffers are reused across calls — building once per step in a long
+  /// scenario settles into zero allocations.
   void build_from_ports(const std::vector<bool>& alive, const PortsFn& ports);
 
   /// Patches the view in place: `d.died` rows are emptied (their old

@@ -8,7 +8,7 @@
 /// (sim/event/engine.cpp) drives this state from closed-loop client events
 /// on its virtual clock; everything here is a pure function of the call
 /// sequence — no RNG, no wall clock — so serve-mode traces stay
-/// byte-identical across --jobs/--trial-jobs.
+/// byte-identical across --jobs.
 ///
 /// Queueing model: the unit of admission is the *home node*. Each node
 /// owns a Station{queue depth, server busy-until tick}; an arriving request

@@ -14,7 +14,7 @@
 /// byte for byte by tests/test_lockstep_golden.sh).
 ///
 /// Determinism contract (the same one the rest of the tree honors): spec +
-/// seed reproduce the byte-exact trace, whatever --jobs/--trial-jobs says.
+/// seed reproduce the byte-exact trace, whatever --jobs says.
 /// Three independent RNG streams keep the axes orthogonal — the adversary's
 /// (raw seed), the traffic engine's (kTrafficSeedSalt) and the event
 /// stream's (kEventSeedSalt) — so latency, loss and straggler knobs never

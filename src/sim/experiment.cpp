@@ -199,7 +199,6 @@ void Executor::run(std::vector<TrialSpec> trials) {
       const TrialSpec& t = trials[i];
       auto overlay = t.make_overlay();
       DEX_ASSERT_MSG(overlay != nullptr, "trial overlay factory returned null");
-      if (opts_.trial_jobs > 1) overlay->set_intra_jobs(opts_.trial_jobs);
       auto strategy = t.make_strategy();
       DEX_ASSERT_MSG(strategy != nullptr,
                      "trial strategy factory returned null");

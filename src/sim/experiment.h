@@ -105,13 +105,6 @@ struct ExperimentPlan {
 struct ExecutorOptions {
   /// Worker threads; 0 = hardware concurrency. Results never depend on it.
   std::size_t jobs = 1;
-  /// Threads each trial may use *inside* one churn step (walk port
-  /// enumeration — HealingOverlay::set_intra_jobs). Composes with `jobs`:
-  /// total concurrency ≈ jobs * trial_jobs. Byte-identical results for
-  /// every value; worth raising only for few-but-huge trials (one n=1M
-  /// trial wants intra-step threads, a 3000-trial sweep wants inter-trial
-  /// ones).
-  unsigned trial_jobs = 1;
 };
 
 /// Runs trials concurrently on a bounded pool. Each worker owns its trial's

@@ -175,9 +175,9 @@ class HealingOverlay {
     return false;
   }
 
-  /// Number of threads the overlay may use *inside* one churn step (walk
-  /// port enumeration; see sim/token_engine.h). Results are byte-identical
-  /// for every value — this is purely a wall-clock knob. Default: ignored.
+  /// Inert: every overlay runs a churn step on one thread, and no backend
+  /// overrides this. It stays only because benchmark/dex_bench.cpp's
+  /// TimedOverlay overrides it; remove it with the next benchmark change.
   virtual void set_intra_jobs(unsigned jobs) { (void)jobs; }
 
   /// Wires a provider of the caller's maintained live CSR (AdversaryView's,
@@ -298,12 +298,6 @@ class OverlayAdapter : public HealingOverlay {
       return true;
     } else {
       return false;
-    }
-  }
-
-  void set_intra_jobs(unsigned jobs) override {
-    if constexpr (requires(Net& n) { n.set_walk_jobs(jobs); }) {
-      net_.set_walk_jobs(jobs);
     }
   }
 

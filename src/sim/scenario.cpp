@@ -34,12 +34,12 @@ std::unique_ptr<adversary::Strategy> make_strategy(
   if (scenario == "insert-only") return std::make_unique<InsertOnly>();
   if (scenario == "delete-only") return std::make_unique<DeleteOnly>();
   if (scenario == "oscillate")
-    return std::make_unique<Oscillate>(opts.half_period);
+    return std::make_unique<Oscillate>(/*half_period=*/32);
   if (scenario == "targeted") return std::make_unique<CoordinatorKiller>();
   if (scenario == "load-attack") return std::make_unique<LoadAttack>();
   if (scenario == "spectral") return std::make_unique<SpectralAttack>();
   if (scenario == "greedy-spectral")
-    return std::make_unique<GreedySpectralDeletion>(opts.candidates);
+    return std::make_unique<GreedySpectralDeletion>(/*candidates=*/24);
   if (scenario == "burst")
     return std::make_unique<BurstChurn>(opts.insert_prob);
   if (scenario == "flash-crowd") return std::make_unique<FlashCrowd>();

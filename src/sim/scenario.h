@@ -271,9 +271,7 @@ class ScenarioRunner {
 /// p-cycle chord carriers) and "spectral-batch" (whole-batch sweep-cut
 /// demolition). Returns nullptr for unknown names.
 struct StrategyOptions {
-  double insert_prob = 0.5;      ///< churn, burst (insert fraction)
-  std::size_t half_period = 32;  ///< oscillate
-  std::size_t candidates = 24;   ///< greedy-spectral
+  double insert_prob = 0.5;  ///< churn, burst (insert fraction)
 };
 [[nodiscard]] std::unique_ptr<adversary::Strategy> make_strategy(
     const std::string& scenario, const StrategyOptions& opts = {});

@@ -3,7 +3,6 @@
 #include <unordered_set>
 
 #include "support/assert.h"
-#include "support/worker_pool.h"
 
 namespace dex::sim {
 
@@ -21,7 +20,7 @@ std::uint64_t edge_key(std::uint64_t from, std::uint64_t to) {
 
 EngineResult run_walks(std::vector<Token> tokens, const PortsFn& ports,
                        support::Rng& rng, std::uint64_t round_limit,
-                       const AcceptFn& accept, unsigned jobs) {
+                       const AcceptFn& accept) {
   EngineResult res;
   std::size_t active = 0;
   for (auto& t : tokens) {
@@ -34,11 +33,6 @@ EngineResult run_walks(std::vector<Token> tokens, const PortsFn& ports,
 
   std::unordered_set<std::uint64_t> used_edges;
   std::vector<std::uint64_t> port_buf;
-  // Two-phase round state (jobs > 1): the unfinished tokens at round start
-  // and a per-token port buffer each. Buffers persist across rounds, so the
-  // fan-out settles into zero allocations.
-  std::vector<std::size_t> unfinished;
-  std::vector<std::vector<std::uint64_t>> port_sets;
 
   while (active > 0 && res.rounds < round_limit) {
     ++res.rounds;
@@ -47,39 +41,12 @@ EngineResult run_walks(std::vector<Token> tokens, const PortsFn& ports,
     // the same directed edge are broken arbitrarily in the model; randomizing
     // avoids systematic starvation of high-index tokens.
     rng.shuffle(order);
-    // Phase A (read-only, parallel): enumerate every unfinished token's
-    // ports at its round-start location. Valid because a token is serviced
-    // exactly once per round and the topology is frozen for the whole call —
-    // the sequential engine would see the same location and the same port
-    // set at service time. The first enumeration runs on this thread to
-    // settle any lazily-built state inside the PortsFn before the fan-out.
-    const bool fan_out = jobs > 1 && active > 1;
-    if (fan_out) {
-      unfinished.clear();
-      for (std::size_t i = 0; i < tokens.size(); ++i) {
-        if (!tokens[i].finished) unfinished.push_back(i);
-      }
-      if (port_sets.size() < tokens.size()) port_sets.resize(tokens.size());
-      ports(tokens[unfinished.front()].location,
-            port_sets[unfinished.front()]);
-      support::parallel_for(unfinished.size() - 1, jobs, [&](std::size_t k) {
-        const std::size_t i = unfinished[k + 1];
-        ports(tokens[i].location, port_sets[i]);
-      });
-    }
-    // Phase B (stateful, sequential): the shared-RNG draws, the congestion
-    // set and the accept predicate replay in exact service order — the
-    // byte-level contract for every jobs value.
     for (std::size_t idx : order) {
       Token& t = tokens[idx];
       if (t.finished) continue;
-      const std::vector<std::uint64_t>& pb = [&]() -> const auto& {
-        if (fan_out) return port_sets[idx];
-        ports(t.location, port_buf);
-        return port_buf;
-      }();
-      DEX_ASSERT_MSG(!pb.empty(), "token stranded at isolated location");
-      const std::uint64_t next = pb[rng.below(pb.size())];
+      ports(t.location, port_buf);
+      DEX_ASSERT_MSG(!port_buf.empty(), "token stranded at isolated location");
+      const std::uint64_t next = port_buf[rng.below(port_buf.size())];
       const std::uint64_t key = edge_key(t.location, next);
       if (used_edges.contains(key)) continue;  // edge busy: wait a round
       used_edges.insert(key);

@@ -66,25 +66,13 @@ using AcceptFn = std::function<bool(std::uint64_t loc)>;
 /// first accepting location they step onto (the start location is never
 /// tested — a token must move at least once, like type1_walk).
 ///
-/// `jobs` shards the per-round port enumeration across a transient worker
-/// pool (support/worker_pool.h). Only the *read-only* half of the round is
-/// parallel: every unfinished token's location is fixed at round start (a
-/// token moves at most once per round and the topology is frozen for the
-/// whole call), so the port sets can all be enumerated up front; the RNG
-/// draws, the congestion set and the stateful accept then replay in the
-/// exact sequential service order with the shared generator. The result is
-/// byte-identical for every jobs value — sharding per-walk RNG streams
-/// instead would reorder the draw sequence and break the determinism
-/// contract (spec + seed => byte-identical traces), which is why the
-/// parallelism lives in the enumeration phase. With jobs > 1 the PortsFn
-/// must be safe to call concurrently for distinct locations once a single
-/// warm-up call has run (the engine issues that call itself — it is what
-/// forces lazily-built structures like PCycle's inverse table).
+/// The round is serial by construction: one shared generator draws every
+/// move and one congestion set arbitrates every edge, in a fresh random
+/// service order each round, so spec + seed reproduce the byte-exact walk.
 [[nodiscard]] EngineResult run_walks(std::vector<Token> tokens,
                                      const PortsFn& ports,
                                      support::Rng& rng,
                                      std::uint64_t round_limit,
-                                     const AcceptFn& accept = {},
-                                     unsigned jobs = 1);
+                                     const AcceptFn& accept = {});
 
 }  // namespace dex::sim

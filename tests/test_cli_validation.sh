@@ -116,6 +116,18 @@ else
   echo "ok   [run.txt] positional argument exits 2"
 fi
 
+# A removed flag is an unknown flag: the name on the first stderr line,
+# usage after it, exit 2, nothing on stdout.
+out="$("$cli" "${base[@]}" --trial-jobs 2 2>/tmp/cli_validation_err)"
+status=$?
+first="$(head -n 1 /tmp/cli_validation_err)"
+if [[ $status -ne 2 || -n "$out" || "$first" != "unknown flag '--trial-jobs'" ]]; then
+  echo "FAIL [--trial-jobs 2]: exit $status, stdout '$out', stderr '$first'"
+  failures=$((failures + 1))
+else
+  echo "ok   [--trial-jobs 2] -> $first"
+fi
+
 # Positive control: a well-formed campaign run must succeed.
 if ! "$cli" "${nosc[@]}" --campaign "churn:0-2;burst:2-" \
     --no-trace --json /dev/null >/dev/null 2>&1; then

@@ -5,9 +5,7 @@
 // churn. This is the property DEX_CHECK_CSR=1 spot-checks in real runs,
 // pinned here as a test so the patcher can't rot. Beside it sits the row
 // contract every CSR consumer relies on: each row holds the masked snapshot
-// row's neighbor multiset, in no promised order. A second suite pins the
-// intra-trial parallelism contract: --trial-jobs is a wall-clock knob only,
-// traces and summaries are byte-identical for every thread count.
+// row's neighbor multiset, in no promised order.
 
 #include <gtest/gtest.h>
 
@@ -333,38 +331,5 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, IncrementalCsr,
                              if (c == '-') c = '_';
                            return name;
                          });
-
-namespace {
-
-/// One full traffic-over-batch-churn trial with the given intra-trial
-/// thread count; returns the emitted trace + summary bytes.
-std::string run_trial(unsigned intra_jobs) {
-  auto overlay = dex::sim::make_overlay("dex-amortized", 64, 1);
-  overlay->set_intra_jobs(intra_jobs);
-  auto strategy = dex::sim::make_strategy("churn");
-  dex::sim::ScenarioSpec spec;
-  spec.seed = 3;
-  spec.steps = 50;
-  spec.batch_size = 6;  // multi-event batches: the parallel-walk path
-  spec.traffic.workload = "zipf";
-  spec.traffic.ops_per_step = 16;
-  spec.traffic.keyspace = 512;
-  dex::sim::ScenarioRunner runner(*overlay, *strategy, spec);
-  const auto res = runner.run();
-  // The parallel-walk recovery must actually run for the jobs knob to be
-  // exercised (walk epochs only tick on that path).
-  EXPECT_GT(res.total_walk_epochs, 0u);
-  return dex::sim::trace_csv(res) + dex::sim::summary_json(res);
-}
-
-}  // namespace
-
-// The determinism contract behind --trial-jobs: sharded walk-port
-// enumeration must not change a single emitted byte.
-TEST(TrialJobs, ByteIdenticalAcrossThreadCounts) {
-  const std::string one = run_trial(1);
-  EXPECT_EQ(one, run_trial(4));
-  EXPECT_EQ(one, run_trial(13));
-}
 
 }  // namespace

@@ -1,7 +1,7 @@
 // The concurrent KV serving front-end (src/serve/ + the event engine's
 // closed-loop client wiring). Pins: the conservation invariant (completed +
 // shed == the offered op budget, zero lost acknowledged keys) on every
-// backend, trace/summary byte-identity across --jobs/--trial-jobs,
+// backend, trace/summary byte-identity across --jobs,
 // window-vs-total accounting consistency, and admission control visibly
 // engaging under a rehash storm.
 
@@ -149,7 +149,7 @@ TEST(ServeEngine, DeeperQueuesShedLessAndCompleteMore) {
   EXPECT_LT(shallow.serve_completed, deep.serve_completed);
 }
 
-TEST(ServeEngine, SweepOutputByteIdenticalAcrossJobsAndTrialJobs) {
+TEST(ServeEngine, SweepOutputByteIdenticalAcrossJobs) {
   sim::ExperimentPlan plan;
   plan.backends = {"dex-amortized", "flood", "lawsiu"};
   plan.scenarios = {"churn"};
@@ -159,25 +159,21 @@ TEST(ServeEngine, SweepOutputByteIdenticalAcrossJobsAndTrialJobs) {
   plan.base = serve_spec(0);  // seed comes from the axis
   plan.base.steps = 20;
 
-  const auto run_jobs = [&](std::size_t jobs, unsigned trial_jobs) {
+  const auto run_jobs = [&](std::size_t jobs) {
     std::ostringstream csv, json;
     sim::CsvTraceSink csv_sink(csv);
     sim::JsonSummarySink json_sink(json);
     sim::ExecutorOptions opts;
     opts.jobs = jobs;
-    opts.trial_jobs = trial_jobs;
     sim::Executor executor(opts);
     executor.add_sink(csv_sink);
     executor.add_sink(json_sink);
     executor.run(plan.expand());
     return std::make_pair(csv.str(), json.str());
   };
-  const auto serial = run_jobs(1, 1);
-  const auto parallel = run_jobs(8, 1);
-  const auto intra = run_jobs(2, 4);
+  const auto serial = run_jobs(1);
+  const auto parallel = run_jobs(8);
   EXPECT_EQ(serial.first, parallel.first);
   EXPECT_EQ(serial.second, parallel.second);
-  EXPECT_EQ(serial.first, intra.first);
-  EXPECT_EQ(serial.second, intra.second);
   EXPECT_NE(serial.second.find("\"serve\": {"), std::string::npos);
 }

@@ -2,7 +2,7 @@
 """det_lint — structural determinism lint for the dex reproduction.
 
 Every result this repo reports rides on byte-identical traces across
---jobs/--trial-jobs and on the three static_assert-pinned RNG stream
+--jobs and on the three static_assert-pinned RNG stream
 salts. Those contracts are enforced dynamically by the byte-compare
 CI jobs and the scenario fuzzer; this tool enforces them *statically*, so a
 careless `unordered_map` range-for or a wall-clock read in a hot path fails

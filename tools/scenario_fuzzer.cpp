@@ -5,7 +5,6 @@
 // the result:
 //
 //   determinism     same case run twice -> byte-identical trace + summary
-//   trial-jobs      intra-step threads (set_intra_jobs) never change bytes
 //   sweep-jobs      Executor --jobs 1 vs 4 emit byte-identical sink streams
 //   conservation    completed + shed == the campaign's offered-op budget
 //   acked-keys      no acked key lost: zero failed lookups/writes without
@@ -315,10 +314,9 @@ struct RunOutput {
 };
 
 /// Runs the plan's one trial in-process, then audits the overlay it leaves.
-RunOutput run_case(const ExperimentPlan& plan, unsigned trial_jobs = 1) {
+RunOutput run_case(const ExperimentPlan& plan) {
   const dex::sim::TrialSpec trial = plan.expand().front();
   auto overlay = trial.make_overlay();
-  if (trial_jobs > 1) overlay->set_intra_jobs(trial_jobs);
   auto strategy = trial.make_strategy();
   dex::sim::ScenarioRunner runner(*overlay, *strategy, trial.spec);
   RunOutput out;
@@ -338,7 +336,7 @@ std::string run_sweep(ExperimentPlan plan, std::size_t jobs) {
   std::ostringstream csv, json;
   dex::sim::CsvTraceSink trace_sink(csv);
   dex::sim::JsonSummarySink summary_sink(json);
-  dex::sim::Executor exec({jobs, 1});
+  dex::sim::Executor exec({jobs});
   exec.add_sink(trace_sink);
   exec.add_sink(summary_sink);
   exec.run(plan.expand());
@@ -366,10 +364,6 @@ std::optional<Violation> check_case(const FuzzCase& c,
   const RunOutput b = run_case(*plan);
   if (a.trace != b.trace || a.summary != b.summary) {
     return Violation{"determinism", "re-run produced different bytes"};
-  }
-  const RunOutput tj = run_case(*plan, /*trial_jobs=*/2);
-  if (a.trace != tj.trace || a.summary != tj.summary) {
-    return Violation{"trial-jobs", "set_intra_jobs(2) changed bytes"};
   }
 
   if (!c.workload.empty()) {
