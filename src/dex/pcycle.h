@@ -18,8 +18,12 @@
 /// search: two balls, around the source and the target, grow a whole level
 /// at a time until they intersect. On an expander each ball stops at radius
 /// ~diam/2, so a query visits ~O(sqrt p) vertices where a one-sided BFS
-/// visits ~p/2. The coordinator's fixed target (vertex 0) is served from a
-/// cached BFS tree instead.
+/// visits ~p/2. A ball is one membership bit per vertex (p/8 bytes: 15.8 KB
+/// at p = 126,493, so both balls stay in L1) plus a byte of depth per
+/// vertex, read only by shortest_path's mark-and-rebuild pass; each search
+/// clears exactly the words it set, from its list of reached vertices. The
+/// coordinator's fixed target (vertex 0) is served from a cached BFS tree
+/// instead.
 
 #include <array>
 #include <cstdint>
@@ -83,8 +87,10 @@ class PCycle {
   /// vertices on some shortest path are marked backwards from it level by
   /// level, and the path is rebuilt greedily from x — first port to a
   /// marked vertex one level deeper while on the x side, then first port
-  /// one step closer to y. All scratch is flat, epoch-stamped and reused
-  /// across calls, so the traffic hot path runs allocation- and hash-free.
+  /// one step closer to y. All scratch is flat bit sets and byte depths,
+  /// reused across calls and cleared from the lists of vertices the search
+  /// reached, so the traffic hot path runs allocation- and hash-free and
+  /// never sweeps all p vertices.
   [[nodiscard]] std::vector<Vertex> shortest_path(Vertex x, Vertex y) const;
 
   /// Distance to vertex 0 using the cached BFS tree (O(1) after the first
@@ -119,36 +125,43 @@ class PCycle {
   // Lazily built BFS tree rooted at 0: parent pointer per vertex.
   mutable std::vector<std::uint32_t> zero_dist_;
   mutable std::vector<Vertex> zero_parent_;
-  /// One side of the two-sided search. `seen[v]` (v's depth in the ball)
-  /// is valid where its epoch matches the search's; `frontier` is the
-  /// outermost level, at depth `radius`.
+  /// One side of the two-sided search: a membership bit per vertex, the
+  /// depth of each member (valid only where its bit is set), and every
+  /// member in discovery order, level by level. members[0, count) is the
+  /// ball and its outermost level (depth `radius`), members[frontier_begin,
+  /// count), the frontier; the buffer is kept larger than `count` so a
+  /// level is appended without a capacity check per vertex.
   struct Ball {
-    struct Seen {
-      std::uint32_t epoch = 0;
-      std::uint32_t depth = 0;
-    };
-    std::vector<Seen> seen;
-    std::vector<Vertex> frontier;
+    std::vector<std::uint64_t> bits;
+    std::vector<std::uint8_t> depth;
+    std::vector<std::uint32_t> members;
+    std::size_t count = 0;
+    std::size_t frontier_begin = 0;
     std::uint32_t radius = 0;
+
+    [[nodiscard]] bool has(Vertex v) const {
+      return ((bits[v >> 6] >> (v & 63)) & 1) != 0;
+    }
+    [[nodiscard]] std::size_t frontier_size() const {
+      return count - frontier_begin;
+    }
   };
 
-  /// Starts a search: a fresh epoch for both balls (no O(p) clear).
+  /// Starts a search with balls {x} and {y} (allocating the bit sets and
+  /// depths on the first search only).
   void begin_search(Vertex x, Vertex y) const;
   /// Grows the balls around x and y (ball_[0], ball_[1]) until the first
   /// complete level at which they intersect; d(x, y) is then the sum of
   /// their radii. Requires x != y.
   void grow_until_met(Vertex x, Vertex y) const;
-  [[nodiscard]] bool in_ball(int side, Vertex v) const {
-    return ball_[side].seen[v].epoch == epoch_;
-  }
+  /// Clears the balls' bits, one word per member: no O(p) sweep.
+  void end_search() const;
 
   mutable Ball ball_[2];
-  mutable std::vector<Vertex> next_;  ///< the level being grown
-  /// Marks x-side vertices that lie on a shortest x–y path (epoch-stamped),
-  /// and the marking walk's current/next level.
-  mutable std::vector<std::uint32_t> on_path_;
-  mutable std::vector<Vertex> marked_[2];
-  mutable std::uint32_t epoch_ = 0;
+  /// Marks x-side vertices that lie on a shortest x–y path (a bit each),
+  /// and every marked vertex, level by level from the meeting set inwards.
+  mutable std::vector<std::uint64_t> on_path_;
+  mutable std::vector<Vertex> marked_;
 };
 
 }  // namespace dex

@@ -47,41 +47,57 @@ DistanceOracle::Slot& DistanceOracle::materialize(NodeId root) {
 }
 
 std::uint32_t DistanceOracle::probe(NodeId src, NodeId dst) {
-  const std::size_t n = view_->node_count();
-  if (probe_seen_[0].size() != n || ++probe_gen_ == 0) {
-    // New view size, or a stamp wrap: one real clear every 2^32 probes.
-    for (auto& seen : probe_seen_) seen.assign(n, {});
-    probe_gen_ = 1;
-  }
+  // Grown in place when the view gains nodes: the existing words are
+  // already zero, and resize zero-fills the new ones.
+  const std::size_t words = (view_->node_count() + 63) / 64;
   ++bfs_runs_;
   const NodeId roots[2] = {src, dst};
-  std::uint32_t radius[2] = {0, 0};
   for (int side = 0; side < 2; ++side) {
-    probe_seen_[side][roots[side]] = {probe_gen_, 0};
-    probe_frontier_[side].assign(1, roots[side]);
+    ProbeBall& b = probe_[side];
+    if (b.bits.size() < words) b.bits.resize(words, 0);
+    b.bits[roots[side] >> 6] |= std::uint64_t{1} << (roots[side] & 63);
+    b.members.assign(1, roots[side]);
+    b.frontier_begin = 0;
+    b.radius = 0;
   }
+  const std::uint32_t d = grow_probe();
+  // Every set bit belongs to a member: zero each member's word.
+  for (ProbeBall& b : probe_) {
+    for (const NodeId v : b.members) b.bits[v >> 6] = 0;
+  }
+  return d;
+}
+
+std::uint32_t DistanceOracle::grow_probe() {
   // Level by level, smaller frontier first. The balls were disjoint before
   // this level, so the first vertex it finds in the other ball sits at that
-  // ball's full radius and the sum is exact. An empty frontier means its
-  // whole component is explored without meeting: unreachable.
-  while (!probe_frontier_[0].empty() && !probe_frontier_[1].empty()) {
-    const int side =
-        probe_frontier_[0].size() <= probe_frontier_[1].size() ? 0 : 1;
-    auto& mine = probe_seen_[side];
-    const auto& other = probe_seen_[1 - side];
-    const std::uint32_t d = ++radius[side];
-    probe_next_.clear();
-    for (const NodeId x : probe_frontier_[side]) {
-      for (const NodeId y : view_->neighbors(x)) {
-        if (mine[y].gen == probe_gen_) continue;
-        if (other[y].gen == probe_gen_) return d + other[y].depth;
-        mine[y] = {probe_gen_, d};
-        probe_next_.push_back(y);
+  // ball's full radius (a shallower one would have put its neighbor, a
+  // member of this ball, into the other ball already) and the sum is
+  // exact. An empty frontier means its whole component is explored without
+  // meeting: unreachable.
+  while (true) {
+    const std::size_t size0 = probe_[0].frontier_size();
+    const std::size_t size1 = probe_[1].frontier_size();
+    if (size0 == 0 || size1 == 0) return graph::kUnreached;
+    const int side = size0 <= size1 ? 0 : 1;
+    ProbeBall& mine = probe_[side];
+    const ProbeBall& other = probe_[1 - side];
+    const std::uint32_t d = ++mine.radius;
+    const std::size_t begin = mine.frontier_begin;
+    const std::size_t end = mine.members.size();
+    mine.frontier_begin = end;
+    std::uint64_t* const bits = mine.bits.data();
+    const std::uint64_t* const theirs = other.bits.data();
+    for (std::size_t i = begin; i < end; ++i) {
+      for (const NodeId y : view_->neighbors(mine.members[i])) {
+        const std::uint64_t bit = std::uint64_t{1} << (y & 63);
+        if ((bits[y >> 6] & bit) != 0) continue;
+        if ((theirs[y >> 6] & bit) != 0) return d + other.radius;
+        bits[y >> 6] |= bit;
+        mine.members.push_back(y);
       }
     }
-    probe_frontier_[side].swap(probe_next_);
   }
-  return graph::kUnreached;
 }
 
 std::uint32_t DistanceOracle::distance(NodeId u, NodeId v) {

@@ -13,7 +13,10 @@
 /// each endpoint, grow a whole level at a time (smaller frontier first)
 /// until one discovers a vertex of the other, which on an expander stops
 /// both at radius ~diam/2, ~O(sqrt n) vertices instead of the O(n + m) a
-/// full frontier costs.
+/// full frontier costs. A ball is a membership bit per node (n/8 bytes) and
+/// the list of nodes it reached, which the probe clears its bits from
+/// before it returns; no depths are kept, since the vertex where the balls
+/// meet always sits at the other ball's full radius.
 ///
 /// Full single-source vectors are still needed where re-homing prices an
 /// orphaned key (its old host died): the charge is the mean distance from
@@ -84,25 +87,32 @@ class DistanceOracle {
 
   [[nodiscard]] Slot* find(graph::NodeId root);
   [[nodiscard]] Slot& materialize(graph::NodeId root);
-  /// Meet-in-the-middle BFS between src and dst over epoch-stamped
-  /// scratch (no O(n) clear, no memo entry).
+  /// Meet-in-the-middle BFS between src and dst over bit-set balls (no
+  /// O(n) clear, no memo entry).
   [[nodiscard]] std::uint32_t probe(graph::NodeId src, graph::NodeId dst);
+  /// The search behind probe(): grows the balls until they meet.
+  [[nodiscard]] std::uint32_t grow_probe();
 
   const graph::CsrView* view_ = nullptr;
   std::vector<Slot> slots_;
   std::size_t next_slot_ = 0;  ///< FIFO ring cursor
   std::unordered_map<graph::NodeId, std::size_t> by_root_;
-  std::vector<graph::NodeId> scratch_;
-  /// probe() scratch, one ball per endpoint: an entry's depth is valid
-  /// where its stamp matches the probe's generation.
-  struct Stamp {
-    std::uint32_t gen = 0;
-    std::uint32_t depth = 0;
+  graph::BfsScratch scratch_;
+  /// probe() scratch, one ball per endpoint: a membership bit per node,
+  /// all-zero between probes (the words grow in place with the view), and
+  /// every node the ball reached, level by level — its last level,
+  /// members[frontier_begin..], is the frontier.
+  struct ProbeBall {
+    std::vector<std::uint64_t> bits;
+    std::vector<graph::NodeId> members;
+    std::size_t frontier_begin = 0;
+    std::uint32_t radius = 0;
+
+    [[nodiscard]] std::size_t frontier_size() const {
+      return members.size() - frontier_begin;
+    }
   };
-  std::vector<Stamp> probe_seen_[2];
-  std::vector<graph::NodeId> probe_frontier_[2];
-  std::vector<graph::NodeId> probe_next_;
-  std::uint32_t probe_gen_ = 0;
+  ProbeBall probe_[2];
   std::uint64_t bfs_runs_ = 0;
 };
 

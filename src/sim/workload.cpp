@@ -131,6 +131,47 @@ KvStore::Placement KvStore::scan_candidates(std::uint64_t key) const {
   return pl;
 }
 
+void KvStore::merge_joiners(Placement& pl, std::uint64_t key_hash,
+                            const std::vector<NodeId>& added) {
+  Candidate best{added[0], hrw_score(key_hash, added[0])};
+  for (std::size_t i = 1; i < added.size(); ++i) {
+    const std::uint64_t s = hrw_score(key_hash, added[i]);
+    if (candidate_better(added[i], s, best.node, best.score)) {
+      best = {added[i], s};
+    }
+  }
+  const Candidate& kth = pl.top[kHomeCandidates - 1];
+  if (pl.count == kHomeCandidates &&
+      !candidate_better(best.node, best.score, kth.node, kth.score)) {
+    // No joiner enters the full list: merge_candidate would skip each one,
+    // raising the floor to the best of their scores.
+    pl.floor = std::max(pl.floor, best.score);
+    return;
+  }
+  for (const NodeId a : added) {
+    merge_candidate(pl, Candidate{a, hrw_score(key_hash, a)});
+  }
+}
+
+const KvStore::Placement* KvStore::placed(std::uint64_t key) const {
+  const auto it = slot_of_.find(key);
+  return it == slot_of_.end() ? nullptr : &placements_[it->second];
+}
+
+void KvStore::drop_placement(std::uint64_t key) {
+  const auto it = slot_of_.find(key);
+  if (it == slot_of_.end()) return;
+  const std::size_t slot = it->second;
+  slot_of_.erase(it);
+  if (slot + 1 != keys_.size()) {
+    keys_[slot] = keys_.back();
+    placements_[slot] = placements_.back();
+    slot_of_[keys_[slot]] = slot;
+  }
+  keys_.pop_back();
+  placements_.pop_back();
+}
+
 const KvStore::Placement& KvStore::unplaced(std::uint64_t key) const {
   auto it = scanned_.find(key);
   if (it == scanned_.end()) {
@@ -184,7 +225,7 @@ KvStore::SyncStats KvStore::sync(const adversary::AdversaryView& view) {
   scanned_.clear();
   last_moved_.clear();
   SyncStats out;
-  if (first || placed_.empty()) return out;
+  if (first || keys_.empty()) return out;
   const auto& added = added_scratch_;
   if (added.empty() && !any_removed) return out;  // membership unchanged
 
@@ -194,19 +235,15 @@ KvStore::SyncStats KvStore::sync(const adversary::AdversaryView& view) {
     NodeId to;
   };
   std::vector<Move> moves;
-  // det: each placement updates independently of the others (per-key
-  // candidate merge + promotion), and every order-sensitive consumer runs
-  // off `moves`/`last_moved_`, which are sorted before use below.
-  for (auto& [key, pl] : placed_) {
+  // Each placement updates on its own (joiner merge, then promotion), and
+  // `moves` is sorted below before anything reads it.
+  for (std::size_t slot = 0; slot < keys_.size(); ++slot) {
+    const std::uint64_t key = keys_[slot];
+    Placement& pl = placements_[slot];
     const NodeId old_home = pl.home();
-    if (!added.empty()) {
-      // Incumbent weights are unchanged; joiners merge into the candidate
-      // list (and take the lead when they out-score it).
-      const std::uint64_t kh = support::mix64(key);
-      for (const NodeId a : added) {
-        merge_candidate(pl, Candidate{a, hrw_score(kh, a)});
-      }
-    }
+    // Incumbent weights are unchanged; joiners merge into the candidate
+    // list (and take the lead when they out-score it).
+    if (!added.empty()) merge_joiners(pl, support::mix64(key), added);
     // Promote the best surviving candidate. Exact as long as it clears the
     // floor — otherwise a node pushed out of the list earlier could be the
     // true winner, and only a rescan of the alive set can tell. (Only the
@@ -260,13 +297,14 @@ KvStore::OpResult KvStore::put(std::uint64_t key, std::uint64_t value,
                                NodeId origin) {
   DEX_ASSERT_MSG(synced_, "KvStore::sync must run before operations");
   OpResult r;
-  const auto it = placed_.find(key);
-  if (it != placed_.end()) {
-    if (!route_op(resolve_origin(origin), it->second.home(), r)) return r;
+  if (const Placement* pl = placed(key)) {
+    if (!route_op(resolve_origin(origin), pl->home(), r)) return r;
   } else {
-    const Placement& pl = unplaced(key);
-    if (!route_op(resolve_origin(origin), pl.home(), r)) return r;
-    placed_.emplace(key, pl);
+    const Placement& fresh = unplaced(key);
+    if (!route_op(resolve_origin(origin), fresh.home(), r)) return r;
+    slot_of_.emplace(key, keys_.size());
+    keys_.push_back(key);
+    placements_.push_back(fresh);
     scanned_.erase(key);
   }
   values_[key] = value;
@@ -277,10 +315,7 @@ KvStore::OpResult KvStore::put(std::uint64_t key, std::uint64_t value,
 KvStore::OpResult KvStore::get(std::uint64_t key, NodeId origin) {
   DEX_ASSERT_MSG(synced_, "KvStore::sync must run before operations");
   OpResult r;
-  const auto it = placed_.find(key);
-  const NodeId home =
-      it != placed_.end() ? it->second.home() : unplaced(key).home();
-  if (!route_op(resolve_origin(origin), home, r)) return r;
+  if (!route_op(resolve_origin(origin), home(key), r)) return r;
   const auto vit = values_.find(key);
   // A miss pays only the one-way request: no value travels back, and a
   // failed op's hops must not pass for a served round trip.
@@ -295,27 +330,29 @@ KvStore::OpResult KvStore::get(std::uint64_t key, NodeId origin) {
 KvStore::OpResult KvStore::erase(std::uint64_t key, NodeId origin) {
   DEX_ASSERT_MSG(synced_, "KvStore::sync must run before operations");
   OpResult r;
-  const auto it = placed_.find(key);
-  const NodeId home =
-      it != placed_.end() ? it->second.home() : unplaced(key).home();
-  if (!route_op(resolve_origin(origin), home, r)) return r;
+  if (!route_op(resolve_origin(origin), home(key), r)) return r;
   r.ok = values_.erase(key) > 0;
-  placed_.erase(key);
+  drop_placement(key);
   return r;
 }
 
 std::vector<std::uint64_t> KvStore::keys_at(
     const std::vector<NodeId>& homes) const {
   std::vector<std::uint64_t> out;
-  if (homes.empty() || placed_.empty()) return out;
-  std::vector<bool> wanted(csr_->node_count(), false);
+  if (homes.empty() || keys_.empty()) return out;
+  const std::size_t n = csr_->node_count();
+  if (home_bits_.size() < (n + 63) / 64) home_bits_.resize((n + 63) / 64, 0);
   for (const NodeId h : homes) {
-    if (h < wanted.size()) wanted[h] = true;
+    if (h < n) home_bits_[h >> 6] |= std::uint64_t{1} << (h & 63);
   }
-  // det: filter-and-collect — visit order is erased by the sort below.
-  for (const auto& [key, pl] : placed_) {
-    const NodeId h = pl.home();
-    if (h < wanted.size() && wanted[h]) out.push_back(key);
+  for (std::size_t slot = 0; slot < keys_.size(); ++slot) {
+    const NodeId h = placements_[slot].home();
+    if (((home_bits_[h >> 6] >> (h & 63)) & 1) != 0) {
+      out.push_back(keys_[slot]);
+    }
+  }
+  for (const NodeId h : homes) {
+    if (h < n) home_bits_[h >> 6] = 0;
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -323,8 +360,8 @@ std::vector<std::uint64_t> KvStore::keys_at(
 
 NodeId KvStore::home(std::uint64_t key) const {
   DEX_ASSERT_MSG(synced_, "KvStore::sync must run before operations");
-  const auto it = placed_.find(key);
-  return it != placed_.end() ? it->second.home() : unplaced(key).home();
+  const Placement* pl = placed(key);
+  return pl != nullptr ? pl->home() : unplaced(key).home();
 }
 
 // ------------------------------------------------------------ TrafficEngine

@@ -48,6 +48,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -197,6 +198,8 @@ class KvStore {
   }
 
   /// Keys currently homed at any of `homes`, ascending (hotspot targeting).
+  /// Costs O(|homes| + size()): the homes are marked in a bit set that is
+  /// cleared again from the same list.
   [[nodiscard]] std::vector<std::uint64_t> keys_at(
       const std::vector<graph::NodeId>& homes) const;
 
@@ -249,6 +252,14 @@ class KvStore {
   /// The placement of a key not yet stored: scanned once per sync() and
   /// kept in scanned_ until then.
   [[nodiscard]] const Placement& unplaced(std::uint64_t key) const;
+  /// The placement of a stored key, or nullptr.
+  [[nodiscard]] const Placement* placed(std::uint64_t key) const;
+  /// Forgets a stored key's placement: the last slot moves into its hole.
+  void drop_placement(std::uint64_t key);
+  /// Folds this sync's joiners (`added`, ascending) into a placement, with
+  /// exactly the result of merge_candidate on each in turn.
+  static void merge_joiners(Placement& pl, std::uint64_t key_hash,
+                            const std::vector<graph::NodeId>& added);
   static void merge_candidate(Placement& pl, Candidate c);
   [[nodiscard]] graph::NodeId resolve_origin(graph::NodeId origin) const;
   /// Routes origin -> home; fills hops/optimal_hops; returns delivery.
@@ -261,8 +272,17 @@ class KvStore {
   DistanceOracle oracle_;
   std::vector<graph::NodeId> alive_;  ///< ascending; maintained by sync()
   bool synced_ = false;
-  std::unordered_map<std::uint64_t, Placement> placed_;
-  /// Scans of keys not in placed_ since the last sync(), which clears it:
+  /// The placement table, dense so sync() and keys_at() walk it by index:
+  /// slot i holds keys_[i] and its placements_[i], and slot_of_ maps a key
+  /// to its slot. Keys enter at the back and leave by swap-remove. The
+  /// placements sit in a deque's fixed-size blocks: a doubling vector of
+  /// them outgrows glibc's mmap threshold, and freeing its old buffers
+  /// moves that threshold for everything allocated after (serve-hotspot's
+  /// setup_s rose 13-16% at seed 2 that way).
+  std::vector<std::uint64_t> keys_;
+  std::deque<Placement> placements_;
+  std::unordered_map<std::uint64_t, std::size_t> slot_of_;
+  /// Scans of keys not in the table since the last sync(), which clears it:
   /// the serving front-end asks home() when a write is issued, and put()
   /// places the key from the same scan when the write completes.
   /// det: looked up, never iterated.
@@ -270,6 +290,8 @@ class KvStore {
   std::unordered_map<std::uint64_t, std::uint64_t> values_;
   std::vector<std::uint64_t> last_moved_;
   std::vector<graph::NodeId> added_scratch_;
+  /// keys_at()'s marks, one bit per node id: all-zero between calls.
+  mutable std::vector<std::uint64_t> home_bits_;
 };
 
 /// One trial's traffic state: the store, the request generator and a traffic

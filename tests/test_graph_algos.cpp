@@ -16,6 +16,7 @@
 #include "graph/generators.h"
 #include "graph/multigraph.h"
 #include "graph/spectral.h"
+#include "support/prng.h"
 
 namespace g = dex::graph;
 
@@ -203,6 +204,51 @@ TEST(Conductance, CheegerSandwich) {
     // since vol(S) >= |S| (degrees >= 1). So h >= gap/2 still holds.
     EXPECT_GE(h + 1e-9, s.gap / 2.0);
   }
+}
+
+// csr_bfs_fill against the Multigraph BFS on the shapes its bit-set levels
+// could get wrong. Every case goes through one scratch, so a word one call
+// left set would show up in a later call's levels.
+TEST(Csr, BfsFillMatchesMultigraphBfs) {
+  g::BfsScratch scratch;
+  std::vector<std::uint32_t> dist;
+  const auto check = [&](const g::Multigraph& graph,
+                         const std::vector<bool>& alive, g::NodeId src) {
+    g::CsrView view;
+    view.build(graph, alive);
+    g::csr_bfs_fill(view, src, dist, scratch);
+    if (alive.empty() || alive[src]) {
+      EXPECT_EQ(dist, g::bfs_distances(graph, src, alive)) << "src " << src;
+    } else {
+      // bfs_distances refuses a dead source; the fill reaches nothing.
+      EXPECT_EQ(dist, std::vector<std::uint32_t>(graph.node_count(),
+                                                 g::kUnreached));
+    }
+  };
+  // A path of 130 nodes (not a multiple of 64): levels of one node that
+  // walk across word boundaries, from an end and from the middle.
+  const auto path = g::make_path(130);
+  for (const g::NodeId src : {0u, 63u, 64u, 65u, 129u}) check(path, {}, src);
+  // Two components: a 5-cycle and a 70-node path.
+  g::Multigraph two(75);
+  for (g::NodeId u = 0; u < 5; ++u) two.add_edge(u, (u + 1) % 5);
+  for (g::NodeId u = 5; u + 1 < 75; ++u) two.add_edge(u, u + 1);
+  for (const g::NodeId src : {0u, 4u, 5u, 40u, 74u}) check(two, {}, src);
+  // A dead source, and a dead node cutting the path in two.
+  std::vector<bool> alive(130, true);
+  alive[64] = false;
+  check(path, alive, 64);
+  check(path, alive, 0);
+  check(path, alive, 100);
+  // Self-loops and multi-edges on a random expander of 200 nodes.
+  dex::support::Rng rng(11);
+  auto multi = g::make_random_regular(200, 4, rng);
+  for (g::NodeId u = 0; u < 200; u += 7) {
+    multi.add_edge(u, u);
+    multi.add_edge(u, (u + 1) % 200);
+    multi.add_edge(u, (u + 1) % 200);
+  }
+  for (const g::NodeId src : {0u, 7u, 99u, 199u}) check(multi, {}, src);
 }
 
 TEST(Csr, SurvivorsConnectedHonorsTheRemovedIds) {

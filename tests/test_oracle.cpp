@@ -16,12 +16,14 @@
 
 #include "graph/bfs.h"
 #include "graph/csr.h"
+#include "graph/generators.h"
 #include "graph/multigraph.h"
 #include "sim/experiment.h"
 #include "sim/oracle.h"
 #include "sim/overlay.h"
 #include "sim/scenario.h"
 #include "sim/sinks.h"
+#include "support/prng.h"
 
 using namespace dex;
 using graph::NodeId;
@@ -60,7 +62,7 @@ TEST(CsrView, BfsAndShortestPathMatchTheMultigraphReference) {
   graph::CsrView live;
   live.build(g, mask);
   std::vector<std::uint32_t> dist;
-  std::vector<NodeId> scratch;
+  graph::BfsScratch scratch;
   for (const NodeId src : overlay.alive_nodes()) {
     graph::csr_bfs_fill(live, src, dist, scratch);
     const auto ref = graph::bfs_distances(g, src, mask);
@@ -187,6 +189,30 @@ TEST(DistanceOracle, DisconnectedAndDeadPairsAreUnreached) {
   EXPECT_EQ(oracle.distance(6, 0), graph::kUnreached);
   EXPECT_EQ(oracle.distance(0, 7), graph::kUnreached);
   EXPECT_EQ(oracle.distance(3, 0), 3u);
+}
+
+// Probe scratch across queries and views: most probes meet mid-level and
+// return there, and the next probe, of another pair or on a re-attached
+// view with more nodes (its bit sets grown in place), must start from
+// all-zero bits. Every answer is checked against csr_bfs_fill.
+TEST(DistanceOracle, ProbeScratchSurvivesEarlyReturnsAndLargerViews) {
+  support::Rng rng(21);
+  sim::DistanceOracle oracle;
+  std::vector<std::uint32_t> dist;
+  graph::BfsScratch scratch;
+  // 150 nodes (three words, the last partial), then 330 (six).
+  for (const std::size_t n : {150u, 330u}) {
+    graph::CsrView live;
+    live.build(graph::make_random_regular(n, 3, rng), {});
+    oracle.attach(live);
+    for (int q = 0; q < 400; ++q) {
+      const auto u = static_cast<NodeId>(rng.below(n));
+      const auto v = static_cast<NodeId>(rng.below(n));
+      graph::csr_bfs_fill(live, u, dist, scratch);
+      ASSERT_EQ(oracle.distance(u, v), dist[v])
+          << "n " << n << ", query " << q << ": " << u << " -> " << v;
+    }
+  }
 }
 
 // ------------------------------------------------------- sweep determinism

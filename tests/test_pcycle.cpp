@@ -183,7 +183,11 @@ TEST(PCycle, ShortestPathMatchesForwardBfsOnEveryPairOfSmallPrimes) {
   }
 }
 
-TEST(PCycle, ShortestPathMatchesForwardBfsOnRandomPairsAtScale) {
+// One instance answers distance() and shortest_path() alternately, in both
+// orders, so every search starts from the bit sets and depths the previous
+// one (of either kind) left behind; a search that failed to clear its bits
+// would make a later ball meet early or skip a vertex.
+TEST(PCycle, AlternatingQueriesMatchForwardBfsOnRandomPairsAtScale) {
   // Close to the cycle size at kv-zipf's n0 = 31623, where the two balls
   // stop far short of the whole graph.
   const std::uint64_t p = 126271;
@@ -194,7 +198,14 @@ TEST(PCycle, ShortestPathMatchesForwardBfsOnRandomPairsAtScale) {
     const Vertex x = rng.below(p);
     const Vertex y = rng.below(p);
     const auto expect = path_from_parents(forward_bfs_parents(c, x, y), x, y);
-    ASSERT_EQ(c.shortest_path(x, y), expect) << x << " -> " << y;
+    const auto distance = static_cast<std::uint32_t>(expect.size() - 1);
+    if (i % 2 == 0) {
+      ASSERT_EQ(c.distance(x, y), distance) << x << " -> " << y;
+      ASSERT_EQ(c.shortest_path(x, y), expect) << x << " -> " << y;
+    } else {
+      ASSERT_EQ(c.shortest_path(x, y), expect) << x << " -> " << y;
+      ASSERT_EQ(c.distance(x, y), distance) << x << " -> " << y;
+    }
   }
 }
 
