@@ -34,8 +34,8 @@ std::size_t delete_floor(std::size_t min_n) {
 std::vector<std::uint32_t> distances_from(const graph::CsrView& g,
                                           NodeId src) {
   std::vector<std::uint32_t> dist;
-  graph::BfsScratch scratch;
-  graph::csr_bfs_fill(g, src, dist, scratch);
+  std::vector<NodeId> queue;
+  graph::csr_bfs_fill(g, src, dist, queue);
   return dist;
 }
 
@@ -581,13 +581,13 @@ std::vector<std::uint32_t> ChordAttack::chord_scores(
   const auto& nodes = view.alive_nodes();
   std::vector<std::uint32_t> score(g.node_count(), 0);
   std::vector<std::uint32_t> dist;
-  graph::BfsScratch scratch;
+  std::vector<NodeId> queue;
   // Betweenness proxy: over a few random BFS roots, credit u once per
   // downhill edge it feeds (dist[w] == dist[u] + 1) — nodes carrying many
   // shortest-path trees are the chord/shortcut carriers.
   for (std::size_t s = 0; s < sources_; ++s) {
     const NodeId src = nodes[rng.below(nodes.size())];
-    graph::csr_bfs_fill(g, src, dist, scratch);
+    graph::csr_bfs_fill(g, src, dist, queue);
     for (NodeId u : nodes) {
       if (dist[u] == graph::kUnreached) continue;
       for (NodeId w : g.neighbors(u)) {

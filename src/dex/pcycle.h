@@ -19,9 +19,12 @@
 /// at a time until they intersect. On an expander each ball stops at radius
 /// ~diam/2, so a query visits ~O(sqrt p) vertices where a one-sided BFS
 /// visits ~p/2. A ball is one membership bit per vertex (p/8 bytes: 15.8 KB
-/// at p = 126,493, so both balls stay in L1) plus a byte of depth per
-/// vertex, read only by shortest_path's mark-and-rebuild pass; each search
-/// clears exactly the words it set, from its list of reached vertices. The
+/// at p = 126,493), which every port test reads, plus a byte of depth per
+/// vertex (p bytes), written once per vertex the ball reaches and read only
+/// by shortest_path's mark-and-rebuild pass. A search thus touches the bit
+/// words and one depth byte of each vertex it reaches, not an 8-byte stamp
+/// per port test; it clears exactly the words it set, from its list of
+/// reached vertices. The
 /// coordinator's fixed target (vertex 0) is served from a cached BFS tree
 /// instead.
 

@@ -1,7 +1,6 @@
 #include "graph/csr.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdlib>
 #include <functional>
 
@@ -164,35 +163,22 @@ bool CsrView::equal_to(const CsrView& other) const {
 }
 
 void csr_bfs_fill(const CsrView& g, NodeId src, std::vector<std::uint32_t>& dist,
-                  BfsScratch& scratch) {
+                  std::vector<NodeId>& scratch) {
   dist.assign(g.node_count(), kUnreached);
   if (!g.alive(src)) return;
+  scratch.clear();
+  scratch.push_back(src);
   dist[src] = 0;
-  const std::size_t words = (g.node_count() + 63) / 64;
-  if (scratch.next.size() < words) scratch.next.resize(words, 0);
-  scratch.level.assign(1, src);
-  for (std::uint32_t d = 1; !scratch.level.empty(); ++d) {
-    scratch.words.clear();
-    for (const NodeId u : scratch.level) {
-      for (const NodeId v : g.neighbors(u)) {
-        if (dist[v] != kUnreached) continue;
-        dist[v] = d;
-        std::uint64_t& word = scratch.next[v >> 6];
-        if (word == 0) scratch.words.push_back(v >> 6);
-        word |= std::uint64_t{1} << (v & 63);
-      }
-    }
-    // The new level, ascending: its words in order, each word's bits low
-    // to high, zeroing the set as it goes.
-    std::sort(scratch.words.begin(), scratch.words.end());
-    scratch.level.clear();
-    for (const std::uint32_t w : scratch.words) {
-      std::uint64_t bits = scratch.next[w];
-      scratch.next[w] = 0;
-      for (; bits != 0; bits &= bits - 1) {
-        scratch.level.push_back(
-            static_cast<NodeId>(w * 64 + std::countr_zero(bits)));
-      }
+  // Flat frontier queue: `head` walks the current level while new
+  // discoveries append — level boundaries are implicit in the distances.
+  std::size_t head = 0;
+  while (head < scratch.size()) {
+    const NodeId u = scratch[head++];
+    const std::uint32_t d = dist[u] + 1;
+    for (const NodeId v : g.neighbors(u)) {
+      if (dist[v] != kUnreached) continue;
+      dist[v] = d;
+      scratch.push_back(v);
     }
   }
 }

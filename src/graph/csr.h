@@ -256,26 +256,12 @@ class CsrView {
   mutable std::vector<std::pair<std::uint32_t, std::uint32_t>> heap_;
 };
 
-/// Reusable scratch of csr_bfs_fill: the level being expanded, the next
-/// level as a bit set (all-zero between calls) and the indices of that
-/// set's non-zero words.
-struct BfsScratch {
-  std::vector<NodeId> level;
-  std::vector<std::uint64_t> next;
-  std::vector<std::uint32_t> words;
-};
-
 /// BFS distances from `src` over the live view, written into `dist`
-/// (resized to node_count(), kUnreached for unreachable or dead nodes) —
-/// the same vector graph::bfs_distances returns on the source Multigraph.
-/// Each level is expanded in ascending id order, which is the arena's row
-/// order bar the rows that grew and moved to its tail: a level's
-/// discoveries collect in a bit set and are read back from its non-zero
-/// words, sorted (no sweep over all n/64 words). The order is no longer
-/// Multigraph-BFS discovery order. `scratch` is reused across calls; no
-/// caller reads it.
+/// (resized to node_count(), kUnreached for unreachable or dead nodes).
+/// `scratch` is the frontier queue, reused across calls. Discovery order
+/// matches graph::bfs_distances on the source Multigraph exactly.
 void csr_bfs_fill(const CsrView& g, NodeId src, std::vector<std::uint32_t>& dist,
-                  BfsScratch& scratch);
+                  std::vector<NodeId>& scratch);
 
 /// Whether the alive nodes outside `removed` (ids; dead, out-of-range and
 /// repeated ids are ignored) are mutually reachable — the one connectivity

@@ -97,7 +97,7 @@ class DistanceOracle {
   std::vector<Slot> slots_;
   std::size_t next_slot_ = 0;  ///< FIFO ring cursor
   std::unordered_map<graph::NodeId, std::size_t> by_root_;
-  graph::BfsScratch scratch_;
+  std::vector<graph::NodeId> scratch_;
   /// probe() scratch, one ball per endpoint: a membership bit per node,
   /// all-zero between probes (the words grow in place with the view), and
   /// every node the ball reached, level by level — its last level,

@@ -131,28 +131,6 @@ KvStore::Placement KvStore::scan_candidates(std::uint64_t key) const {
   return pl;
 }
 
-void KvStore::merge_joiners(Placement& pl, std::uint64_t key_hash,
-                            const std::vector<NodeId>& added) {
-  Candidate best{added[0], hrw_score(key_hash, added[0])};
-  for (std::size_t i = 1; i < added.size(); ++i) {
-    const std::uint64_t s = hrw_score(key_hash, added[i]);
-    if (candidate_better(added[i], s, best.node, best.score)) {
-      best = {added[i], s};
-    }
-  }
-  const Candidate& kth = pl.top[kHomeCandidates - 1];
-  if (pl.count == kHomeCandidates &&
-      !candidate_better(best.node, best.score, kth.node, kth.score)) {
-    // No joiner enters the full list: merge_candidate would skip each one,
-    // raising the floor to the best of their scores.
-    pl.floor = std::max(pl.floor, best.score);
-    return;
-  }
-  for (const NodeId a : added) {
-    merge_candidate(pl, Candidate{a, hrw_score(key_hash, a)});
-  }
-}
-
 const KvStore::Placement* KvStore::placed(std::uint64_t key) const {
   const auto it = slot_of_.find(key);
   return it == slot_of_.end() ? nullptr : &placements_[it->second];
@@ -241,9 +219,14 @@ KvStore::SyncStats KvStore::sync(const adversary::AdversaryView& view) {
     const std::uint64_t key = keys_[slot];
     Placement& pl = placements_[slot];
     const NodeId old_home = pl.home();
-    // Incumbent weights are unchanged; joiners merge into the candidate
-    // list (and take the lead when they out-score it).
-    if (!added.empty()) merge_joiners(pl, support::mix64(key), added);
+    if (!added.empty()) {
+      // Incumbent weights are unchanged; joiners merge into the candidate
+      // list (and take the lead when they out-score it).
+      const std::uint64_t kh = support::mix64(key);
+      for (const NodeId a : added) {
+        merge_candidate(pl, Candidate{a, hrw_score(kh, a)});
+      }
+    }
     // Promote the best surviving candidate. Exact as long as it clears the
     // floor — otherwise a node pushed out of the list earlier could be the
     // true winner, and only a rescan of the alive set can tell. (Only the

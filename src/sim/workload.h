@@ -256,10 +256,6 @@ class KvStore {
   [[nodiscard]] const Placement* placed(std::uint64_t key) const;
   /// Forgets a stored key's placement: the last slot moves into its hole.
   void drop_placement(std::uint64_t key);
-  /// Folds this sync's joiners (`added`, ascending) into a placement, with
-  /// exactly the result of merge_candidate on each in turn.
-  static void merge_joiners(Placement& pl, std::uint64_t key_hash,
-                            const std::vector<graph::NodeId>& added);
   static void merge_candidate(Placement& pl, Candidate c);
   [[nodiscard]] graph::NodeId resolve_origin(graph::NodeId origin) const;
   /// Routes origin -> home; fills hops/optimal_hops; returns delivery.

@@ -206,11 +206,12 @@ TEST(Conductance, CheegerSandwich) {
   }
 }
 
-// csr_bfs_fill against the Multigraph BFS on the shapes its bit-set levels
-// could get wrong. Every case goes through one scratch, so a word one call
-// left set would show up in a later call's levels.
+// csr_bfs_fill against the Multigraph BFS on a path, two components, dead
+// nodes, self-loops and multi-edges, with node counts that are not a
+// multiple of 64. Every case goes through one scratch queue, so a queue one
+// call left behind would show up in a later call's distances.
 TEST(Csr, BfsFillMatchesMultigraphBfs) {
-  g::BfsScratch scratch;
+  std::vector<g::NodeId> scratch;
   std::vector<std::uint32_t> dist;
   const auto check = [&](const g::Multigraph& graph,
                          const std::vector<bool>& alive, g::NodeId src) {

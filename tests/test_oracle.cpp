@@ -62,7 +62,7 @@ TEST(CsrView, BfsAndShortestPathMatchTheMultigraphReference) {
   graph::CsrView live;
   live.build(g, mask);
   std::vector<std::uint32_t> dist;
-  graph::BfsScratch scratch;
+  std::vector<NodeId> scratch;
   for (const NodeId src : overlay.alive_nodes()) {
     graph::csr_bfs_fill(live, src, dist, scratch);
     const auto ref = graph::bfs_distances(g, src, mask);
@@ -199,7 +199,7 @@ TEST(DistanceOracle, ProbeScratchSurvivesEarlyReturnsAndLargerViews) {
   support::Rng rng(21);
   sim::DistanceOracle oracle;
   std::vector<std::uint32_t> dist;
-  graph::BfsScratch scratch;
+  std::vector<NodeId> scratch;
   // 150 nodes (three words, the last partial), then 330 (six).
   for (const std::size_t n : {150u, 330u}) {
     graph::CsrView live;

@@ -519,7 +519,7 @@ TEST(KvStore, RehashMessagesEqualFullBfsPricingUnderChurn) {
   support::Rng rng(4242);
   std::vector<NodeId> before(kKeys);
   std::vector<std::uint32_t> dist;
-  graph::BfsScratch scratch;
+  std::vector<NodeId> queue;
   std::size_t handovers = 0;
   std::size_t orphans = 0;
   for (int step = 0; step < 80; ++step) {
@@ -545,7 +545,7 @@ TEST(KvStore, RehashMessagesEqualFullBfsPricingUnderChurn) {
       const NodeId from = before[k];
       if (to == from) continue;
       ++moved;
-      graph::csr_bfs_fill(live, to, dist, scratch);
+      graph::csr_bfs_fill(live, to, dist, queue);
       if (live.alive(from) && dist[from] != graph::kUnreached) {
         want += dist[from];
         ++handovers;
