@@ -50,67 +50,32 @@
 //            --sweep          expand the comma-list axes into a full grid
 //                             (backends x scenarios x n0s x batch sizes x
 //                             seeds) and prepend a trial column/field
-//            --jobs=J         worker threads for the sweep (0 = all cores);
-//                             output is byte-identical for every J
+//            --jobs=J         worker threads for the sweep (0 = all cores;
+//                             needs --sweep); output is byte-identical for
+//                             every J
 //            --csv=FILE --json=FILE   redirect the two streams to files
 //
-// Flags are parsed and gated here (comma lists need --sweep, knobs need
-// their mode); the plan's contents are checked by ExperimentPlan::validate,
-// the same check scenario_fuzzer runs on its case lines. Malformed input
-// exits 2 with a one-line message. For an invariant audit after a run,
-// replay the case through `scenario_fuzzer --case`.
+// Flags are parsed and gated by sim::parse_run_args (sim/run_args.h):
+// comma lists and --jobs need --sweep, knobs need their mode, and
+// ExperimentPlan::validate checks the plan's contents. Malformed input
+// exits 2 with a one-line message. scenario_fuzzer reads its case lines
+// with the same function, so a fuzz case is an argument line of this
+// binary: for an invariant audit after a run, pass the same arguments to
+// `scenario_fuzzer --case "..."`.
 
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "sim/experiment.h"
 #include "sim/overlay.h"
+#include "sim/run_args.h"
 #include "sim/scenario.h"
 #include "sim/sinks.h"
 #include "sim/workload.h"
-#include "support/parse.h"
 
 namespace {
-
-using dex::support::parse_double;
-using dex::support::parse_u64;
-
-/// Accepts both `--name=value` and `--name value`: when arg is exactly
-/// `--name`, the value is consumed from the next argv slot (advancing i).
-bool parse_flag(int argc, char** argv, int& i, const char* name,
-                std::string& out) {
-  const std::string arg = argv[i];
-  const std::string flag = std::string("--") + name;
-  if (arg == flag) {
-    if (i + 1 >= argc)
-      throw std::invalid_argument("missing value for " + flag);
-    out = argv[++i];
-    return true;
-  }
-  const std::string prefix = flag + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  out = arg.substr(prefix.size());
-  return true;
-}
-
-/// Splits a comma list; "all" (backends axis) expands via the registry.
-std::vector<std::string> split_csv(const std::string& v) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= v.size()) {
-    const std::size_t comma = v.find(',', start);
-    const std::size_t end = comma == std::string::npos ? v.size() : comma;
-    if (end > start) out.push_back(v.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  if (out.empty()) throw std::invalid_argument("empty list: '" + v + "'");
-  return out;
-}
 
 void print_usage(std::FILE* out) {
   std::fprintf(
@@ -190,8 +155,11 @@ void print_usage(std::FILE* out) {
       "\n"
       "--sweep expands comma-listed --backend/--scenario/--n0/--batch-size/\n"
       "--seed axes into a grid (--backend all = every backend) and runs the\n"
-      "trials on --jobs threads; rows gain a leading trial column and the\n"
-      "output is byte-identical for every --jobs value.\n",
+      "trials on --jobs threads (--jobs needs --sweep); rows gain a leading\n"
+      "trial column and the output is byte-identical for every --jobs value.\n"
+      "\n"
+      "scenario_fuzzer's case lines are argument lines of this binary: a\n"
+      "single traced trial without --sweep/--jobs/--no-trace/--csv/--json.\n",
       dex::sim::overlay_names(), dex::sim::strategy_names(),
       dex::sim::workload_names());
 }
@@ -199,232 +167,36 @@ void print_usage(std::FILE* out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // One declarative plan covers single runs and sweeps: a single run is a
-  // one-trial grid. Every trial owns its overlay/strategy/RNG (spec.seed
-  // drives the adversary; the overlay gets a salted derivation — §2 hides
-  // only the algorithm's future flips), so the Executor can run them on any
-  // number of threads with byte-identical output.
-  dex::sim::ExperimentPlan plan;
-  plan.base.steps = 256;
-  bool sweep = false;
-  bool trace = true;
-  std::size_t jobs = 1;
-  std::string csv_path;
-  std::string json_path;
-  std::string campaign;  // --campaign as given; parsed below
-  bool traffic_knob = false;
-  bool event_knob = false;
-  bool serve_knob = false;
-  bool scenario_knob = false;
-  auto& spec = plan.base;
-  try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      std::string v;
-      if (parse_flag(argc, argv, i, "backend", v)) {
-        plan.backends = split_csv(v);
-      } else if (parse_flag(argc, argv, i, "scenario", v)) {
-        plan.scenarios = split_csv(v);
-        scenario_knob = true;
-      } else if (parse_flag(argc, argv, i, "campaign", v)) {
-        campaign = v;
-      } else if (parse_flag(argc, argv, i, "n0", v)) {
-        plan.populations.clear();
-        for (const auto& s : split_csv(v)) {
-          plan.populations.push_back(parse_u64(s));
-        }
-      } else if (parse_flag(argc, argv, i, "seed", v)) {
-        plan.seeds.clear();
-        for (const auto& s : split_csv(v)) plan.seeds.push_back(parse_u64(s));
-      } else if (parse_flag(argc, argv, i, "batch-size", v)) {
-        plan.batch_sizes.clear();
-        for (const auto& s : split_csv(v)) {
-          plan.batch_sizes.push_back(parse_u64(s));
-        }
-      } else if (parse_flag(argc, argv, i, "steps", v)) {
-        spec.steps = parse_u64(v);
-      } else if (parse_flag(argc, argv, i, "min-n", v)) {
-        spec.min_n = parse_u64(v);
-      } else if (parse_flag(argc, argv, i, "max-n", v)) {
-        spec.max_n = parse_u64(v);
-      } else if (parse_flag(argc, argv, i, "warmup", v)) {
-        spec.warmup_steps = parse_u64(v);
-      } else if (parse_flag(argc, argv, i, "insert-prob", v)) {
-        plan.opts.insert_prob = parse_double(v);
-      } else if (parse_flag(argc, argv, i, "gap-every", v)) {
-        spec.gap_every = parse_u64(v);
-      } else if (parse_flag(argc, argv, i, "burst", v)) {
-        spec.burst_every = parse_u64(v);
-      } else if (parse_flag(argc, argv, i, "workload", v)) {
-        spec.traffic.workload = v;
-      } else if (parse_flag(argc, argv, i, "ops-per-step", v)) {
-        spec.traffic.ops_per_step = parse_u64(v);
-        traffic_knob = true;
-      } else if (parse_flag(argc, argv, i, "keys", v)) {
-        spec.traffic.keyspace = parse_u64(v);
-        traffic_knob = true;
-      } else if (parse_flag(argc, argv, i, "zipf", v)) {
-        spec.traffic.zipf_s = parse_double(v);
-        traffic_knob = true;
-      } else if (parse_flag(argc, argv, i, "read-frac", v)) {
-        spec.traffic.read_fraction = parse_double(v);
-        traffic_knob = true;
-      } else if (parse_flag(argc, argv, i, "engine", v)) {
-        if (v != "sync" && v != "event") {
-          throw std::invalid_argument("--engine must be sync or event, got '" +
-                                      v + "'");
-        }
-        spec.event.enabled = v == "event";
-      } else if (parse_flag(argc, argv, i, "latency", v)) {
-        const auto model = dex::sim::LatencyModel::parse(v);
-        if (!model) {
-          throw std::invalid_argument(
-              "--latency must be fixed:T, uniform:A,B or exp:MEAN, got '" + v +
-              "'");
-        }
-        spec.event.latency = *model;
-        event_knob = true;
-      } else if (parse_flag(argc, argv, i, "loss", v)) {
-        spec.event.loss_rate = parse_double(v);
-        event_knob = true;
-      } else if (parse_flag(argc, argv, i, "stragglers", v)) {
-        spec.event.straggler_fraction = parse_double(v);
-        event_knob = true;
-      } else if (parse_flag(argc, argv, i, "straggler-factor", v)) {
-        spec.event.straggler_factor = parse_u64(v);
-        event_knob = true;
-      } else if (parse_flag(argc, argv, i, "period", v)) {
-        spec.event.period = parse_u64(v);
-        event_knob = true;
-      } else if (parse_flag(argc, argv, i, "clients", v)) {
-        spec.serve.clients = parse_u64(v);
-        serve_knob = true;
-      } else if (parse_flag(argc, argv, i, "think", v)) {
-        spec.serve.think_ticks = parse_u64(v);
-        serve_knob = true;
-      } else if (parse_flag(argc, argv, i, "queue-depth", v)) {
-        spec.serve.queue_depth = parse_u64(v);
-        serve_knob = true;
-      } else if (parse_flag(argc, argv, i, "service", v)) {
-        spec.serve.service_ticks = parse_u64(v);
-        serve_knob = true;
-      } else if (parse_flag(argc, argv, i, "op-timeout", v)) {
-        spec.serve.op_timeout = parse_u64(v);
-        serve_knob = true;
-      } else if (parse_flag(argc, argv, i, "jobs", v)) {
-        jobs = parse_u64(v);
-      } else if (parse_flag(argc, argv, i, "csv", v)) {
-        csv_path = v;
-      } else if (parse_flag(argc, argv, i, "json", v)) {
-        json_path = v;
-      } else if (arg == "--serve") {
-        spec.serve.enabled = true;
-      } else if (arg == "--sweep") {
-        sweep = true;
-      } else if (arg == "--no-trace") {
-        trace = false;
-      } else if (arg == "--help" || arg == "-h") {
-        print_usage(stdout);
-        return 0;
-      } else {
-        std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
-        print_usage(stderr);
-        return 2;
-      }
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bad flag value: %s\n", e.what());
+  // Every trial owns its overlay/strategy/RNG (spec.seed drives the
+  // adversary; the overlay gets a salted derivation — §2 hides only the
+  // algorithm's future flips), so the Executor can run them on any number
+  // of threads with byte-identical output.
+  const dex::sim::RunArgs run =
+      dex::sim::parse_run_args({argv + 1, argv + argc});
+  if (!run.error.empty()) {
+    std::fprintf(stderr, "%s\n", run.error.c_str());
+    if (run.help) print_usage(stderr);
     return 2;
+  }
+  if (run.help) {
+    print_usage(stdout);
+    return 0;
   }
 
-  // "all" expands from the registry; only meaningful as a sweep axis.
-  if (plan.backends.size() == 1 && plan.backends[0] == "all") {
-    plan.backends = dex::sim::known_overlays();
-  }
-  if (!sweep && plan.trial_count() > 1) {
-    std::fprintf(stderr,
-                 "comma-listed axes expand to a grid only with --sweep\n");
-    return 2;
-  }
-  if (!campaign.empty()) {
-    // The campaign's phases name their own strategies, so a scenario axis
-    // next to it would be dead weight at best and contradictory at worst.
-    if (scenario_knob) {
-      std::fprintf(stderr,
-                   "--campaign replaces --scenario; give one or the other\n");
-      return 2;
-    }
-    // Parsed once, here: replay traces are read now, and every trial gets
-    // the parsed spec.
-    std::string campaign_err;
-    spec.campaign = dex::sim::parse_campaign_spec(campaign, &campaign_err);
-    if (!spec.campaign) {
-      std::fprintf(stderr, "bad --campaign: %s\n", campaign_err.c_str());
-      return 2;
-    }
-  }
-  if (traffic_knob && !spec.traffic.enabled()) {
-    std::fprintf(stderr,
-                 "traffic flags (--ops-per-step/--keys/--zipf/--read-frac) "
-                 "need --workload\n");
-    return 2;
-  }
-  if (event_knob && !spec.event.enabled) {
-    std::fprintf(stderr,
-                 "event flags (--latency/--loss/--stragglers/"
-                 "--straggler-factor/--period) need --engine event\n");
-    return 2;
-  }
-  if (serve_knob && !spec.serve.enabled) {
-    std::fprintf(stderr,
-                 "serve flags (--clients/--think/--queue-depth/--service/"
-                 "--op-timeout) need --serve\n");
-    return 2;
-  }
-  if (const auto problem = plan.validate()) {
-    std::fprintf(stderr, "%s\n", problem->c_str());
-    return 2;
-  }
-
-  // One flag controls churn bias everywhere it applies.
-  spec.warmup_insert_prob = plan.opts.insert_prob;
-  // The per-step degree scan only pays off when the trace is emitted.
-  spec.measure_degree = trace;
-  // Fold the strategy knob into the label so the archived summary records
-  // the full workload, not just its name.
-  // A campaign supersedes the scenario axis: the unused default scenario
-  // name must not leak into the archived label (the campaign string itself
-  // is echoed as the summary's `campaign` field).
-  if (spec.campaign) spec.label = "campaign";
-  const double insert_prob = plan.opts.insert_prob;
-  plan.customize = [insert_prob](dex::sim::TrialSpec& t) {
-    if (!t.spec.campaign &&
-        (t.scenario == "churn" || t.scenario == "burst")) {
-      char buf[48];
-      std::snprintf(buf, sizeof(buf), "(insert_prob=%g)", insert_prob);
-      t.spec.label += buf;
-    }
+  // --csv/--json redirect the two streams to files; nullptr = cannot open.
+  const auto open = [](const std::string& path, std::ofstream& file,
+                       std::ostream& fallback) -> std::ostream* {
+    if (path.empty()) return &fallback;
+    file.open(path);
+    if (file) return &file;
+    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+    return nullptr;
   };
-
   std::ofstream csv_file, json_file;
-  std::ostream* csv_os = &std::cout;
-  if (!csv_path.empty()) {
-    csv_file.open(csv_path);
-    if (!csv_file) {
-      std::fprintf(stderr, "cannot open %s\n", csv_path.c_str());
-      return 1;
-    }
-    csv_os = &csv_file;
-  }
-  std::ostream* json_os = &std::cerr;
-  if (!json_path.empty()) {
-    json_file.open(json_path);
-    if (!json_file) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
-    }
-    json_os = &json_file;
-  }
+  std::ostream* csv_os = open(run.csv_path, csv_file, std::cout);
+  if (!csv_os) return 1;
+  std::ostream* json_os = open(run.json_path, json_file, std::cerr);
+  if (!json_os) return 1;
 
   // Streaming emission: rows/summaries leave through the sinks as trials
   // deliver — no trace. --no-trace leaves the CSV sink unregistered; the
@@ -433,13 +205,13 @@ int main(int argc, char** argv) {
   // output keeps the classic single-trial shape. (Column *values* are not
   // frozen across versions: e.g. used_type2/type2_steps now populate on
   // single-event DEX steps, where the pre-sweep CLI always emitted 0.)
-  dex::sim::CsvTraceSink csv_sink(*csv_os, /*trial_column=*/sweep);
-  dex::sim::JsonSummarySink json_sink(*json_os, /*trial_field=*/sweep);
+  dex::sim::CsvTraceSink csv_sink(*csv_os, /*trial_column=*/run.sweep);
+  dex::sim::JsonSummarySink json_sink(*json_os, /*trial_field=*/run.sweep);
   dex::sim::ExecutorOptions opts;
-  opts.jobs = sweep ? jobs : 1;
+  opts.jobs = run.jobs;
   dex::sim::Executor executor(opts);
-  if (trace) executor.add_sink(csv_sink);
+  if (run.trace) executor.add_sink(csv_sink);
   executor.add_sink(json_sink);
-  executor.run(plan.expand());
+  executor.run(run.plan.expand());
   return 0;
 }

@@ -3,8 +3,8 @@
 # single-line diagnostic on stderr and produce no simulation output on
 # stdout — a typo'd sweep should die before it burns an hour, and exit
 # codes must be scriptable (0 ok / 2 usage). The same holds for the case
-# lines scenario_fuzzer replays, which pass through the same plan check
-# (ExperimentPlan::validate), and for the positional arguments of the
+# lines scenario_fuzzer replays, which are dex_sim_cli argument lines read
+# by the same parser (sim::parse_run_args), and for the positional arguments of the
 # example programs (support::positional_u64). Run with the CLI binary as $1,
 # the fuzzer binary as $2 and the quickstart example as $3 (CMake passes
 # $<TARGET_FILE:dex_sim_cli>, $<TARGET_FILE:scenario_fuzzer> and
@@ -86,6 +86,7 @@ expect_reject "bad range" "${nosc[@]}" --campaign "churn:9-3"
 expect_reject "rate must be" "${nosc[@]}" --campaign "churn:0-,rate=2"
 expect_reject "open-ended" "${nosc[@]}" --campaign "churn;burst"
 expect_reject "bad --campaign" "${nosc[@]}" --campaign "mix(churn:0-"
+expect_reject "empty campaign spec" --campaign=
 
 # Plan contents: unknown names, out-of-range counts and probabilities,
 # pacing without batches, and population bounds the runner cannot honor.
@@ -102,8 +103,9 @@ expect_reject "population bounds must satisfy" "${base[@]}" --min-n 2
 expect_reject "--insert-prob must be in [0, 1]" "${base[@]}" --insert-prob 2
 expect_reject "--batch-size must be >= 1" "${base[@]}" --batch-size 0
 
-# Flag gating: comma lists need --sweep, knobs need their mode.
+# Flag gating: comma lists and --jobs need --sweep, knobs need their mode.
 expect_reject "only with --sweep" "${base[@]}" --seed 1,2
+expect_reject "--jobs needs --sweep" "${base[@]}" --jobs 4
 expect_reject "need --workload" "${base[@]}" --keys 5
 expect_reject "need --engine event" "${base[@]}" --loss 0.1
 
@@ -165,30 +167,45 @@ else
 fi
 rm -f "$durable_json"
 
-# scenario_fuzzer --case/--replay lines: each probe is the well-formed line
-# below with one field changed, and must be refused before any case runs.
-good='seed=7 backend=dex-worstcase engine=event latency=fixed:2 loss=0 n0=32 steps=8 batch=2 workload=uniform ops=8 serve=0 clients=4 qdepth=8 campaign="churn:0-"'
+# scenario_fuzzer --case/--replay lines are dex_sim_cli argument lines,
+# read by the CLI's own parser: each probe is the well-formed line below
+# with one flag changed or added, and must be refused before any case runs.
+good='--seed=7 --backend=dex-worstcase --n0=32 --steps=8 --batch-size=2 --engine=event --latency=fixed:2 --loss=0 --workload=uniform --ops-per-step=8 --keys=512 --gap-every=4 --campaign=churn:0-'
 expect_fuzz_reject() { reject_with "$fuzzer" "$@"; }
 expect_fuzz_reject "line 1: unknown backend 'nope'" \
-  --case "${good/backend=dex-worstcase/backend=nope}"
-expect_fuzz_reject "line 1: latency must be" \
-  --case "${good/engine=event latency=fixed:2/engine=sync latency=bogus}"
+  --case "${good/--backend=dex-worstcase/--backend=nope}"
+expect_fuzz_reject "line 1: bad flag value: --latency must be" \
+  --case "${good/--latency=fixed:2/--latency=bogus}"
 expect_fuzz_reject "line 1: serve spec out of range" \
-  --case "${good/serve=0 clients=4/serve=1 clients=0}"
+  --case "${good/--gap-every=4/--serve --clients=0 --gap-every=4}"
 expect_fuzz_reject "line 1: population bounds must satisfy" \
-  --case "${good/n0=32/n0=2}"
+  --case "${good/--n0=32/--n0=2}"
 expect_fuzz_reject "line 1: unknown workload 'bogus'" \
-  --case "${good/workload=uniform/workload=bogus}"
-expect_fuzz_reject "line 1: bad value for 'n0'" --case "${good/n0=32/n0=32x}"
-expect_fuzz_reject "line 1: bad value for 'seed'" --case "${good/seed=7/seed=-1}"
+  --case "${good/--workload=uniform/--workload=bogus}"
+expect_fuzz_reject "line 1: bad flag value: expected a non-negative integer, got '32x'" \
+  --case "${good/--n0=32/--n0=32x}"
+expect_fuzz_reject "line 1: bad flag value: expected a non-negative integer, got '-1'" \
+  --case "${good/--seed=7/--seed=-1}"
+# A case is one traced trial, and its line must split as a shell splits it.
+expect_fuzz_reject "line 1: a case line is one traced trial" \
+  --case "$good --no-trace"
+expect_fuzz_reject "line 1: unquoted ';'" \
+  --case "${good/--campaign=churn:0-/--campaign=churn:0-2;burst:2-}"
+expect_fuzz_reject "line 1: unterminated single quote" \
+  --case "$good --warmup='3"
 
 # --replay numbers lines as the file does: comments and blank lines count,
 # so the message names the line to edit.
 corpus="$(mktemp)"
-printf '# a comment\n\n%s\n' "${good/backend=dex-worstcase/backend=nope}" \
+printf '# a comment\n\n%s\n' "${good/--backend=dex-worstcase/--backend=nope}" \
   >"$corpus"
 expect_fuzz_reject "line 3: unknown backend 'nope'" --replay "$corpus"
 rm -f "$corpus"
+
+# An unwritable --repro-out is refused before the first case runs, so a
+# violation's repro cannot go missing unnoticed.
+expect_fuzz_reject "cannot open '/nonexistent/dir/x'" \
+  --inject-bug conservation --repro-out /nonexistent/dir/x
 
 # Positive control: the well-formed line replays clean.
 if ! fuzz_out="$("$fuzzer" --case "$good" 2>/dev/null)" ||
@@ -197,6 +214,16 @@ if ! fuzz_out="$("$fuzzer" --case "$good" 2>/dev/null)" ||
   failures=$((failures + 1))
 else
   echo "ok   [control] well-formed fuzzer case replays clean"
+fi
+
+# Positive control: the same line, as the shell reads it, runs in the CLI.
+if ! eval "\"\$cli\" $good" >/dev/null 2>/tmp/cli_validation_err ||
+    ! grep -q '"campaign": "churn:0-"' /tmp/cli_validation_err; then
+  echo "FAIL: the fuzzer case line did not run in dex_sim_cli:"
+  cat /tmp/cli_validation_err
+  failures=$((failures + 1))
+else
+  echo "ok   [control] the fuzzer case line runs in dex_sim_cli"
 fi
 
 # Example programs parse positional arguments strictly: trailing garbage or

@@ -18,22 +18,36 @@
 //                   every AdversaryView::advance() cross-checks patch==rebuild
 //                   (a mismatch aborts loudly rather than returning)
 //
+// A case is a dex_sim_cli argument line, read by the CLI's own parser
+// (sim::parse_run_args), so each trial runs exactly the spec dex_sim_cli
+// builds for the line and the printed case is its own repro:
+//
+//   --seed=9208 --backend=dex-amortized --n0=40 --steps=24 --batch-size=2
+//   --engine=event --latency=exp:2 --loss=0 --gap-every=4
+//   --campaign='churn:0-9;burst:9-,load=2'
+//
+// `--case` and `--replay` split a line as a POSIX shell would (single
+// quotes only) and refuse a line that sets output options (--sweep, --jobs,
+// --no-trace, --csv, --json) or that the CLI refuses: a bad line exits 2
+// with `line N: <message>` before the first case runs.
+//
 // A failing case is shrunk greedily (drop phases, sync engine, no serve, no
-// traffic, fewer steps, smaller network) to a one-line repro that replays
-// with `scenario_fuzzer --case 'LINE'` and is restated as an equivalent
-// dex_sim_cli command. `--inject-bug conservation` deliberately breaks the
-// conservation check's observed count by one — the self-test that the
-// fuzzer finds and shrinks a real violation end to end.
+// traffic, fewer steps, smaller network) by rewriting or dropping flags, to
+// a one-line repro that replays with `scenario_fuzzer --case "LINE"` and
+// runs as `dex_sim_cli LINE`. `--inject-bug conservation` deliberately
+// breaks the conservation check's observed count by one — the self-test
+// that the fuzzer finds and shrinks a real violation end to end.
 //
 // Every generated case is printed to stdout as `ok <case-line>` (stderr
 // carries progress), so stdout is deterministic for a fixed --seed/--budget
 // and doubles as a seed-corpus source (tests/fuzz_corpus.txt is made of
-// these lines; `--replay FILE` re-checks them in CI). Replayed lines are
-// parsed and checked by ExperimentPlan::validate, the CLI's own check,
-// before the first case runs: a bad line exits 2 with `line N: <message>`.
+// these lines; `--replay FILE` re-checks them in CI).
 
+#include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -43,6 +57,7 @@
 
 #include "adversary/campaign.h"
 #include "sim/experiment.h"
+#include "sim/run_args.h"
 #include "sim/scenario.h"
 #include "sim/sinks.h"
 #include "support/parse.h"
@@ -52,167 +67,125 @@ namespace {
 
 using dex::sim::ExperimentPlan;
 using dex::sim::ScenarioResult;
-using dex::support::parse_double;
 using dex::support::parse_u64;
 
 // ------------------------------------------------------------------ cases
 
-/// Everything one fuzz case needs to rebuild its trial: the knobs are a
-/// strict subset of what dex_sim_cli exposes, so every case restates as a
-/// CLI command.
-struct FuzzCase {
-  std::uint64_t seed = 1;
-  std::string backend = "dex-worstcase";
-  bool event = false;
-  std::string latency = "fixed:0";  // LatencyModel canonical spelling
-  double loss = 0.0;
-  std::size_t n0 = 32;
-  std::size_t steps = 16;
-  std::size_t batch = 2;
-  std::string workload;  // empty = no traffic
-  std::size_t ops = 8;
-  bool serve = false;
-  std::size_t clients = 4;
-  std::size_t qdepth = 8;
-  std::string campaign = "churn:0-";
-};
+/// A fuzz case is a dex_sim_cli argument list (argv without the program
+/// name); sim::parse_run_args reads it exactly as the CLI reads its argv.
+using Args = std::vector<std::string>;
 
-std::string to_line(const FuzzCase& c) {
-  std::ostringstream os;
-  os << "seed=" << c.seed << " backend=" << c.backend
-     << " engine=" << (c.event ? "event" : "sync") << " latency=" << c.latency
-     << " loss=" << c.loss << " n0=" << c.n0 << " steps=" << c.steps
-     << " batch=" << c.batch
-     << " workload=" << (c.workload.empty() ? "none" : c.workload)
-     << " ops=" << c.ops << " serve=" << (c.serve ? 1 : 0)
-     << " clients=" << c.clients << " qdepth=" << c.qdepth << " campaign=\""
-     << c.campaign << '"';
-  return os.str();
+/// Characters a POSIX shell takes literally outside quotes. A value holding
+/// any other character is printed in single quotes and must be read in
+/// them.
+bool shell_safe(char ch) {
+  return std::isalnum(static_cast<unsigned char>(ch)) ||
+         std::strchr("_@%+=:,./-", ch) != nullptr;
 }
 
-/// Parses a to_line() line back into a case. The campaign is the quoted
-/// tail; everything before it is whitespace-separated key=value. Returns
-/// nullopt with a one-line message on anything malformed.
-std::optional<FuzzCase> from_line(const std::string& line,
-                                  std::string* error) {
-  auto fail = [&](const std::string& msg) -> std::optional<FuzzCase> {
-    if (error) *error = msg;
-    return std::nullopt;
-  };
-  const std::string tag = "campaign=\"";
-  const auto cpos = line.find(tag);
-  if (cpos == std::string::npos) return fail("missing campaign=\"...\"");
-  const auto cend = line.rfind('"');
-  if (cend <= cpos + tag.size() - 1) return fail("unterminated campaign");
-  FuzzCase c;
-  c.campaign = line.substr(cpos + tag.size(), cend - cpos - tag.size());
-  std::istringstream head(line.substr(0, cpos));
-  std::string tok;
-  while (head >> tok) {
-    const auto eq = tok.find('=');
-    if (eq == std::string::npos) return fail("bad token '" + tok + "'");
-    const std::string k = tok.substr(0, eq);
-    const std::string v = tok.substr(eq + 1);
-    try {
-      if (k == "seed") {
-        c.seed = parse_u64(v);
-      } else if (k == "backend") {
-        c.backend = v;
-      } else if (k == "engine") {
-        if (v != "sync" && v != "event") return fail("engine must be sync|event");
-        c.event = v == "event";
-      } else if (k == "latency") {
-        if (!dex::sim::LatencyModel::parse(v)) {
-          return fail("latency must be fixed:T, uniform:A,B or exp:MEAN, "
-                      "got '" + v + "'");
-        }
-        c.latency = v;
-      } else if (k == "loss") {
-        c.loss = parse_double(v);
-      } else if (k == "n0") {
-        c.n0 = parse_u64(v);
-      } else if (k == "steps") {
-        c.steps = parse_u64(v);
-      } else if (k == "batch") {
-        c.batch = parse_u64(v);
-      } else if (k == "workload") {
-        c.workload = v == "none" ? "" : v;
-      } else if (k == "ops") {
-        c.ops = parse_u64(v);
-      } else if (k == "serve") {
-        if (v != "0" && v != "1") return fail("serve must be 0|1");
-        c.serve = v == "1";
-      } else if (k == "clients") {
-        c.clients = parse_u64(v);
-      } else if (k == "qdepth") {
-        c.qdepth = parse_u64(v);
-      } else {
-        return fail("unknown key '" + k + "'");
-      }
-    } catch (const std::exception& e) {
-      return fail("bad value for '" + k + "': " + e.what());
+/// The case as a line a shell reads back into the same arguments: an
+/// argument with a character outside shell_safe gets its value (what
+/// follows `--name=`) single-quoted.
+std::string to_line(const Args& args) {
+  std::string line;
+  for (const auto& arg : args) {
+    if (!line.empty()) line += ' ';
+    if (!arg.empty() && std::all_of(arg.begin(), arg.end(), shell_safe)) {
+      line += arg;
+      continue;
+    }
+    const auto eq = arg.rfind("--", 0) == 0 ? arg.find('=') : std::string::npos;
+    const auto head = eq == std::string::npos ? 0 : eq + 1;
+    line += arg.substr(0, head) + '\'' + arg.substr(head) + '\'';
+  }
+  return line;
+}
+
+/// Splits a case line into arguments as a POSIX shell would, with single
+/// quotes the only quoting: blanks separate words, '...' is literal, and
+/// any other character outside shell_safe is refused unless quoted (a
+/// shell would read it differently). nullopt with a one-line message on a
+/// refused character or an unterminated quote.
+std::optional<Args> split_line(const std::string& line, std::string* error) {
+  Args args;
+  std::string word;
+  bool in_word = false;
+  bool quoted = false;
+  for (const char ch : line) {
+    if (ch == '\'') {
+      quoted = !quoted;
+      in_word = true;
+    } else if (quoted || shell_safe(ch)) {
+      word += ch;
+      in_word = true;
+    } else if (ch == ' ' || ch == '\t') {
+      if (in_word) args.push_back(std::move(word));
+      word.clear();
+      in_word = false;
+    } else {
+      *error = std::string("unquoted '") + ch +
+               "': put the value in single quotes";
+      return std::nullopt;
     }
   }
-  return c;
-}
-
-/// The case as a one-trial ExperimentPlan: its campaign parsed, its knobs
-/// on the base spec. run_case runs the plan's one trial and run_sweep the
-/// plan over two seeds. nullopt with a one-line message in *error when the
-/// campaign does not parse or ExperimentPlan::validate rejects the plan.
-std::optional<ExperimentPlan> to_plan(const FuzzCase& c, std::string* error) {
-  auto campaign = dex::sim::parse_campaign_spec(c.campaign, error);
-  if (!campaign) return std::nullopt;
-  ExperimentPlan plan;
-  plan.backends = {c.backend};
-  plan.scenarios = {"churn"};  // ignored: base.campaign overrides it
-  plan.populations = {c.n0};
-  plan.batch_sizes = {c.batch};
-  plan.seeds = {c.seed};
-  auto& spec = plan.base;
-  spec.steps = c.steps;
-  spec.gap_every = 4;
-  spec.campaign = std::move(campaign);
-  spec.label = "fuzz";
-  if (!c.workload.empty()) {
-    spec.traffic.workload = c.workload;
-    spec.traffic.ops_per_step = c.ops;
-    spec.traffic.keyspace = 512;
-  }
-  if (c.event) {
-    spec.event.enabled = true;
-    spec.event.latency = *dex::sim::LatencyModel::parse(c.latency);
-    spec.event.loss_rate = c.loss;
-  }
-  if (c.serve) {
-    spec.serve.enabled = true;
-    spec.serve.clients = c.clients;
-    spec.serve.queue_depth = c.qdepth;
-  }
-  if (auto problem = plan.validate()) {
-    if (error) *error = std::move(*problem);
+  if (quoted) {
+    *error = "unterminated single quote";
     return std::nullopt;
   }
-  return plan;
+  if (in_word) args.push_back(std::move(word));
+  return args;
 }
 
-std::string to_cli_command(const FuzzCase& c) {
-  std::ostringstream os;
-  os << "dex_sim_cli --backend " << c.backend << " --n0 " << c.n0
-     << " --seed " << c.seed << " --steps " << c.steps << " --batch-size "
-     << c.batch << " --gap-every 4 --campaign '" << c.campaign << '\'';
-  if (c.event) {
-    os << " --engine event --latency " << c.latency << " --loss " << c.loss;
+/// The case's plan, read by dex_sim_cli's own parser. A case is one traced
+/// trial, so output options are refused; with --sweep refused, the CLI's
+/// comma-list gate refuses any line that expands to more than one trial.
+/// nullopt with the parser's one-line message in *error.
+std::optional<ExperimentPlan> case_plan(const Args& args, std::string* error) {
+  dex::sim::RunArgs run = dex::sim::parse_run_args(args);
+  if (run.error.empty() && (run.sweep || !run.trace || run.help ||
+                            !run.csv_path.empty() || !run.json_path.empty())) {
+    run.error =
+        "a case line is one traced trial: no --sweep, --jobs, --no-trace, "
+        "--csv, --json or --help";
   }
-  if (!c.workload.empty()) {
-    os << " --workload " << c.workload << " --ops-per-step " << c.ops
-       << " --keys 512";
+  if (!run.error.empty()) {
+    *error = run.error;
+    return std::nullopt;
   }
-  if (c.serve) {
-    os << " --serve --clients " << c.clients << " --queue-depth "
-       << c.qdepth;
+  return std::move(run.plan);
+}
+
+/// Tokens args[i..] spend on flag `name`: 2 for `--name VALUE`, 1 for
+/// `--name=VALUE` or the bare --serve switch, 0 when args[i] is not it.
+std::size_t flag_span(const Args& args, std::size_t i,
+                      const std::string& name) {
+  const std::string flag = "--" + name;
+  if (args[i] == flag) return name == "serve" ? 1 : 2;
+  return args[i].rfind(flag + '=', 0) == 0 ? 1 : 0;
+}
+
+/// The case with every occurrence of the named flags dropped.
+Args without(const Args& args, const std::vector<std::string>& names) {
+  Args out;
+  for (std::size_t i = 0; i < args.size();) {
+    std::size_t span = 0;
+    for (const auto& name : names) {
+      span = std::max(span, flag_span(args, i, name));
+    }
+    if (span == 0) out.push_back(args[i]);
+    i += std::max<std::size_t>(span, 1);
   }
-  return os.str();
+  return out;
+}
+
+/// The case with `--name=VALUE` in place of the flag's first occurrence
+/// (later ones dropped), or appended when the flag is absent.
+Args with(const Args& args, const std::string& name, const std::string& value) {
+  std::size_t at = 0;
+  while (at < args.size() && flag_span(args, at, name) == 0) ++at;
+  Args out = without(args, {name});
+  out.insert(out.begin() + at, "--" + name + '=' + value);
+  return out;
 }
 
 // ------------------------------------------------------------- generation
@@ -273,35 +246,44 @@ std::string random_campaign(dex::support::Rng& rng, std::size_t steps) {
   return os.str();
 }
 
-FuzzCase random_case(std::uint64_t run_seed, std::size_t index) {
+Args random_case(std::uint64_t run_seed, std::size_t index) {
   dex::support::Rng rng(dex::support::mix64(
       run_seed ^ (0x9e3779b97f4a7c15ULL * (index + 1))));
-  FuzzCase c;
-  c.seed = 1 + rng.below(1u << 16);
+  const auto flag = [](const char* name, auto value) {
+    std::ostringstream os;
+    os << "--" << name << '=' << value;
+    return os.str();
+  };
+  Args c;
+  c.push_back(flag("seed", 1 + rng.below(1u << 16)));
   const auto& backends = dex::sim::known_overlays();
-  c.backend = backends[rng.below(backends.size())];
-  c.n0 = 24 + 8 * rng.below(4);  // 24..48
-  c.steps = 16 + 8 * rng.below(3);
-  c.batch = std::size_t{1} << rng.below(4);  // 1,2,4,8
-  c.event = rng.below(2) == 0;
-  if (c.event) {
+  c.push_back(flag("backend", backends[rng.below(backends.size())]));
+  c.push_back(flag("n0", 24 + 8 * rng.below(4)));  // 24..48
+  const std::size_t steps = 16 + 8 * rng.below(3);
+  c.push_back(flag("steps", steps));
+  c.push_back(flag("batch-size", std::size_t{1} << rng.below(4)));  // 1..8
+  const bool event = rng.below(2) == 0;
+  if (event) {
     static const char* kLatencies[] = {"fixed:0", "fixed:2", "uniform:1,3",
                                        "exp:2"};
-    c.latency = kLatencies[rng.below(4)];
-    static const double kLoss[] = {0.0, 0.0, 0.05, 0.2};
-    c.loss = kLoss[rng.below(4)];
+    c.push_back("--engine=event");
+    c.push_back(flag("latency", kLatencies[rng.below(4)]));
+    static const char* kLoss[] = {"0", "0", "0.05", "0.2"};
+    c.push_back(flag("loss", kLoss[rng.below(4)]));
   }
   if (rng.below(4) != 0) {
     static const char* kWorkloads[] = {"uniform", "zipf", "hotspot"};
-    c.workload = kWorkloads[rng.below(3)];
-    c.ops = std::size_t{4} << rng.below(3);  // 4,8,16
-    if (c.event && rng.below(3) == 0) {
-      c.serve = true;
-      c.clients = std::size_t{2} << rng.below(3);
-      c.qdepth = std::size_t{4} << rng.below(3);
+    c.push_back(flag("workload", kWorkloads[rng.below(3)]));
+    c.push_back(flag("ops-per-step", std::size_t{4} << rng.below(3)));
+    c.push_back("--keys=512");
+    if (event && rng.below(3) == 0) {
+      c.push_back("--serve");
+      c.push_back(flag("clients", std::size_t{2} << rng.below(3)));
+      c.push_back(flag("queue-depth", std::size_t{4} << rng.below(3)));
     }
   }
-  c.campaign = random_campaign(rng, c.steps);
+  c.push_back("--gap-every=4");
+  c.push_back(flag("campaign", random_campaign(rng, steps)));
   return c;
 }
 
@@ -354,11 +336,11 @@ struct CheckOptions {
 };
 
 /// Runs one case and checks every applicable invariant. nullopt = clean.
-std::optional<Violation> check_case(const FuzzCase& c,
-                                    const CheckOptions& opt) {
+std::optional<Violation> check_case(const Args& c, const CheckOptions& opt) {
   std::string error;
-  const auto plan = to_plan(c, &error);
+  const auto plan = case_plan(c, &error);
   if (!plan) return Violation{"invalid-case", error};
+  const dex::sim::ScenarioSpec& spec = plan->base;
 
   const RunOutput a = run_case(*plan);
   const RunOutput b = run_case(*plan);
@@ -366,9 +348,12 @@ std::optional<Violation> check_case(const FuzzCase& c,
     return Violation{"determinism", "re-run produced different bytes"};
   }
 
-  if (!c.workload.empty()) {
-    const std::size_t offered = plan->base.campaign->total_ops(c.ops, c.steps);
-    std::size_t got = c.serve
+  if (spec.traffic.enabled()) {
+    const std::size_t ops = spec.traffic.ops_per_step;
+    const std::size_t offered = spec.campaign
+                                    ? spec.campaign->total_ops(ops, spec.steps)
+                                    : ops * spec.steps;
+    std::size_t got = spec.serve.enabled
                           ? a.result.serve_completed + a.result.serve_shed
                           : a.result.total_ops;
     if (opt.inject_conservation) ++got;  // the self-test's planted bug
@@ -398,9 +383,10 @@ std::optional<Violation> check_case(const FuzzCase& c,
     }
   }
 
-  if (a.result.trace.size() != c.steps) {
+  if (a.result.trace.size() != spec.steps) {
     std::ostringstream os;
-    os << "trace rows " << a.result.trace.size() << " != steps " << c.steps;
+    os << "trace rows " << a.result.trace.size() << " != steps "
+       << spec.steps;
     return Violation{"structure", os.str()};
   }
   if (a.result.final_n < 3) {
@@ -443,73 +429,64 @@ std::optional<std::string> drop_last_phase(const std::string& campaign) {
   return head;
 }
 
+/// The case with a mode switched off: its switch and its knobs dropped
+/// (parse_run_args refuses a knob without its mode), and the serve flags
+/// too, since --serve needs both the event engine and a workload.
+Args without_mode(const Args& c, const std::string& mode,
+                  const std::vector<std::string>& knobs) {
+  return without(without(without(c, {mode, "serve"}), knobs),
+                 dex::sim::kServeKnobs);
+}
+
 /// Greedy shrink: apply each reduction, keep it iff the case still fails
-/// the same invariant, loop until a full pass changes nothing.
-FuzzCase shrink_case(FuzzCase c, const std::string& invariant,
-                     const CheckOptions& opt) {
-  auto still_fails = [&](const FuzzCase& cand) {
+/// the same invariant, loop until a full pass changes nothing. Reductions
+/// rewrite or drop flags; whether one applies is read off the case's plan.
+Args shrink_case(Args c, const std::string& invariant,
+                 const CheckOptions& opt) {
+  auto still_fails = [&](const Args& cand) {
     const auto v = check_case(cand, opt);
     return v && v->invariant == invariant;
   };
   bool changed = true;
   while (changed) {
     changed = false;
-    std::vector<FuzzCase> candidates;
-    if (const auto fewer = drop_last_phase(c.campaign)) {
-      FuzzCase cand = c;
-      cand.campaign = *fewer;
-      candidates.push_back(cand);
+    std::string error;
+    const auto plan = case_plan(c, &error);
+    if (!plan) break;  // an invalid case has nothing to shrink
+    const dex::sim::ScenarioSpec& s = plan->base;
+    std::vector<Args> candidates;
+    if (s.campaign) {
+      if (const auto fewer = drop_last_phase(s.campaign->source)) {
+        candidates.push_back(with(c, "campaign", *fewer));
+      }
     }
-    if (c.serve) {
-      FuzzCase cand = c;
-      cand.serve = false;
-      candidates.push_back(cand);
+    if (s.serve.enabled) {
+      candidates.push_back(without_mode(c, "serve", dex::sim::kServeKnobs));
     }
-    if (c.event) {
-      FuzzCase cand = c;
-      cand.event = false;
-      cand.serve = false;
-      cand.latency = "fixed:0";
-      cand.loss = 0.0;
-      candidates.push_back(cand);
+    if (s.event.enabled) {
+      candidates.push_back(without_mode(c, "engine", dex::sim::kEventKnobs));
     }
-    if (c.loss != 0.0) {
-      FuzzCase cand = c;
-      cand.loss = 0.0;
-      candidates.push_back(cand);
+    if (s.event.loss_rate != 0.0) candidates.push_back(without(c, {"loss"}));
+    if (s.event.latency.to_string() != "fixed:0") {
+      candidates.push_back(without(c, {"latency"}));
     }
-    if (c.latency != "fixed:0") {
-      FuzzCase cand = c;
-      cand.latency = "fixed:0";
-      candidates.push_back(cand);
-    }
-    if (!c.workload.empty() && invariant != "conservation" &&
+    if (s.traffic.enabled() && invariant != "conservation" &&
         invariant != "acked-keys") {
-      FuzzCase cand = c;
-      cand.workload.clear();
-      cand.serve = false;
-      candidates.push_back(cand);
+      candidates.push_back(
+          without_mode(c, "workload", dex::sim::kTrafficKnobs));
     }
-    if (c.steps > 8) {
-      FuzzCase cand = c;
-      cand.steps = std::max<std::size_t>(c.steps / 2, 8);
-      candidates.push_back(cand);
+    if (s.steps > 8) {
+      const std::size_t half = std::max<std::size_t>(s.steps / 2, 8);
+      candidates.push_back(with(c, "steps", std::to_string(half)));
     }
-    if (c.n0 > 24) {
-      FuzzCase cand = c;
-      cand.n0 = 24;
-      candidates.push_back(cand);
+    if (plan->populations.front() > 24) {
+      candidates.push_back(with(c, "n0", "24"));
     }
-    if (c.batch > 1) {
-      FuzzCase cand = c;
-      cand.batch = 1;
-      candidates.push_back(cand);
+    if (plan->batch_sizes.front() > 1) {
+      candidates.push_back(with(c, "batch-size", "1"));
     }
-    if (c.serve && (c.clients > 2 || c.qdepth > 4)) {
-      FuzzCase cand = c;
-      cand.clients = 2;
-      cand.qdepth = 4;
-      candidates.push_back(cand);
+    if (s.serve.enabled && (s.serve.clients > 2 || s.serve.queue_depth > 4)) {
+      candidates.push_back(with(with(c, "clients", "2"), "queue-depth", "4"));
     }
     for (const auto& cand : candidates) {
       if (still_fails(cand)) {
@@ -524,27 +501,23 @@ FuzzCase shrink_case(FuzzCase c, const std::string& invariant,
 
 // ------------------------------------------------------------------- main
 
-void report_violation(const FuzzCase& found, const Violation& v,
-                      const CheckOptions& opt, const char* repro_out) {
-  const FuzzCase shrunk = shrink_case(found, v.invariant, opt);
+void report_violation(const Args& found, const Violation& v,
+                      const CheckOptions& opt, std::ofstream* repro_out) {
+  const std::string shrunk = to_line(shrink_case(found, v.invariant, opt));
   std::printf("VIOLATION invariant=%s detail=%s\n", v.invariant.c_str(),
               v.detail.c_str());
   std::printf("found:  %s\n", to_line(found).c_str());
-  std::printf("shrunk: %s\n", to_line(shrunk).c_str());
-  std::printf("replay: scenario_fuzzer --case '%s'\n",
-              to_line(shrunk).c_str());
-  std::printf("cli:    %s\n", to_cli_command(shrunk).c_str());
-  if (repro_out) {
-    std::ofstream out(repro_out);
-    out << to_line(shrunk) << '\n';
-  }
+  std::printf("shrunk: %s\n", shrunk.c_str());
+  std::printf("replay: scenario_fuzzer --case \"%s\"\n", shrunk.c_str());
+  std::printf("cli:    dex_sim_cli %s\n", shrunk.c_str());
+  if (repro_out) *repro_out << shrunk << '\n' << std::flush;
 }
 
 int usage(std::FILE* os, int code) {
   std::fprintf(
       os,
       "usage: scenario_fuzzer [--seed S] [--budget N] [--replay FILE]\n"
-      "                       [--case 'LINE'] [--inject-bug conservation]\n"
+      "                       [--case \"LINE\"] [--inject-bug conservation]\n"
       "                       [--repro-out FILE]\n"
       "\n"
       "Generates N random campaign scenarios from seed S, runs each under\n"
@@ -554,14 +527,21 @@ int usage(std::FILE* os, int code) {
       "Prints `ok <case>` per clean case (a corpus source); on the first\n"
       "violation shrinks to a one-line repro and exits 1.\n"
       "\n"
+      "A case line is a dex_sim_cli argument line for one traced trial,\n"
+      "e.g. --seed=7 --backend=lawsiu --n0=32 --steps=8 --campaign='churn:0-'\n"
+      "(values with shell metacharacters in single quotes).\n"
+      "\n"
       "  --replay FILE   re-check the case lines in FILE (the seed corpus)\n"
-      "  --case 'LINE'   re-check one serialized case line\n"
-      "                  (every line is validated before any case runs; a\n"
-      "                  bad line exits 2 with `line N: <message>`)\n"
+      "  --case \"LINE\"   re-check one case line\n"
+      "                  (every line is parsed by dex_sim_cli's parser before\n"
+      "                  any case runs; a bad line, or one with --sweep,\n"
+      "                  --jobs, --no-trace, --csv or --json, exits 2 with\n"
+      "                  `line N: <message>`)\n"
       "  --inject-bug conservation\n"
       "                  break the conservation check's observed count by\n"
       "                  one (self-test: the fuzzer must find + shrink it)\n"
-      "  --repro-out F   also write the shrunk repro line to F\n");
+      "  --repro-out F   also write the shrunk repro line to F (opened\n"
+      "                  before the first case; exits 2 if it cannot be)\n");
   return code;
 }
 
@@ -622,6 +602,18 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Opened before the first case runs, so a bad path costs no fuzzing and
+  // a violation's repro cannot go missing unnoticed.
+  std::ofstream repro_file;
+  if (repro_out) {
+    repro_file.open(repro_out);
+    if (!repro_file) {
+      std::fprintf(stderr, "cannot open '%s'\n", repro_out);
+      return 2;
+    }
+  }
+  std::ofstream* repro = repro_out ? &repro_file : nullptr;
+
   // Replay modes: corpus file or a single case line.
   if (!replay_path.empty() || !case_line.empty()) {
     // Each case line with its line number in the file (--case is line 1),
@@ -642,24 +634,24 @@ int main(int argc, char** argv) {
         lines.emplace_back(number, line);
       }
     }
-    // Every line is parsed and validated before the first case runs, so a
-    // bad line costs no simulation and prints nothing on stdout.
-    std::vector<FuzzCase> cases;
+    // Every line is split, parsed and gated before the first case runs, so
+    // a bad line costs no simulation and prints nothing on stdout.
+    std::vector<Args> cases;
     for (const auto& [number, line] : lines) {
       std::string error;
-      auto c = from_line(line, &error);
-      if (c && !to_plan(*c, &error)) c.reset();
-      if (!c) {
+      auto args = split_line(line, &error);
+      if (args && !case_plan(*args, &error)) args.reset();
+      if (!args) {
         std::fprintf(stderr, "line %zu: %s\n", number, error.c_str());
         return 2;
       }
-      cases.push_back(*c);
+      cases.push_back(std::move(*args));
     }
     CheckOptions replay_opt = opt;
     replay_opt.sweep_probe = true;  // corpus is small; probe every case
     for (const auto& c : cases) {
       if (const auto v = check_case(c, replay_opt)) {
-        report_violation(c, *v, replay_opt, repro_out);
+        report_violation(c, *v, replay_opt, repro);
         return 1;
       }
       std::printf("ok %s\n", to_line(c).c_str());
@@ -669,13 +661,13 @@ int main(int argc, char** argv) {
   }
 
   for (std::size_t i = 0; i < budget; ++i) {
-    const FuzzCase c = random_case(seed, i);
+    const Args c = random_case(seed, i);
     CheckOptions case_opt = opt;
     case_opt.sweep_probe = (i % 4) == 3;  // the Executor probe is ~6x a run
     std::fprintf(stderr, "[%zu/%zu] %s\n", i + 1, budget,
                  to_line(c).c_str());
     if (const auto v = check_case(c, case_opt)) {
-      report_violation(c, *v, case_opt, repro_out);
+      report_violation(c, *v, case_opt, repro);
       return 1;
     }
     std::printf("ok %s\n", to_line(c).c_str());
