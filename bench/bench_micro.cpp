@@ -87,7 +87,7 @@ void BM_KvStorePutGet(benchmark::State& state) {
   prm.seed = 4;
   dex::sim::DexOverlay overlay(1024, prm);
   dex::adversary::AdversaryView view(overlay);
-  dex::sim::KvStore kv(overlay);
+  dex::sim::KvStore kv(overlay, /*capacity=*/2048);
   kv.sync(view);
   const dex::NodeId origin = overlay.special_node();
   std::uint64_t k = 0;

@@ -185,8 +185,8 @@ ScenarioResult ScenarioRunner::run() {
   // traffic off replays the identical churn.
   std::unique_ptr<TrafficEngine> traffic;
   if (spec_.traffic.enabled()) {
-    traffic =
-        std::make_unique<TrafficEngine>(overlay_, spec_.traffic, spec_.seed);
+    traffic = std::make_unique<TrafficEngine>(overlay_, spec_.traffic,
+                                              spec_.seed, max_n);
   }
 
   // A campaign: injections always go through next_batch (quiet /
@@ -372,14 +372,17 @@ ScenarioResult ScenarioRunner::run() {
     PendingStep& p = pending[t];
     // Filter constituents invalidated by churn that settled while this
     // batch was in flight (only possible when latency outruns the injection
-    // period): dead victims, dead attach points, and trailing deletions
-    // that would now push the population below the overlay's structural
-    // floor (HealingOverlay::min_population — the flip chain, for one,
-    // cannot rewire a departure below d+2 alive nodes). Each filtered
-    // event is a dropped delivery — the overlay never sees it. If no other
-    // step applied since the injection (lockstep, always), nothing raced
-    // the batch, so a dead constituent is a strategy bug and aborts; the
-    // floor trim stays a clamp.
+    // period): dead victims, dead attach points, trailing deletions that
+    // would now push the population below its floor, and trailing
+    // insertions that would push it past max_n. The floor is the overlay's
+    // structural one (HealingOverlay::min_population — the flip chain, for
+    // one, cannot rewire a departure below d+2 alive nodes), raised to
+    // min_n when the batch raced: the strategy honored both bounds against
+    // the population it saw, which racing batches have moved since. Each
+    // filtered event is a dropped delivery — the overlay never sees it. If
+    // no other step applied since the injection (lockstep, always), nothing
+    // raced the batch, so a dead constituent is a strategy bug and aborts;
+    // the structural floor trim stays a clamp.
     const bool raced = applied_steps != p.applied_before;
     ChurnBatch live;
     live.victims.reserve(p.batch.victims.size());
@@ -392,7 +395,9 @@ ScenarioResult ScenarioRunner::run() {
         ++p.dropped;
       }
     }
-    const std::size_t floor_n = overlay_.min_population();
+    const std::size_t floor_n =
+        raced ? std::max(overlay_.min_population(), min_n)
+              : overlay_.min_population();
     while (!live.victims.empty() &&
            overlay_.n() < live.victims.size() + floor_n) {
       live.victims.pop_back();
@@ -405,6 +410,12 @@ ScenarioResult ScenarioRunner::run() {
         DEX_ASSERT_MSG(raced, "strategy chose a dead attach point");
         ++p.dropped;
       }
+    }
+    while (raced && !live.attach_to.empty() &&
+           overlay_.n() - live.victims.size() + live.attach_to.size() >
+               max_n) {
+      live.attach_to.pop_back();
+      ++p.dropped;
     }
     p.batch = ChurnBatch{};  // the buffers are dead weight from here on
     tic();

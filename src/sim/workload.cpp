@@ -5,157 +5,45 @@
 #include <iterator>
 
 #include "graph/bfs.h"
-#include "sim/hrw_scan.h"
 #include "support/assert.h"
-
-// GNU-compatible x86 compilers also build an AVX-512 copy of the
-// block-scoring loop, chosen at run time by __builtin_cpu_supports.
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-#define DEX_HRW_AVX512 1
-#endif
 
 namespace dex::sim {
 
 using graph::kInvalidNode;
 using graph::NodeId;
 
-namespace {
-
-/// Rendezvous (HRW) weight of `node` for a pre-mixed key hash. 64-bit mixes
-/// make ties essentially impossible; candidate ordering still breaks them
-/// by id so placement is a pure function of (key, alive set).
-std::uint64_t hrw_score(std::uint64_t key_hash, NodeId node) {
-  return support::mix64(key_hash ^ (0x9e3779b97f4a7c15ULL * (node + 1)));
-}
-
-/// Strict-weak order on candidates: higher score first, lower id on the
-/// (essentially impossible) score tie — the argmax rule best_home always
-/// used, applied to the whole list.
-bool candidate_better(NodeId node, std::uint64_t score, NodeId than_node,
-                      std::uint64_t than_score) {
-  return score > than_score || (score == than_score && node < than_node);
-}
-
-/// The block-scoring loop of the rendezvous scan (sim/hrw_scan.h). Forced
-/// inline, at -O0 too, so each wrapper below compiles its own copy for its
-/// own target. Branch-free: where the target has 64-bit vector multiplies
-/// (AVX-512DQ's vpmullq) the compiler vectorizes the score mix and the
-/// running maximum together.
-[[gnu::always_inline]]
-inline std::uint64_t hrw_block_body(std::uint64_t key_hash, const NodeId* ids,
-                                    std::size_t n, std::uint64_t* scores) {
-  std::uint64_t block_max = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t s = hrw_score(key_hash, ids[i]);
-    scores[i] = s;
-    block_max = std::max(block_max, s);
-  }
-  return block_max;
-}
-
-#ifdef DEX_HRW_AVX512
-[[gnu::target("avx512f,avx512dq,avx512vl")]]
-std::uint64_t hrw_block_avx512_impl(std::uint64_t key_hash, const NodeId* ids,
-                                    std::size_t n, std::uint64_t* scores) {
-  return hrw_block_body(key_hash, ids, n, scores);
-}
-#endif
-
-}  // namespace
-
-namespace detail {
-
-std::uint64_t hrw_block_portable(std::uint64_t key_hash, const NodeId* ids,
-                                 std::size_t n, std::uint64_t* scores) {
-  return hrw_block_body(key_hash, ids, n, scores);
-}
-
-HrwBlockFn hrw_block_avx512() {
-#ifdef DEX_HRW_AVX512
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
-      __builtin_cpu_supports("avx512vl")) {
-    return &hrw_block_avx512_impl;
-  }
-#endif
-  return nullptr;
-}
-
-HrwBlockFn hrw_block() {
-  static const HrwBlockFn picked = [] {
-    const HrwBlockFn avx512 = hrw_block_avx512();
-    return avx512 != nullptr ? avx512 : &hrw_block_portable;
-  }();
-  return picked;
-}
-
-}  // namespace detail
-
 // ------------------------------------------------------------------ KvStore
 
-KvStore::KvStore(const HealingOverlay& overlay) : overlay_(overlay) {}
+KvStore::KvStore(const HealingOverlay& overlay, std::size_t capacity)
+    : overlay_(overlay), capacity_(capacity) {}
 
-void KvStore::merge_candidate(Placement& pl, Candidate c) {
-  if (pl.count == kHomeCandidates &&
-      !candidate_better(c.node, c.score, pl.top[kHomeCandidates - 1].node,
-                        pl.top[kHomeCandidates - 1].score)) {
-    // Skipped: c joins the non-members, so it raises the floor.
-    pl.floor = std::max(pl.floor, c.score);
-    return;
-  }
-  // Insert in (score desc, id asc) order; expected O(1) amortized — a
-  // random stream rarely beats the current K-th best.
-  std::size_t i = pl.count;
-  if (i == kHomeCandidates) {
-    // The truncated minimum becomes a non-member too.
-    pl.floor = std::max(pl.floor, pl.top[kHomeCandidates - 1].score);
-    --i;
-  }
-  while (i > 0 && !candidate_better(pl.top[i - 1].node, pl.top[i - 1].score,
-                                    c.node, c.score)) {
-    pl.top[i] = pl.top[i - 1];
-    --i;
-  }
-  pl.top[i] = c;
-  if (pl.count < kHomeCandidates) ++pl.count;
+void KvStore::bind_initial(const std::vector<NodeId>& now) {
+  DEX_ASSERT_MSG(!now.empty(), "KvStore over an empty overlay");
+  const std::size_t cap = std::max(capacity_, now.size());
+  anchor_ = AnchorHash(static_cast<std::uint32_t>(cap),
+                       static_cast<std::uint32_t>(now.size()));
+  bucket_node_.assign(cap, kInvalidNode);
+  for (std::uint32_t b = 0; b < now.size(); ++b) bind(b, now[b]);
 }
 
-KvStore::Placement KvStore::scan_candidates(std::uint64_t key) const {
-  DEX_ASSERT_MSG(!alive_.empty(), "KvStore over an empty overlay");
-  const auto best = detail::hrw_top<kHomeCandidates>(
-      support::mix64(key), alive_, detail::hrw_block());
-  Placement pl;
-  pl.top = best.top;
-  pl.count = best.count;
-  pl.floor = best.floor;
-  return pl;
+void KvStore::bind(std::uint32_t b, NodeId v) {
+  bucket_node_[b] = v;
+  if (node_bucket_.size() <= v) node_bucket_.resize(v + 1, kNoBucket);
+  node_bucket_[v] = b;
 }
 
-const KvStore::Placement* KvStore::placed(std::uint64_t key) const {
-  const auto it = slot_of_.find(key);
-  return it == slot_of_.end() ? nullptr : &placements_[it->second];
-}
-
-void KvStore::drop_placement(std::uint64_t key) {
+void KvStore::drop_home(std::uint64_t key) {
   const auto it = slot_of_.find(key);
   if (it == slot_of_.end()) return;
   const std::size_t slot = it->second;
   slot_of_.erase(it);
   if (slot + 1 != keys_.size()) {
     keys_[slot] = keys_.back();
-    placements_[slot] = placements_.back();
+    homes_[slot] = homes_.back();
     slot_of_[keys_[slot]] = slot;
   }
   keys_.pop_back();
-  placements_.pop_back();
-}
-
-const KvStore::Placement& KvStore::unplaced(std::uint64_t key) const {
-  auto it = scanned_.find(key);
-  if (it == scanned_.end()) {
-    it = scanned_.emplace(key, scan_candidates(key)).first;
-  }
-  return it->second;
+  homes_.pop_back();
 }
 
 NodeId KvStore::resolve_origin(NodeId origin) const {
@@ -189,23 +77,43 @@ KvStore::SyncStats KvStore::sync(const adversary::AdversaryView& view) {
   csr_ = &view.live_csr();
   oracle_.attach(*csr_);
 
-  // Membership delta against the previous alive list: both lists are
-  // ascending, and the view keeps its own patched from the churn journal.
   const std::vector<NodeId>& now = view.alive_nodes();
-  added_scratch_.clear();
-  std::set_difference(now.begin(), now.end(), alive_.begin(), alive_.end(),
-                      std::back_inserter(added_scratch_));
-  const std::size_t surviving = now.size() - added_scratch_.size();
-  const bool any_removed = surviving != alive_.size();
-  const bool first = !synced_;
-  alive_.assign(now.begin(), now.end());
-  synced_ = true;
-  scanned_.clear();
   last_moved_.clear();
   SyncStats out;
-  if (first || keys_.empty()) return out;
-  const auto& added = added_scratch_;
-  if (added.empty() && !any_removed) return out;  // membership unchanged
+  if (!synced_) {
+    bind_initial(now);
+    alive_.assign(now.begin(), now.end());
+    synced_ = true;
+    return out;
+  }
+  // Membership delta against the previous alive list: both lists are
+  // ascending, and the view keeps its own patched from the churn journal.
+  added_scratch_.clear();
+  removed_scratch_.clear();
+  std::set_difference(now.begin(), now.end(), alive_.begin(), alive_.end(),
+                      std::back_inserter(added_scratch_));
+  std::set_difference(alive_.begin(), alive_.end(), now.begin(), now.end(),
+                      std::back_inserter(removed_scratch_));
+  alive_.assign(now.begin(), now.end());
+  if (added_scratch_.empty() && removed_scratch_.empty()) return out;
+
+  // Leaves free their buckets, then joins re-take the latest freed ones. A
+  // join into a full anchor doubles it: every bucket works then, so the
+  // binding carries over, but every key's first bucket changes.
+  for (const NodeId v : removed_scratch_) {
+    anchor_.remove(node_bucket_[v]);
+    node_bucket_[v] = kNoBucket;
+  }
+  bool regrown = false;
+  for (const NodeId v : added_scratch_) {
+    if (anchor_.full()) {
+      const std::uint32_t cap = anchor_.capacity();
+      anchor_ = AnchorHash(2 * cap, cap);
+      bucket_node_.resize(2 * cap, kInvalidNode);
+      regrown = true;
+    }
+    bind(anchor_.add(), v);
+  }
 
   struct Move {
     std::uint64_t key;
@@ -213,37 +121,20 @@ KvStore::SyncStats KvStore::sync(const adversary::AdversaryView& view) {
     NodeId to;
   };
   std::vector<Move> moves;
-  // Each placement updates on its own (joiner merge, then promotion), and
-  // `moves` is sorted below before anything reads it.
+  // A key whose home survived moves only onto a joiner, and only if its
+  // first bucket does not work: a working first bucket is its home.
+  const bool joined = !added_scratch_.empty();
   for (std::size_t slot = 0; slot < keys_.size(); ++slot) {
     const std::uint64_t key = keys_[slot];
-    Placement& pl = placements_[slot];
-    const NodeId old_home = pl.home();
-    if (!added.empty()) {
-      // Incumbent weights are unchanged; joiners merge into the candidate
-      // list (and take the lead when they out-score it).
-      const std::uint64_t kh = support::mix64(key);
-      for (const NodeId a : added) {
-        merge_candidate(pl, Candidate{a, hrw_score(kh, a)});
-      }
+    const NodeId from = homes_[slot];
+    if (!regrown && csr_->alive(from) &&
+        (!joined || node_bucket_[from] == anchor_.first_bucket(key))) {
+      continue;
     }
-    // Promote the best surviving candidate. Exact as long as it clears the
-    // floor — otherwise a node pushed out of the list earlier could be the
-    // true winner, and only a rescan of the alive set can tell. (Only the
-    // leading dead entries are pruned, matching the historical vector
-    // behavior; deeper dead entries fall out when they surface.)
-    std::uint32_t lead = 0;
-    while (lead < pl.count && !csr_->alive(pl.top[lead].node)) ++lead;
-    if (lead > 0) {
-      for (std::uint32_t i = lead; i < pl.count; ++i) {
-        pl.top[i - lead] = pl.top[i];
-      }
-      pl.count -= lead;
-    }
-    if (pl.count == 0 || pl.top[0].score < pl.floor) {
-      pl = scan_candidates(key);
-    }
-    if (pl.home() != old_home) moves.push_back({key, old_home, pl.home()});
+    const NodeId to = locate(key);
+    if (to == from) continue;
+    homes_[slot] = to;
+    moves.push_back({key, from, to});
   }
   if (moves.empty()) return out;
 
@@ -280,15 +171,13 @@ KvStore::OpResult KvStore::put(std::uint64_t key, std::uint64_t value,
                                NodeId origin) {
   DEX_ASSERT_MSG(synced_, "KvStore::sync must run before operations");
   OpResult r;
-  if (const Placement* pl = placed(key)) {
-    if (!route_op(resolve_origin(origin), pl->home(), r)) return r;
-  } else {
-    const Placement& fresh = unplaced(key);
-    if (!route_op(resolve_origin(origin), fresh.home(), r)) return r;
+  const auto it = slot_of_.find(key);
+  const NodeId h = it != slot_of_.end() ? homes_[it->second] : locate(key);
+  if (!route_op(resolve_origin(origin), h, r)) return r;
+  if (it == slot_of_.end()) {
     slot_of_.emplace(key, keys_.size());
     keys_.push_back(key);
-    placements_.push_back(fresh);
-    scanned_.erase(key);
+    homes_.push_back(h);
   }
   values_[key] = value;
   r.ok = true;
@@ -315,7 +204,7 @@ KvStore::OpResult KvStore::erase(std::uint64_t key, NodeId origin) {
   OpResult r;
   if (!route_op(resolve_origin(origin), home(key), r)) return r;
   r.ok = values_.erase(key) > 0;
-  drop_placement(key);
+  drop_home(key);
   return r;
 }
 
@@ -329,7 +218,7 @@ std::vector<std::uint64_t> KvStore::keys_at(
     if (h < n) home_bits_[h >> 6] |= std::uint64_t{1} << (h & 63);
   }
   for (std::size_t slot = 0; slot < keys_.size(); ++slot) {
-    const NodeId h = placements_[slot].home();
+    const NodeId h = homes_[slot];
     if (((home_bits_[h >> 6] >> (h & 63)) & 1) != 0) {
       out.push_back(keys_[slot]);
     }
@@ -343,8 +232,8 @@ std::vector<std::uint64_t> KvStore::keys_at(
 
 NodeId KvStore::home(std::uint64_t key) const {
   DEX_ASSERT_MSG(synced_, "KvStore::sync must run before operations");
-  const Placement* pl = placed(key);
-  return pl != nullptr ? pl->home() : unplaced(key).home();
+  const auto it = slot_of_.find(key);
+  return it != slot_of_.end() ? homes_[it->second] : locate(key);
 }
 
 // ------------------------------------------------------------ TrafficEngine
@@ -369,9 +258,9 @@ const char* workload_names() {
 }
 
 TrafficEngine::TrafficEngine(const HealingOverlay& overlay, TrafficSpec spec,
-                             std::uint64_t trial_seed)
+                             std::uint64_t trial_seed, std::size_t capacity)
     : spec_(std::move(spec)),
-      kv_(overlay),
+      kv_(overlay, capacity),
       rng_(trial_seed ^ kTrafficSeedSalt) {
   DEX_ASSERT_MSG(std::find(known_workloads().begin(), known_workloads().end(),
                            spec_.workload) != known_workloads().end(),

@@ -11,10 +11,10 @@
 /// Three pieces:
 ///
 ///  * KvStore — a generic key-value store over any HealingOverlay. Keys
-///    hash into the *alive-node space* by rendezvous (highest-random-weight)
-///    hashing, so one membership change re-homes only the affected keys
-///    (the paper's hash-to-vertex scheme, mix64(k) mod p, would re-hash
-///    every key on each p-cycle rebuild). Requests route through
+///    hash into the *alive-node space* by consistent hashing (AnchorHash),
+///    so one membership change re-homes only the affected keys (the
+///    paper's hash-to-vertex scheme, mix64(k) mod p, would re-hash every
+///    key on each p-cycle rebuild). Requests route through
 ///    HealingOverlay::route (DEX: locally computable p-cycle paths;
 ///    baselines: BFS on the live view), and every operation reports both
 ///    its realized hops and the BFS-optimal hop count, so stretch falls
@@ -34,21 +34,15 @@
 /// the flat CSR of the step's topology (graph/csr.h) from the caller's
 /// AdversaryView, answers hop optima through a per-step DistanceOracle
 /// (sim/oracle.h) whose point queries are meet-in-the-middle probes
-/// (~O(sqrt n) vertices on an expander), and re-homes keys from per-key
-/// top-K rendezvous candidate lists instead of rescanning the whole alive
-/// set. The full scan that a key's first write (or a rare rescan) still
-/// pays is a blocked, vectorized top-(K+1) kernel (sim/hrw_scan.h): blocks
-/// of 64 alive ids are scored branch-free and skipped whole unless their
-/// maximum beats the running (K+1)-th best, with an AVX-512 copy of the
-/// scoring loop picked once per process by CPU feature.
+/// (~O(sqrt n) vertices on an expander), and places keys with AnchorHash
+/// (sim/anchor_hash.h): a key's home is one expected O(1 + ln(capacity /
+/// alive)) lookup, and a step's churn re-homes only the keys it displaced.
 ///
 /// This header sits between sim/overlay.h and sim/scenario.h: it needs the
 /// overlay surface and the AdversaryView, while ScenarioSpec embeds
 /// TrafficSpec — so it must not depend on scenario.h.
 
-#include <array>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -58,7 +52,7 @@
 #include "graph/csr.h"
 #include "graph/multigraph.h"
 #include "sim/churn.h"
-#include "sim/hrw_scan.h"
+#include "sim/anchor_hash.h"
 #include "sim/oracle.h"
 #include "sim/overlay.h"
 #include "support/assert.h"
@@ -121,25 +115,24 @@ struct TrafficStepStats {
   std::uint64_t rehash_messages = 0;
 };
 
-/// Generic key-value store over any HealingOverlay. Placement is rendezvous
-/// hashing into the alive-node set: key k lives at the alive node u
-/// maximizing a per-(k, u) hash, so node joins/leaves re-home only the keys
-/// whose maximum changed (unlike mod-hashing, which re-homes almost
-/// everything on every membership change). sync() must be called after
-/// every churn step, with the post-churn view; it re-homes affected keys
-/// and charges their transfer messages.
+/// Generic key-value store over any HealingOverlay. Placement is AnchorHash
+/// (sim/anchor_hash.h) over buckets bound to node ids: its capacity is the
+/// population bound (a ScenarioRunner passes the trial's resolved max_n),
+/// each alive node holds one working bucket, and key k lives at the node
+/// holding lookup(k). sync() must be called after every churn step, with
+/// the post-churn view; it re-homes affected keys and charges their
+/// transfer messages.
 ///
-/// Placement invariant (pinned by tests): after every sync(), each stored
-/// key's home equals the rendezvous argmax over the *current* alive set —
-/// keys rebalance onto joiners that out-score the incumbent, exactly as a
-/// fresh store would place them. sync() maintains this incrementally: each
-/// key carries its top-K rendezvous candidates, so a death of the home
-/// promotes the best surviving candidate (exact, because no node outside
-/// the list can out-score its members) and only a fully-died-out list pays
-/// a rescan of the alive set.
+/// Placement contract (pinned by tests): a leave moves exactly the dead
+/// node's keys; a join moves keys only onto the joiner, which takes the
+/// most recently freed bucket; a leave and a join in one step give the
+/// joiner exactly the dead node's keys. Placement is a function of the
+/// key, the capacity, the initial alive set and the sequence of membership
+/// changes (within a step: leaves, then joins, each ascending by id). A
+/// join past the capacity doubles it, which re-homes keys wholesale.
 class KvStore {
  public:
-  explicit KvStore(const HealingOverlay& overlay);
+  KvStore(const HealingOverlay& overlay, std::size_t capacity);
 
   struct SyncStats {
     std::size_t moved_keys = 0;
@@ -186,9 +179,8 @@ class KvStore {
 
   [[nodiscard]] std::size_t size() const { return values_.size(); }
 
-  /// Current home of `key` (its placement if stored, else where it would be
-  /// placed; put() reuses that scan until the next sync()). Requires a
-  /// prior sync().
+  /// Current home of `key`: its placement if stored, else where a write
+  /// would place it now. Requires a prior sync().
   [[nodiscard]] graph::NodeId home(std::uint64_t key) const;
 
   /// Keys re-homed by the most recent sync(), ascending — the hotspot
@@ -212,51 +204,25 @@ class KvStore {
   }
 
   /// The ascending alive-node list as of the last sync(): a copy of
-  /// view.alive_nodes() then, which placement scans and origins use until
-  /// the next sync().
+  /// view.alive_nodes() then, which origins use until the next sync() and
+  /// the next sync() diffs against.
   [[nodiscard]] const std::vector<graph::NodeId>& alive() const {
     return alive_;
   }
 
  private:
-  /// Candidates a key keeps per placement, best first. 8 deaths of a key's
-  /// candidates between rescans are essentially impossible under bounded
-  /// churn, so rescans are rare; exactness never depends on the constant.
-  static constexpr std::size_t kHomeCandidates = 8;
+  static constexpr std::uint32_t kNoBucket = ~std::uint32_t{0};
 
-  using Candidate = detail::HrwCandidate;
-  /// Top rendezvous candidates by (score desc, id asc); [0] is the home.
-  /// `floor` bounds every *alive non-member's* score (the best score ever
-  /// scanned past, skipped, or truncated out), so the first entry is the
-  /// exact alive argmax whenever its score clears the floor — and sync()
-  /// rescans when it does not, which is the only way a pushed-out node
-  /// could have become the winner again. Inline fixed-capacity array: one
-  /// Placement per stored key, so a heap vector here is an allocation per
-  /// key and a pointer chase per placement read.
-  struct Placement {
-    std::array<Candidate, kHomeCandidates> top{};
-    std::uint32_t count = 0;
-    std::uint64_t floor = 0;
-    [[nodiscard]] graph::NodeId home() const { return top[0].node; }
-  };
-
-  /// Places `key` from scratch over the whole alive set: detail::hrw_top
-  /// over the ascending alive_, with the block body detail::hrw_block()
-  /// picked once for this CPU (AVX-512F/DQ/VL or portable; same bits).
-  /// The result is the top kHomeCandidates by (score desc, id asc) and, as
-  /// the floor, the next-best score (0 when no more nodes are alive) —
-  /// exactly the Placement merge_candidate builds by merging every alive
-  /// node into an empty list, since every node left outside it was
-  /// skipped or truncated there and the floor is the largest such score.
-  [[nodiscard]] Placement scan_candidates(std::uint64_t key) const;
-  /// The placement of a key not yet stored: scanned once per sync() and
-  /// kept in scanned_ until then.
-  [[nodiscard]] const Placement& unplaced(std::uint64_t key) const;
-  /// The placement of a stored key, or nullptr.
-  [[nodiscard]] const Placement* placed(std::uint64_t key) const;
-  /// Forgets a stored key's placement: the last slot moves into its hole.
-  void drop_placement(std::uint64_t key);
-  static void merge_candidate(Placement& pl, Candidate c);
+  /// The node serving `key` now.
+  [[nodiscard]] graph::NodeId locate(std::uint64_t key) const {
+    return bucket_node_[anchor_.lookup(key)];
+  }
+  /// Binds the anchor's buckets to the first view's alive nodes, in order.
+  void bind_initial(const std::vector<graph::NodeId>& now);
+  /// Binds working bucket b to node v.
+  void bind(std::uint32_t b, graph::NodeId v);
+  /// Forgets a stored key's home: the last slot moves into its hole.
+  void drop_home(std::uint64_t key);
   [[nodiscard]] graph::NodeId resolve_origin(graph::NodeId origin) const;
   /// Routes origin -> home; fills hops/optimal_hops; returns delivery.
   bool route_op(graph::NodeId origin, graph::NodeId home, OpResult& out);
@@ -268,24 +234,23 @@ class KvStore {
   DistanceOracle oracle_;
   std::vector<graph::NodeId> alive_;  ///< ascending; maintained by sync()
   bool synced_ = false;
+  /// The capacity the first sync() sizes anchor_ with.
+  std::size_t capacity_;
+  AnchorHash anchor_;
+  /// The bucket <-> node binding: the node holding each working bucket,
+  /// and each alive node's bucket (kNoBucket for other ids).
+  std::vector<graph::NodeId> bucket_node_;
+  std::vector<std::uint32_t> node_bucket_;
   /// The placement table, dense so sync() and keys_at() walk it by index:
-  /// slot i holds keys_[i] and its placements_[i], and slot_of_ maps a key
-  /// to its slot. Keys enter at the back and leave by swap-remove. The
-  /// placements sit in a deque's fixed-size blocks: a doubling vector of
-  /// them outgrows glibc's mmap threshold, and freeing its old buffers
-  /// moves that threshold for everything allocated after (serve-hotspot's
-  /// setup_s rose 13-16% at seed 2 that way).
+  /// slot i holds keys_[i] and its home homes_[i], and slot_of_ maps a key
+  /// to its slot. Keys enter at the back and leave by swap-remove.
   std::vector<std::uint64_t> keys_;
-  std::deque<Placement> placements_;
+  std::vector<graph::NodeId> homes_;
   std::unordered_map<std::uint64_t, std::size_t> slot_of_;
-  /// Scans of keys not in the table since the last sync(), which clears it:
-  /// the serving front-end asks home() when a write is issued, and put()
-  /// places the key from the same scan when the write completes.
-  /// det: looked up, never iterated.
-  mutable std::unordered_map<std::uint64_t, Placement> scanned_;
   std::unordered_map<std::uint64_t, std::uint64_t> values_;
   std::vector<std::uint64_t> last_moved_;
   std::vector<graph::NodeId> added_scratch_;
+  std::vector<graph::NodeId> removed_scratch_;
   /// keys_at()'s marks, one bit per node id: all-zero between calls.
   mutable std::vector<std::uint64_t> home_bits_;
 };
@@ -299,8 +264,10 @@ class KvStore {
 /// path, issue_op + complete_op.
 class TrafficEngine {
  public:
+  /// `capacity` sizes the store's placement (KvStore): the trial's
+  /// population bound.
   TrafficEngine(const HealingOverlay& overlay, TrafficSpec spec,
-                std::uint64_t trial_seed);
+                std::uint64_t trial_seed, std::size_t capacity);
 
   /// `view` supplies pre-churn adjacency for the hotspot generator's region
   /// capture (its live_csr: the runner's maintained CSR, not yet advanced

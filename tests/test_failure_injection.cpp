@@ -124,7 +124,7 @@ TEST(FailureInjection, KvStoreUnderCoordinatorKillsAndDeflationStaggering) {
   // below n ≈ 100 the batch covers the whole cycle in one step.)
   dex::sim::DexOverlay overlay(256, mode(dex::RecoveryMode::WorstCase, 206));
   dex::adversary::AdversaryView view(overlay);
-  dex::sim::KvStore kv(overlay);
+  dex::sim::KvStore kv(overlay, /*capacity=*/512);
   const auto& net = overlay.net();
   const auto resync = [&] {
     view.advance();

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -19,6 +20,7 @@
 #include "graph/csr.h"
 #include "graph/generators.h"
 #include "sim/experiment.h"
+#include "sim/anchor_hash.h"
 #include "sim/overlay.h"
 #include "sim/scenario.h"
 #include "sim/sinks.h"
@@ -165,7 +167,7 @@ TEST(RouteSurface, DexRouteIsValidAndNeverBeatsBfs) {
 TEST(KvStore, RoundTripEraseAndRehomingUnderChurn) {
   sim::LawSiuOverlay overlay(20, /*d=*/3, /*seed=*/3);
   adversary::AdversaryView view(overlay);
-  sim::KvStore kv(overlay);
+  sim::KvStore kv(overlay, /*capacity=*/40);
   kv.sync(view);
   const auto nodes = overlay.alive_nodes();
   for (std::uint64_t k = 0; k < 200; ++k) {
@@ -190,7 +192,7 @@ TEST(KvStore, RoundTripEraseAndRehomingUnderChurn) {
     EXPECT_NE(kv.home(k), victim);
   }
 
-  // Inserting a node pulls over only the keys it now wins.
+  // Inserting a node pulls over only keys it now serves.
   overlay.insert(0);
   view.advance();
   const auto pulled = kv.sync(view);
@@ -205,7 +207,7 @@ TEST(KvStore, ChurnedOutOriginResolvesToALiveProxy) {
     SCOPED_TRACE(backend);
     const auto overlay = sim::make_overlay(backend, 16, 1);
     adversary::AdversaryView view(*overlay);
-    sim::KvStore kv(*overlay);
+    sim::KvStore kv(*overlay, /*capacity=*/32);
     kv.sync(view);
     const NodeId dead = overlay->alive_nodes()[5];
     EXPECT_TRUE(kv.put(42, 7, dead).ok);
@@ -228,7 +230,7 @@ namespace {
 /// A KvStore over a DexOverlay, re-synced after every mutation.
 struct DexKv {
   DexKv(std::size_t n0, RecoveryMode mode, std::uint64_t seed)
-      : overlay(n0, params(mode, seed)), view(overlay), kv(overlay) {
+      : overlay(n0, params(mode, seed)), view(overlay), kv(overlay, 2 * n0) {
     kv.sync(view);
   }
   static Params params(RecoveryMode mode, std::uint64_t seed) {
@@ -328,7 +330,7 @@ TEST(KvStoreOnDex, KeysAreLoadBalanced) {
       static_cast<double>(kKeys) / static_cast<double>(d.overlay.n());
   const std::size_t max_items =
       *std::max_element(per_node.begin(), per_node.end());
-  // Rendezvous placement is uniform over alive nodes: factor 6 leaves room
+  // AnchorHash placement is uniform over alive nodes: factor 6 leaves room
   // for randomness at this scale.
   EXPECT_LT(static_cast<double>(max_items), 6.0 * mean);
 }
@@ -341,7 +343,7 @@ TEST(Stretch, ExactlyOneOnAStaticRing) {
   // calibration point for the hop/optimal bookkeeping.
   sim::XhealOverlay overlay(graph::make_cycle(32));
   adversary::AdversaryView view(overlay);
-  sim::KvStore kv(overlay);
+  sim::KvStore kv(overlay, /*capacity=*/64);
   kv.sync(view);
   const auto nodes = overlay.alive_nodes();
   std::uint64_t hops = 0, optimal = 0;
@@ -365,7 +367,7 @@ TEST(Stretch, MissPaysOneWayOnlyAndHitPaysTheRoundTrip) {
   // (origin, home) pair before and after the key is stored.
   sim::XhealOverlay overlay(graph::make_cycle(16));
   adversary::AdversaryView view(overlay);
-  sim::KvStore kv(overlay);
+  sim::KvStore kv(overlay, /*capacity=*/32);
   kv.sync(view);
   const std::uint64_t key = 5;
   const NodeId home = kv.home(key);
@@ -460,46 +462,233 @@ TEST(FailureAccounting, NoDeliveredOpMeansNoStretchInCsvOrJson) {
   }
 }
 
-// --------------------------------------------------- placement invariant
+// --------------------------------------------------- placement contract
 
-TEST(KvStore, PlacementTracksAFreshStoreThroughJoinsAndLeaves) {
-  // The sticky-placement audit: after any amount of churn, every stored
-  // key must sit exactly where a fresh KvStore over the same view would
-  // put it — keys rebalance onto joiners that out-score their incumbent,
-  // and the incremental candidate lists never drift from the rendezvous
-  // argmax. 24 nodes fit in one block of the placement scan; 240 span
-  // four blocks (sim/hrw_scan.h).
-  for (const std::size_t n0 : {std::size_t{24}, std::size_t{240}}) {
-    sim::LawSiuOverlay overlay(n0, /*d=*/3, /*seed=*/8);
-    adversary::AdversaryView view(overlay);
-    sim::KvStore kv(overlay);
-    kv.sync(view);
-    const auto seed_nodes = overlay.alive_nodes();
-    for (std::uint64_t k = 0; k < 256; ++k) {
-      ASSERT_TRUE(kv.put(k, k, seed_nodes[k % seed_nodes.size()]).ok);
+namespace {
+
+/// AnchorHash as its paper first states it: the working array kept
+/// explicitly, and a copy of it taken when each bucket is removed. A key
+/// whose bucket is removed re-draws a position in that bucket's copy.
+class ReferenceAnchor {
+ public:
+  ReferenceAnchor(std::uint32_t capacity, std::uint32_t working)
+      : first_(capacity, capacity), copies_(capacity) {
+    for (std::uint32_t b = 0; b < capacity; ++b) w_.push_back(b);
+    for (std::uint32_t b = capacity; b > working; --b) remove(b - 1);
+  }
+  void remove(std::uint32_t b) {
+    const auto pos = static_cast<std::size_t>(
+        std::find(w_.begin(), w_.end(), b) - w_.begin());
+    w_[pos] = w_.back();
+    w_.pop_back();
+    copies_[b] = w_;
+    removed_.push_back({b, pos});
+  }
+  std::uint32_t add() {
+    const auto [b, pos] = removed_.back();
+    removed_.pop_back();
+    w_.push_back(w_[pos]);
+    w_[pos] = b;
+    copies_[b].clear();
+    return b;
+  }
+  [[nodiscard]] std::uint32_t lookup(std::uint64_t key) const {
+    // A full anchor serves every key at its first bucket.
+    std::uint32_t b = first_.first_bucket(key);
+    while (!copies_[b].empty()) {
+      const auto& copy = copies_[b];
+      b = copy[sim::AnchorHash::redraw(
+          key, b, static_cast<std::uint32_t>(copy.size()))];
     }
-    support::Rng rng(99);
-    for (int step = 0; step < 60; ++step) {
-      const auto nodes = overlay.alive_nodes();
-      if (rng.chance(0.55) || nodes.size() < n0 * 7 / 12) {
-        overlay.insert(nodes[rng.below(nodes.size())]);
+    return b;
+  }
+  [[nodiscard]] const std::vector<std::uint32_t>& working() const {
+    return w_;
+  }
+
+ private:
+  sim::AnchorHash first_;
+  std::vector<std::uint32_t> w_;
+  std::vector<std::vector<std::uint32_t>> copies_;
+  std::vector<std::pair<std::uint32_t, std::size_t>> removed_;
+};
+
+/// Homes of keys [0, keys) as the store answers them now.
+std::vector<NodeId> homes_of(const sim::KvStore& kv, std::uint64_t keys) {
+  std::vector<NodeId> out;
+  for (std::uint64_t k = 0; k < keys; ++k) out.push_back(kv.home(k));
+  return out;
+}
+
+}  // namespace
+
+TEST(AnchorHash, LookupsMatchTheSlowReferenceThroughRemovesAndAdds) {
+  constexpr std::uint32_t kCapacity = 96;
+  sim::AnchorHash fast(kCapacity, 48);
+  ReferenceAnchor ref(kCapacity, 48);
+  support::Rng rng(31);
+  for (int op = 0; op < 400; ++op) {
+    const double p_add = fast.size() < 24 ? 0.8 : 0.45;
+    const bool add = fast.size() == 1 || (!fast.full() && rng.chance(p_add));
+    if (add) {
+      ASSERT_EQ(fast.add(), ref.add());
+    } else {
+      const auto& w = ref.working();
+      const std::uint32_t b = w[rng.below(w.size())];
+      fast.remove(b);
+      ref.remove(b);
+    }
+    ASSERT_EQ(fast.size(), ref.working().size());
+    for (std::uint64_t k = 0; k < 512; ++k) {
+      const std::uint32_t b = fast.lookup(k);
+      ASSERT_EQ(b, ref.lookup(k)) << "key " << k << " after op " << op;
+      ASSERT_TRUE(fast.working(b));
+    }
+  }
+}
+
+// A leave moves exactly the dead node's keys and a join moves keys only
+// onto the joiner; between syncs, a stored key's home is where a fresh
+// write would place it.
+TEST(KvStore, LeavesMoveOnlyTheDeadNodesKeysAndJoinsOnlyOntoTheJoiner) {
+  sim::LawSiuOverlay overlay(48, /*d=*/3, /*seed=*/8);
+  adversary::AdversaryView view(overlay);
+  sim::KvStore kv(overlay, /*capacity=*/96);
+  kv.sync(view);
+  constexpr std::uint64_t kKeys = 1024;
+  const NodeId origin = overlay.alive_nodes()[0];
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(kv.put(k, k, origin).ok);
+  }
+  support::Rng rng(99);
+  std::size_t leaves = 0, joins = 0, moved_onto_joiners = 0;
+  for (int step = 0; step < 80; ++step) {
+    const auto before = homes_of(kv, kKeys);
+    const auto nodes = overlay.alive_nodes();
+    const bool join = rng.chance(0.5) ? nodes.size() < 90 : nodes.size() < 30;
+    NodeId changed = graph::kInvalidNode;
+    if (join) {
+      changed = overlay.insert(nodes[rng.below(nodes.size())]);
+      ++joins;
+    } else {
+      changed = nodes[rng.below(nodes.size())];
+      overlay.remove(changed);
+      ++leaves;
+    }
+    view.advance();
+    const auto stats = kv.sync(view);
+    const auto after = homes_of(kv, kKeys);
+    std::size_t moved = 0;
+    for (std::uint64_t k = 0; k < kKeys; ++k) {
+      if (join) {
+        if (after[k] != before[k]) {
+          EXPECT_EQ(after[k], changed) << "key " << k;
+        }
       } else {
-        overlay.remove(nodes[rng.below(nodes.size())]);
+        EXPECT_EQ(after[k] != before[k], before[k] == changed) << "key " << k;
+      }
+      moved += after[k] != before[k];
+    }
+    ASSERT_EQ(stats.moved_keys, moved) << "step " << step;
+    if (join) moved_onto_joiners += moved;
+    // A stored key's home is where an unstored key would go.
+    const std::uint64_t probe = rng.below(kKeys);
+    ASSERT_TRUE(kv.erase(probe, origin).ok);
+    EXPECT_EQ(kv.home(probe), after[probe]);
+    ASSERT_TRUE(kv.put(probe, probe, kv.alive()[0]).ok);
+  }
+  EXPECT_GT(leaves, 20u);
+  EXPECT_GT(joins, 20u);
+  EXPECT_GT(moved_onto_joiners, 0u);
+}
+
+// A join re-takes the most recently freed bucket, so a leave followed by a
+// join (in the next step, or in the same one) hands the joiner exactly the
+// keys the dead node held.
+TEST(KvStore, ALeaveThenAJoinGivesTheJoinerExactlyTheDisplacedKeys) {
+  for (const bool same_step : {false, true}) {
+    SCOPED_TRACE(same_step ? "same step" : "consecutive steps");
+    sim::LawSiuOverlay overlay(40, /*d=*/3, /*seed=*/21);
+    adversary::AdversaryView view(overlay);
+    sim::KvStore kv(overlay, /*capacity=*/80);
+    kv.sync(view);
+    constexpr std::uint64_t kKeys = 2000;
+    for (std::uint64_t k = 0; k < kKeys; ++k) {
+      ASSERT_TRUE(kv.put(k, k, overlay.alive_nodes()[0]).ok);
+    }
+    const auto before = homes_of(kv, kKeys);
+    const NodeId victim = overlay.alive_nodes()[17];
+    overlay.remove(victim);
+    if (!same_step) {
+      view.advance();
+      kv.sync(view);
+    }
+    const NodeId joiner = overlay.insert(overlay.alive_nodes()[3]);
+    view.advance();
+    kv.sync(view);
+    const auto after = homes_of(kv, kKeys);
+    std::size_t displaced = 0;
+    for (std::uint64_t k = 0; k < kKeys; ++k) {
+      EXPECT_EQ(after[k], before[k] == victim ? joiner : before[k])
+          << "key " << k;
+      displaced += before[k] == victim;
+    }
+    EXPECT_GT(displaced, 0u);
+  }
+}
+
+TEST(KvStore, TheSameSeedAndChurnGiveTheSameHomes) {
+  const auto run = [] {
+    sim::LawSiuOverlay overlay(32, /*d=*/3, /*seed=*/5);
+    adversary::AdversaryView view(overlay);
+    sim::KvStore kv(overlay, /*capacity=*/64);
+    kv.sync(view);
+    for (std::uint64_t k = 0; k < 256; ++k) {
+      EXPECT_TRUE(kv.put(k, k, overlay.alive_nodes()[0]).ok);
+    }
+    support::Rng rng(77);
+    for (int step = 0; step < 40; ++step) {
+      for (std::size_t e = 0; e < 1 + rng.below(3); ++e) {
+        const auto nodes = overlay.alive_nodes();
+        if (rng.chance(0.5) || nodes.size() < 20) {
+          overlay.insert(nodes[rng.below(nodes.size())]);
+        } else {
+          overlay.remove(nodes[rng.below(nodes.size())]);
+        }
       }
       view.advance();
       kv.sync(view);
-      if (step % 2 == 0) {  // occasionally shrink placed_ too
-        kv.erase(rng.below(256), overlay.alive_nodes()[0]);
-      }
-      sim::KvStore fresh(overlay);
-      fresh.sync(view);
-      for (std::uint64_t k = 0; k < 256; ++k) {
-        ASSERT_EQ(kv.home(k), fresh.home(k))
-            << "key " << k << " drifted from the rendezvous argmax at step "
-            << step << " (n0 " << n0 << ")";
-      }
     }
+    return homes_of(kv, 512);  // stored keys and unstored ones
+  };
+  EXPECT_EQ(run(), run());
+}
+
+TEST(KvStore, AJoinPastTheCapacityDoublesItAndKeepsEveryKey) {
+  sim::LawSiuOverlay overlay(16, /*d=*/3, /*seed=*/2);
+  adversary::AdversaryView view(overlay);
+  sim::KvStore kv(overlay, /*capacity=*/16);
+  kv.sync(view);
+  for (std::uint64_t k = 0; k < 200; ++k) {
+    ASSERT_TRUE(kv.put(k, ~k, overlay.alive_nodes()[0]).ok);
   }
+  for (int i = 0; i < 24; ++i) {
+    overlay.insert(overlay.alive_nodes()[static_cast<std::size_t>(i) % 16]);
+    view.advance();
+    kv.sync(view);
+  }
+  std::vector<std::size_t> per_node(overlay.alive_mask().size(), 0);
+  for (std::uint64_t k = 0; k < 200; ++k) {
+    const auto r = kv.get(k, overlay.alive_nodes()[1]);
+    ASSERT_TRUE(r.ok) << "lost key " << k;
+    EXPECT_EQ(*r.value, ~k);
+    ASSERT_TRUE(overlay.alive(kv.home(k)));
+    ++per_node[kv.home(k)];
+  }
+  // The last joiners serve keys too: the doubled anchor spreads them.
+  std::size_t serving = 0;
+  for (const std::size_t c : per_node) serving += c > 0;
+  EXPECT_GT(serving, 24u);
 }
 
 // Re-homing prices a handover (the old host survived) with one point probe
@@ -509,7 +698,7 @@ TEST(KvStore, PlacementTracksAFreshStoreThroughJoinsAndLeaves) {
 TEST(KvStore, RehashMessagesEqualFullBfsPricingUnderChurn) {
   sim::LawSiuOverlay overlay(64, /*d=*/3, /*seed=*/12);
   adversary::AdversaryView view(overlay);
-  sim::KvStore kv(overlay);
+  sim::KvStore kv(overlay, /*capacity=*/128);
   kv.sync(view);
   constexpr std::uint64_t kKeys = 512;
   const auto seed_nodes = overlay.alive_nodes();
