@@ -2,10 +2,10 @@
 // backend). One declarative ExperimentPlan drives all six overlays through
 // the same Zipf read/write mix while batch churn heals underneath: requests
 // route through HealingOverlay::route (DEX: locally computable p-cycle
-// paths; baselines: BFS on the live view), keys re-home by rendezvous
-// hashing into the alive-node space, and the trial aggregates carry hops,
-// stretch vs. BFS-optimal, failed lookups and rehash transfer — the
-// stretch/latency comparison against Law–Siu and Xheal the paper's
+// paths; baselines: BFS on the live view), keys re-home by consistent
+// hashing (AnchorHash) into the alive-node space, and the trial aggregates
+// carry hops, stretch vs. BFS-optimal, failed lookups and rehash transfer —
+// the stretch/latency comparison against Law–Siu and Xheal the paper's
 // related-work section argues about. A second sweep pins the paper's
 // original claim: DEX's per-op routing cost stays O(log n) across sizes.
 

@@ -8,7 +8,7 @@
 //    per-trial summaries stream into BENCH_scale.json — the cross-commit
 //    perf-trajectory artifact the CI scale-smoke job uploads
 //    (deterministic: no wall-clock inside);
-//  * wall-clock phase attribution (single trials): churn healing vs.
+//  * wall-clock phase attribution (medians of 3 trials): churn healing vs.
 //    incremental view maintenance vs. traffic serving, µs per step and µs
 //    per op, appended to BENCH_scale.json as "kind":"phase_timing" JSONL
 //    rows — the input to tools/perf_guard.py, CI's 2x-regression gate.
@@ -25,6 +25,8 @@
 //             reduced value to fit its wall-clock budget)
 //   json_path where the JSONL summaries go (default BENCH_scale.json)
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -66,22 +68,41 @@ sim::EventSpec event_spec() {
   return ev;
 }
 
-/// One timed single trial with phase attribution on; returns the result and
-/// fills wall_ms.
+/// Identical trials behind each phase_timing row; every timing field of the
+/// row is their median, so one descheduled trial cannot move it.
+constexpr std::size_t kRepeats = 3;
+
+/// kRepeats timed trials with phase attribution on; returns the result with
+/// each phase total replaced by its median, and fills wall_ms likewise.
 sim::ScenarioResult timed_trial(const char* backend, std::size_t n,
                                 std::size_t steps, double& wall_ms,
                                 bool event = false) {
-  auto overlay = sim::make_overlay(backend, n, sim::overlay_seed(1));
-  auto strategy = sim::make_strategy("churn");
-  auto spec = traffic_spec(steps);
-  spec.seed = 1;
-  spec.time_phases = true;
-  if (event) spec.event = event_spec();
-  sim::ScenarioRunner runner(*overlay, *strategy, spec);
-  const auto t0 = Clock::now();
-  auto res = runner.run();
-  wall_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0)
-                .count();
+  std::array<double, kRepeats> wall{}, churn{}, view{}, traffic{};
+  sim::ScenarioResult res;
+  for (std::size_t r = 0; r < kRepeats; ++r) {
+    auto overlay = sim::make_overlay(backend, n, sim::overlay_seed(1));
+    auto strategy = sim::make_strategy("churn");
+    auto spec = traffic_spec(steps);
+    spec.seed = 1;
+    spec.time_phases = true;
+    if (event) spec.event = event_spec();
+    sim::ScenarioRunner runner(*overlay, *strategy, spec);
+    const auto t0 = Clock::now();
+    res = runner.run();
+    wall[r] = std::chrono::duration<double, std::milli>(Clock::now() - t0)
+                  .count();
+    churn[r] = res.churn_us;
+    view[r] = res.view_us;
+    traffic[r] = res.traffic_us;
+  }
+  const auto median = [](std::array<double, kRepeats> v) {
+    std::sort(v.begin(), v.end());
+    return v[kRepeats / 2];
+  };
+  wall_ms = median(wall);
+  res.churn_us = median(churn);
+  res.view_us = median(view);
+  res.traffic_us = median(traffic);
   return res;
 }
 
@@ -187,7 +208,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "\n-- phase attribution (single trials, wall clock per phase) --\n\n");
+      "\n-- phase attribution (median of %zu trials, wall clock per phase) "
+      "--\n\n",
+      kRepeats);
   {
     std::ofstream json(json_path, std::ios::app);
     metrics::Table t({"backend", "n0", "steps", "wall ms", "churn us/st",

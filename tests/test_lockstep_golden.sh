@@ -6,10 +6,11 @@
 # spread of single-event and batch-native strategies (every strategy that
 # reads the topology among them, under both next() and next_batch()), and a
 # phased --campaign with a load=2 phase, a rate= gate and quiet ranges, plus
-# a 300-node zipf case whose key placement scans span several 64-node
-# blocks of the alive set — all
-# on the default (sync) engine, so any change to the lockstep schedule, the
-# RNG streams or the emission format shows up as a byte diff here.
+# a 300-node zipf case with 2048 keys, where AnchorHash placement
+# (sim/anchor_hash.h) runs over a 600-bucket anchor and batch churn frees
+# and re-takes many buckets — all on the default (sync) engine, so any
+# change to the lockstep schedule, the RNG streams, key placement or the
+# emission format shows up as a byte diff here.
 #
 # Run with the CLI binary as $1 and the golden directory as $2 (CMake
 # passes both). A third argument `--update` rewrites the golden files
