@@ -593,6 +593,11 @@ void DexNetwork::rebalance_inflated(VirtualMapping& nm, const PCycle& nc) {
     if (nm.load(w) > prm_.max_load()) overloaded.push_back(w);
   }
   if (overloaded.empty()) return;
+  // p vertices fit under the 4ζ cap only on at least p / 4ζ nodes; below
+  // that no walk can converge, so fail here instead of at the epoch limit.
+  DEX_ASSERT_MSG(p_new <= prm_.max_load() * n(),
+                 "rebalance_inflated: p exceeds 4*zeta*n, the population "
+                 "fell below the mapping's feasible floor");
 
   const std::uint64_t steps = std::max<std::uint64_t>(
       2, support::scaled_log(prm_.walk_factor, p_new));

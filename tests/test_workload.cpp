@@ -487,8 +487,10 @@ class ReferenceAnchor {
   std::uint32_t add() {
     const auto [b, pos] = removed_.back();
     removed_.pop_back();
-    w_.push_back(w_[pos]);
-    w_[pos] = b;
+    // b goes back to its position, and the bucket that took it (if any)
+    // back to the end.
+    w_.push_back(b);
+    std::swap(w_[pos], w_.back());
     copies_[b].clear();
     return b;
   }
