@@ -529,8 +529,11 @@ TEST(AnchorHash, LookupsMatchTheSlowReferenceThroughRemovesAndAdds) {
   sim::AnchorHash fast(kCapacity, 48);
   ReferenceAnchor ref(kCapacity, 48);
   support::Rng rng(31);
+  bool reached_full = false;
+  std::uint32_t fewest = kCapacity;
+  // Add-heavy first (the anchor fills up), remove-heavy after.
   for (int op = 0; op < 400; ++op) {
-    const double p_add = fast.size() < 24 ? 0.8 : 0.45;
+    const double p_add = op < 200 ? 0.7 : 0.3;
     const bool add = fast.size() == 1 || (!fast.full() && rng.chance(p_add));
     if (add) {
       ASSERT_EQ(fast.add(), ref.add());
@@ -541,12 +544,16 @@ TEST(AnchorHash, LookupsMatchTheSlowReferenceThroughRemovesAndAdds) {
       ref.remove(b);
     }
     ASSERT_EQ(fast.size(), ref.working().size());
+    reached_full = reached_full || fast.full();
+    fewest = std::min(fewest, fast.size());
     for (std::uint64_t k = 0; k < 512; ++k) {
       const std::uint32_t b = fast.lookup(k);
       ASSERT_EQ(b, ref.lookup(k)) << "key " << k << " after op " << op;
       ASSERT_TRUE(fast.working(b));
     }
   }
+  EXPECT_TRUE(reached_full);
+  EXPECT_LT(fewest, 24u);
 }
 
 // A leave moves exactly the dead node's keys and a join moves keys only
