@@ -217,8 +217,6 @@ class KvStore {
   [[nodiscard]] graph::NodeId locate(std::uint64_t key) const {
     return bucket_node_[anchor_.lookup(key)];
   }
-  /// Binds the anchor's buckets to the first view's alive nodes, in order.
-  void bind_initial(const std::vector<graph::NodeId>& now);
   /// Binds working bucket b to node v.
   void bind(std::uint32_t b, graph::NodeId v);
   /// Forgets a stored key's home: the last slot moves into its hole.

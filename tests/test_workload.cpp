@@ -560,9 +560,9 @@ TEST(AnchorHash, LookupsMatchTheSlowReferenceThroughRemovesAndAdds) {
 // onto the joiner; between syncs, a stored key's home is where a fresh
 // write would place it.
 TEST(KvStore, LeavesMoveOnlyTheDeadNodesKeysAndJoinsOnlyOntoTheJoiner) {
-  sim::LawSiuOverlay overlay(48, /*d=*/3, /*seed=*/8);
+  sim::LawSiuOverlay overlay(160, /*d=*/3, /*seed=*/8);
   adversary::AdversaryView view(overlay);
-  sim::KvStore kv(overlay, /*capacity=*/96);
+  sim::KvStore kv(overlay, /*capacity=*/320);
   kv.sync(view);
   constexpr std::uint64_t kKeys = 1024;
   const NodeId origin = overlay.alive_nodes()[0];
@@ -574,7 +574,7 @@ TEST(KvStore, LeavesMoveOnlyTheDeadNodesKeysAndJoinsOnlyOntoTheJoiner) {
   for (int step = 0; step < 80; ++step) {
     const auto before = homes_of(kv, kKeys);
     const auto nodes = overlay.alive_nodes();
-    const bool join = rng.chance(0.5) ? nodes.size() < 90 : nodes.size() < 30;
+    const bool join = rng.chance(0.5) ? nodes.size() < 300 : nodes.size() < 100;
     NodeId changed = graph::kInvalidNode;
     if (join) {
       changed = overlay.insert(nodes[rng.below(nodes.size())]);
