@@ -534,8 +534,8 @@ sim::ChurnBatch OracleBuster::next_batch(const AdversaryView& view,
   const auto& nodes = view.alive_nodes();
   // Ring the candidates by BFS distance from a random epicenter and
   // consume the rings round-robin, farthest first — consecutive victims
-  // land in different regions, which is exactly what defeats a
-  // locality-amortizing oracle memo.
+  // land in different regions, so their orphaned keys scatter across
+  // destinations and each destination costs the oracle a full BFS.
   const NodeId epicenter = nodes[rng.below(nodes.size())];
   const auto dist = distances_from(g, epicenter);
   std::uint32_t max_d = 0;

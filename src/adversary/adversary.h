@@ -320,13 +320,13 @@ class CorrelatedFailure final : public Strategy {
                              std::size_t batch_size) override;
 };
 
-/// Oracle-cache-busting churn, batch-native: every step scatters victims
-/// and attach points across as many distinct topology regions as possible —
+/// Oracle-busting churn, batch-native: every step scatters victims and
+/// attach points across as many distinct topology regions as possible —
 /// candidates are ringed by BFS distance from a random epicenter and
 /// consumed round-robin across rings, farthest rings first. Each event then
-/// re-homes keys onto homes in a different region, so the DistanceOracle's
-/// fixed-size root memo (sim/oracle.h), which prices those transfers, keeps
-/// missing instead of amortizing — the access pattern the memo is worst at.
+/// orphans keys onto homes in a different region, so pricing those
+/// transfers (sim/oracle.h) costs one full BFS per scattered destination
+/// instead of one shared frontier.
 class OracleBuster final : public Strategy {
  public:
   /// Single-event fallback: uniform churn (the scatter pattern only exists

@@ -9,41 +9,8 @@ using graph::NodeId;
 
 void DistanceOracle::attach(const graph::CsrView& view) {
   view_ = &view;
-  by_root_.clear();
-  for (auto& s : slots_) {
-    s.root = graph::kInvalidNode;
-    s.reach_done = false;
-  }
-  next_slot_ = 0;
+  root_ = graph::kInvalidNode;
   bfs_runs_ = 0;
-}
-
-DistanceOracle::Slot* DistanceOracle::find(NodeId root) {
-  const auto it = by_root_.find(root);
-  return it == by_root_.end() ? nullptr : &slots_[it->second];
-}
-
-DistanceOracle::Slot& DistanceOracle::materialize(NodeId root) {
-  DEX_ASSERT_MSG(view_ != nullptr, "DistanceOracle used before attach()");
-  if (Slot* hit = find(root)) return *hit;
-  if (slots_.size() < kMaxRoots) {
-    // Reserved to the cap up front so growth never reallocates: a Slot
-    // reference handed out by from() must survive materializing calls on
-    // *other* slots (it still dies with slot recycling — see from()'s
-    // lifetime note).
-    if (slots_.capacity() < kMaxRoots) slots_.reserve(kMaxRoots);
-    slots_.emplace_back();
-    next_slot_ = slots_.size() - 1;
-  }
-  Slot& slot = slots_[next_slot_];
-  if (slot.root != graph::kInvalidNode) by_root_.erase(slot.root);
-  by_root_[root] = next_slot_;
-  next_slot_ = (next_slot_ + 1) % kMaxRoots;
-  slot.root = root;
-  slot.reach_done = false;
-  graph::csr_bfs_fill(*view_, root, slot.dist, scratch_);
-  ++bfs_runs_;
-  return slot;
 }
 
 std::uint32_t DistanceOracle::probe(NodeId src, NodeId dst) {
@@ -104,29 +71,27 @@ std::uint32_t DistanceOracle::distance(NodeId u, NodeId v) {
   DEX_ASSERT_MSG(view_ != nullptr, "DistanceOracle used before attach()");
   if (u == v) return view_->alive(u) ? 0 : graph::kUnreached;
   if (!view_->alive(u) || !view_->alive(v)) return graph::kUnreached;
-  if (const Slot* hit = find(v)) return hit->dist[u];
-  if (const Slot* hit = find(u)) return hit->dist[v];
+  if (v == root_) return dist_[u];
+  if (u == root_) return dist_[v];
   return probe(u, v);
 }
 
-const std::vector<std::uint32_t>& DistanceOracle::from(NodeId src) {
-  return materialize(src).dist;
-}
-
 DistanceOracle::Reach DistanceOracle::reach(NodeId src) {
-  Slot& slot = materialize(src);
-  if (!slot.reach_done) {
-    Reach r;
-    for (NodeId u = 0; u < slot.dist.size(); ++u) {
-      if (view_->alive(u) && slot.dist[u] != graph::kUnreached) {
-        r.sum += slot.dist[u];
-        ++r.count;
-      }
+  DEX_ASSERT_MSG(view_ != nullptr, "DistanceOracle used before attach()");
+  if (src == root_) return reach_;
+  graph::csr_bfs_fill(*view_, src, dist_, scratch_);
+  ++bfs_runs_;
+  root_ = src;
+  // Dead nodes read kUnreached, so the finite entries are the alive
+  // nodes src reaches.
+  reach_ = {};
+  for (const std::uint32_t d : dist_) {
+    if (d != graph::kUnreached) {
+      reach_.sum += d;
+      ++reach_.count;
     }
-    slot.reach = r;
-    slot.reach_done = true;
   }
-  return slot.reach;
+  return reach_;
 }
 
 }  // namespace dex::sim

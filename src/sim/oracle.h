@@ -18,21 +18,21 @@
 /// before it returns; no depths are kept, since the vertex where the balls
 /// meet always sits at the other ball's full radius.
 ///
-/// Full single-source vectors are still needed where re-homing prices an
+/// One full single-source vector is still needed where re-homing prices an
 /// orphaned key (its old host died): the charge is the mean distance from
 /// the new home to every survivor. A handover (the old host survived) is
-/// one point query. from() and reach() memoize the full vectors over the
-/// step's CsrView (graph/csr.h), keyed by root, in a small FIFO ring of
-/// reusable slots; distance() answers from a memoized root whenever either
-/// endpoint is one, and otherwise takes exactly one probe. Eviction affects
-/// only speed.
+/// one point query. reach() fills that vector over the step's CsrView
+/// (graph/csr.h) and keeps its source as the one root until reach() runs on
+/// another node or attach() runs; distance() answers from the root whenever
+/// either endpoint is it, and otherwise takes exactly one probe. KvStore
+/// sorts a step's moves by destination, orphans first, so one BFS serves
+/// every move onto that home.
 ///
 /// The owner (sim::KvStore) calls attach() once per churn step with the
-/// step's frozen CsrView; attach clears the memo (the topology changed) but
-/// keeps the slot buffers, so steady state runs allocation-free.
+/// step's frozen CsrView; attach forgets the root (the topology changed)
+/// but keeps the buffers, so steady state runs allocation-free.
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/csr.h"
@@ -41,32 +41,20 @@ namespace dex::sim {
 
 class DistanceOracle {
  public:
-  /// Memoized single-source vectors kept per step. Beyond this, the oldest
-  /// root is evicted (FIFO); correctness is unaffected.
-  static constexpr std::size_t kMaxRoots = 32;
-
-  /// Points the oracle at the step's live view and clears the memo. The
+  /// Points the oracle at the step's live view and forgets the root. The
   /// view is borrowed: it must stay alive and unchanged until the next
   /// attach() (sim::KvStore re-attaches on every sync()).
   void attach(const graph::CsrView& view);
 
   /// Exact BFS distance between u and v on the attached view
   /// (graph::kUnreached when disconnected or either endpoint is dead).
-  /// Free when either endpoint is a root memoized by from()/reach();
-  /// otherwise one two-sided probe (one bfs_runs()), memoizing nothing.
+  /// Free when either endpoint is the reach() root; otherwise one
+  /// two-sided probe (one bfs_runs()), remembering nothing.
   [[nodiscard]] std::uint32_t distance(graph::NodeId u, graph::NodeId v);
 
-  /// The full distance vector from `src` (memoizing it as a root). Used by
-  /// the re-homing transfer pricing of a new home that receives an orphaned
-  /// key, which needs every survivor's distance.
-  /// Lifetime: the reference stays valid (and keeps meaning `src`) only
-  /// until the next from()/reach() on a new root — which may recycle the
-  /// slot — or attach(). Read it before materializing another root.
-  [[nodiscard]] const std::vector<std::uint32_t>& from(graph::NodeId src);
-
   /// Sum/count of finite distances from `src` over the alive set (the
-  /// expected-recovery-pull mean used by KvStore::sync), computed once per
-  /// root and cached with it.
+  /// expected-recovery-pull mean used by KvStore::sync). Makes `src` the
+  /// root: one full BFS unless it already is.
   struct Reach {
     std::uint64_t sum = 0;
     std::uint64_t count = 0;
@@ -78,25 +66,17 @@ class DistanceOracle {
   [[nodiscard]] std::uint64_t bfs_runs() const { return bfs_runs_; }
 
  private:
-  struct Slot {
-    graph::NodeId root = graph::kInvalidNode;
-    std::vector<std::uint32_t> dist;
-    Reach reach;
-    bool reach_done = false;
-  };
-
-  [[nodiscard]] Slot* find(graph::NodeId root);
-  [[nodiscard]] Slot& materialize(graph::NodeId root);
   /// Meet-in-the-middle BFS between src and dst over bit-set balls (no
-  /// O(n) clear, no memo entry).
+  /// O(n) clear, no root change).
   [[nodiscard]] std::uint32_t probe(graph::NodeId src, graph::NodeId dst);
   /// The search behind probe(): grows the balls until they meet.
   [[nodiscard]] std::uint32_t grow_probe();
 
   const graph::CsrView* view_ = nullptr;
-  std::vector<Slot> slots_;
-  std::size_t next_slot_ = 0;  ///< FIFO ring cursor
-  std::unordered_map<graph::NodeId, std::size_t> by_root_;
+  /// The reach() root, its distance vector and its Reach.
+  graph::NodeId root_ = graph::kInvalidNode;
+  std::vector<std::uint32_t> dist_;
+  Reach reach_;
   std::vector<graph::NodeId> scratch_;
   /// probe() scratch, one ball per endpoint: a membership bit per node,
   /// all-zero between probes (the words grow in place with the view), and

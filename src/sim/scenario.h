@@ -266,8 +266,9 @@ class ScenarioRunner {
 /// (coordinator killer), "load-attack", "spectral", "greedy-spectral",
 /// plus the batch-native workloads "burst" (mixed §5-safe bursts),
 /// "flash-crowd" (insert waves), "mass-failure" (correlated clustered
-/// deletions), "oracle-bust" (region-scattering churn that defeats the
-/// DistanceOracle's root memo), "chord-cut" (betweenness-proxy deletion of
+/// deletions), "oracle-bust" (region-scattering churn whose orphaned keys
+/// cost the DistanceOracle one full BFS per scattered destination),
+/// "chord-cut" (betweenness-proxy deletion of
 /// p-cycle chord carriers) and "spectral-batch" (whole-batch sweep-cut
 /// demolition). Returns nullptr for unknown names.
 struct StrategyOptions {

@@ -72,8 +72,9 @@ NodeId KvStore::resolve_origin(NodeId origin) const {
 bool KvStore::route_op(NodeId origin, NodeId home, OpResult& out) {
   if (overlay_.route_is_shortest()) {
     // The realized path is the BFS optimum already, so the op needs only a
-    // distance — one oracle query (a two-sided probe, or free from a
-    // memoized root) instead of materializing a fresh path per request.
+    // distance — one oracle query (a two-sided probe, or free when either
+    // end is the oracle's reach() root) instead of materializing a fresh
+    // path per request.
     const std::uint32_t d = oracle_.distance(origin, home);
     if (d == graph::kUnreached) return false;
     out.hops = d;
@@ -162,10 +163,11 @@ KvStore::SyncStats KvStore::sync(const adversary::AdversaryView& view) {
   // A transfer costs the exact old->new distance when the old host survived
   // (a handover: one two-sided probe), else the mean distance from the new
   // home (the expected pull from wherever the healed overlay recovered the
-  // item), which needs a full BFS from it. Orphaned keys sort first within
-  // each destination, so that BFS, when one is needed, is memoized before
-  // the handovers to the same home and answers them too; the step's ops
-  // aimed at that home reuse it for free.
+  // item), which needs a full BFS from it. Sorting by destination keeps
+  // each home's moves together, orphans first, so that BFS, when one is
+  // needed, makes the home the oracle's root before its handovers, and
+  // answers them and the rest of its orphans too; the step's ops aimed at
+  // the last such home reuse it for free.
   std::sort(moves.begin(), moves.end(), [this](const Move& a, const Move& b) {
     if (a.to != b.to) return a.to < b.to;
     const bool a_orphan = !csr_->alive(a.from);

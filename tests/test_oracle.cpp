@@ -2,7 +2,7 @@
 // CSR live view must agree with the Multigraph + mask it was built from,
 // and every DistanceOracle answer must equal a fresh graph::bfs_distances
 // on randomized churned views across all six backends. Plus its cost
-// contract (one probe per cold query, memoized roots free), unreachable
+// contract (one probe per cold query, the reach() root free), unreachable
 // pairs, and the sweep byte-determinism contract with the oracle on the
 // hot path.
 
@@ -103,15 +103,23 @@ TEST(DistanceOracle, MatchesBfsOnChurnedViewsAcrossAllSixBackends) {
       const auto g = overlay->snapshot();
       const auto mask = overlay->alive_mask();
       const auto& nodes = view.alive_nodes();
-      // Enough distinct roots to exercise probes, repeat-memoization and
-      // FIFO eviction (> kMaxRoots of them), with repeats mixed in.
+      // Probes, and answers from a reach() root: every tenth query moves
+      // the root to its destination, alternating between two nodes and a
+      // fresh one, and the following queries touch it either way round.
+      NodeId home = nodes[0];
       for (int q = 0; q < 150; ++q) {
+        if (q % 10 == 0) {
+          home = q % 30 == 20 ? nodes[rng.below(nodes.size())]
+                              : nodes[(q / 10) % 2];
+          (void)oracle.reach(home);
+        }
         const NodeId u = nodes[rng.below(nodes.size())];
-        const NodeId v = q % 3 == 0 ? nodes[q % nodes.size()]
-                                    : nodes[rng.below(nodes.size())];
+        const NodeId v = q % 3 == 0 ? home : nodes[rng.below(nodes.size())];
         const auto ref = graph::bfs_distances(g, u, mask);
         EXPECT_EQ(oracle.distance(u, v), ref[v])
             << backend << " step " << step << ": " << u << " -> " << v;
+        EXPECT_EQ(oracle.distance(v, u), ref[v])
+            << backend << " step " << step << ": " << v << " -> " << u;
       }
     }
   }
@@ -134,32 +142,38 @@ TEST(DistanceOracle, ColdQueriesProbeOnceAndMemoizedRootsAreFree) {
       EXPECT_EQ(oracle.bfs_runs(), before + 1) << "round " << round;
     }
   }
-  // from() materializes the root with one full frontier; afterwards every
-  // query touching it, either way round, is a lookup.
+  // reach() makes `home` the root with one full frontier; afterwards every
+  // query touching it, either way round, is a lookup, and so is reach()
+  // on it again.
+  const auto ref = graph::bfs_distances(overlay.snapshot(), home,
+                                        overlay.alive_mask());
   auto before = oracle.bfs_runs();
-  const auto& dist = oracle.from(home);
+  const auto reach = oracle.reach(home);
   EXPECT_EQ(oracle.bfs_runs(), before + 1);
-  EXPECT_EQ(dist[home], 0u);
+  EXPECT_EQ(reach.count, nodes.size());
+  std::uint64_t sum = 0;
+  for (const NodeId u : nodes) sum += ref[u];
+  EXPECT_EQ(reach.sum, sum);
   before = oracle.bfs_runs();
   for (const NodeId u : nodes) {
-    EXPECT_EQ(oracle.distance(u, home), dist[u]);
-    EXPECT_EQ(oracle.distance(home, u), dist[u]);
+    EXPECT_EQ(oracle.distance(u, home), ref[u]);
+    EXPECT_EQ(oracle.distance(home, u), ref[u]);
   }
-  // reach() reuses the root.
-  const auto reach = oracle.reach(home);
-  EXPECT_EQ(reach.count, nodes.size());
+  EXPECT_EQ(oracle.reach(home).sum, sum);
   EXPECT_EQ(oracle.bfs_runs(), before);
-  // More roots than the ring holds: the oldest are evicted FIFO and cost a
-  // probe again, with the same exact answer; the newest stay free.
-  ASSERT_GT(nodes.size(), sim::DistanceOracle::kMaxRoots + 1);
-  for (const NodeId r : nodes) (void)oracle.from(r);
-  const auto ref = graph::bfs_distances(overlay.snapshot(), nodes[1],
-                                        overlay.alive_mask());
-  before = oracle.bfs_runs();
-  EXPECT_EQ(oracle.distance(nodes[1], nodes[0]), ref[nodes[0]]);
+  // A reach() on another node replaces the root: `home` costs a probe
+  // again, with the same exact answer, and the new root is free.
+  const NodeId other = nodes[1];
+  (void)oracle.reach(other);
   EXPECT_EQ(oracle.bfs_runs(), before + 1);
-  EXPECT_EQ(oracle.distance(nodes[1], nodes.back()), ref[nodes.back()]);
-  EXPECT_EQ(oracle.bfs_runs(), before + 1);
+  EXPECT_EQ(oracle.distance(nodes[2], home), ref[nodes[2]]);
+  EXPECT_EQ(oracle.bfs_runs(), before + 2);
+  EXPECT_EQ(oracle.distance(other, home), ref[other]);
+  EXPECT_EQ(oracle.bfs_runs(), before + 2);
+  // attach() forgets the root, even on the same view.
+  oracle.attach(live);
+  EXPECT_EQ(oracle.distance(other, home), ref[other]);
+  EXPECT_EQ(oracle.bfs_runs(), 1u);
 }
 
 TEST(DistanceOracle, DisconnectedAndDeadPairsAreUnreached) {
@@ -184,11 +198,20 @@ TEST(DistanceOracle, DisconnectedAndDeadPairsAreUnreached) {
   EXPECT_EQ(oracle.distance(0, 3), 3u);
   EXPECT_EQ(oracle.distance(6, 4), 2u);
   EXPECT_EQ(oracle.distance(8, 8), 0u);
-  // The same answers from a memoized root.
-  (void)oracle.from(0);
+  // The same answers from a reach() root, which reaches only its path.
+  const auto reach = oracle.reach(0);
+  EXPECT_EQ(reach.count, 4u);
+  EXPECT_EQ(reach.sum, 6u);
   EXPECT_EQ(oracle.distance(6, 0), graph::kUnreached);
   EXPECT_EQ(oracle.distance(0, 7), graph::kUnreached);
   EXPECT_EQ(oracle.distance(3, 0), 3u);
+  // Node 7 revives: the root's vector is stale on the new view, which
+  // joins the two paths through it.
+  graph::CsrView joined;
+  joined.build(g, {});
+  oracle.attach(joined);
+  EXPECT_EQ(oracle.distance(6, 0), 7u);
+  EXPECT_EQ(oracle.distance(0, 7), 4u);
 }
 
 // Probe scratch across queries and views: most probes meet mid-level and
