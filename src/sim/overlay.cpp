@@ -1,6 +1,9 @@
 #include "sim/overlay.h"
 
+#include <utility>
+
 #include "dex/batch.h"
+#include "graph/bfs.h"
 #include "graph/generators.h"
 
 namespace dex::sim {
@@ -89,9 +92,15 @@ std::unique_ptr<HealingOverlay> make_overlay(const std::string& backend,
   if (backend == "randomflip")
     return std::make_unique<RandomFlipOverlay>(n0, /*d=*/6, seed);
   if (backend == "xheal") {
+    // The configuration model can pair a node only with itself; redraw
+    // from the same generator until the start graph is connected, so a
+    // seed whose first draw is connected keeps it.
     support::Rng gen(seed);
-    return std::make_unique<XhealOverlay>(
-        graph::make_random_regular(n0, /*d=*/4, gen));
+    auto g = graph::make_random_regular(n0, /*d=*/4, gen);
+    while (!graph::is_connected(g)) {
+      g = graph::make_random_regular(n0, /*d=*/4, gen);
+    }
+    return std::make_unique<XhealOverlay>(std::move(g));
   }
   return nullptr;
 }

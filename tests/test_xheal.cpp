@@ -7,6 +7,8 @@
 #include "graph/bfs.h"
 #include "graph/generators.h"
 #include "graph/spectral.h"
+#include "sim/experiment.h"
+#include "sim/overlay.h"
 #include "support/prng.h"
 #include "xheal/xheal.h"
 
@@ -112,4 +114,14 @@ TEST(Xheal, DeletingEveryOriginalNodeStillConnected) {
     ASSERT_TRUE(g::is_connected(net.graph(), net.alive_mask())) << v;
   }
   EXPECT_EQ(net.n(), 12u);
+}
+
+TEST(Xheal, OverlayStartGraphIsConnected) {
+  // The configuration model's first draw for this trial seed pairs node 21
+  // only with itself; make_overlay must redraw before any churn.
+  const auto overlay =
+      dex::sim::make_overlay("xheal", 48, dex::sim::overlay_seed(58714));
+  ASSERT_NE(overlay, nullptr);
+  EXPECT_EQ(overlay->n(), 48u);
+  EXPECT_TRUE(g::is_connected(overlay->snapshot(), overlay->alive_mask()));
 }
