@@ -179,10 +179,9 @@ std::vector<Vertex> PCycle::shortest_path(Vertex x, Vertex y) const {
   return path;
 }
 
-void PCycle::ensure_zero_tree() const {
+void PCycle::ensure_zero_dist() const {
   if (!zero_dist_.empty()) return;
   zero_dist_.assign(p_, ~std::uint32_t{0});
-  zero_parent_.assign(p_, 0);
   std::vector<Vertex> frontier{0};
   zero_dist_[0] = 0;
   std::uint32_t depth = 0;
@@ -193,7 +192,6 @@ void PCycle::ensure_zero_tree() const {
       for (Vertex w : ports(v)) {
         if (zero_dist_[w] != ~std::uint32_t{0}) continue;
         zero_dist_[w] = depth;
-        zero_parent_[w] = v;
         next.push_back(w);
       }
     }
@@ -202,19 +200,8 @@ void PCycle::ensure_zero_tree() const {
 }
 
 std::uint32_t PCycle::distance_to_zero(Vertex x) const {
-  ensure_zero_tree();
+  ensure_zero_dist();
   return zero_dist_[x];
-}
-
-std::vector<Vertex> PCycle::path_to_zero(Vertex x) const {
-  ensure_zero_tree();
-  std::vector<Vertex> path{x};
-  Vertex cur = x;
-  while (cur != 0) {
-    cur = zero_parent_[cur];
-    path.push_back(cur);
-  }
-  return path;
 }
 
 }  // namespace dex

@@ -25,8 +25,8 @@
 /// words and one depth byte of each vertex it reaches, not an 8-byte stamp
 /// per port test; it clears exactly the words it set, from its list of
 /// reached vertices. The
-/// coordinator's fixed target (vertex 0) is served from a cached BFS tree
-/// instead.
+/// coordinator's fixed target (vertex 0) is served from cached BFS
+/// distances instead.
 
 #include <array>
 #include <cstdint>
@@ -96,12 +96,9 @@ class PCycle {
   /// never sweeps all p vertices.
   [[nodiscard]] std::vector<Vertex> shortest_path(Vertex x, Vertex y) const;
 
-  /// Distance to vertex 0 using the cached BFS tree (O(1) after the first
-  /// call, which builds the tree in O(p)).
+  /// Distance to vertex 0 from cached BFS distances (O(1) after the first
+  /// call, which computes them in O(p)).
   [[nodiscard]] std::uint32_t distance_to_zero(Vertex x) const;
-
-  /// Path from x to 0 along the cached BFS tree (a shortest path).
-  [[nodiscard]] std::vector<Vertex> path_to_zero(Vertex x) const;
 
   /// All (undirected) edges, self-loops once: used by tests and by
   /// materialization of the real network snapshot.
@@ -117,7 +114,7 @@ class PCycle {
   }
 
  private:
-  void ensure_zero_tree() const;
+  void ensure_zero_dist() const;
   void build_inv_table() const;
 
   std::uint64_t p_;
@@ -125,9 +122,8 @@ class PCycle {
   /// smallest prime in (4 n0, 8 n0), far below 2^32 at any simulable size
   /// (asserted at construction), so the table costs 4 bytes per vertex.
   mutable std::vector<std::uint32_t> inv_table_;
-  // Lazily built BFS tree rooted at 0: parent pointer per vertex.
+  /// Lazily built BFS distances from vertex 0.
   mutable std::vector<std::uint32_t> zero_dist_;
-  mutable std::vector<Vertex> zero_parent_;
   /// One side of the two-sided search: a membership bit per vertex, the
   /// depth of each member (valid only where its bit is set), and every
   /// member in discovery order, level by level. members[0, count) is the

@@ -34,8 +34,6 @@ class CsvWriter {
   [[nodiscard]] std::string to_string() const;
   void write(std::ostream& os) const;
 
-  [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

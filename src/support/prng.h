@@ -91,12 +91,6 @@ class Rng {
   /// Bernoulli trial with success probability p.
   [[nodiscard]] bool chance(double p) { return uniform01() < p; }
 
-  /// Pick a uniformly random element index of a non-empty container size.
-  template <class Container>
-  [[nodiscard]] std::size_t index_of(const Container& c) {
-    return static_cast<std::size_t>(below(c.size()));
-  }
-
   /// Fisher–Yates shuffle.
   template <class T>
   void shuffle(std::vector<T>& v) {

@@ -72,11 +72,9 @@ class XhealNetwork {
   /// Churn journal for incremental CSR maintenance (graph/csr.h); borrowed.
   void set_view_journal(graph::ViewDelta* j) { journal_ = j; }
 
-  /// Healing-degree overhead of node u: edges added by patches minus edges
-  /// lost to deletions (Xheal's degree-increase measure).
-  [[nodiscard]] std::int64_t degree_overhead(NodeId u) const {
-    return overhead_[u];
-  }
+  /// Largest healing-degree overhead of an alive node: edges added by
+  /// patches minus edges lost to deletions (Xheal's degree-increase
+  /// measure).
   [[nodiscard]] std::int64_t max_degree_overhead() const;
 
  private:
