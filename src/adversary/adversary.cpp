@@ -191,17 +191,16 @@ void AdversaryView::advance() {
 // -------------------------------------------------------- batch machinery
 
 std::vector<NodeId> sample_safe_victims(const graph::CsrView& g,
-                                        const std::vector<NodeId>& order,
+                                        const CandidateSource& next,
                                         std::size_t want) {
   std::vector<NodeId> victims;
-  if (want == 0) return victims;
   // The ids the draw touches, at most want·(degree + 1) of them: a chosen
   // victim maps to 0, a neighbor of victims to the ports it lost to them.
   // Either is blocked from becoming a victim. Only looked up, never
   // iterated, so hash order cannot reach the output.
   std::unordered_map<NodeId, std::uint32_t> lost;
-  for (NodeId v : order) {
-    if (victims.size() >= want) break;
+  NodeId v = graph::kInvalidNode;
+  while (victims.size() < want && next(v)) {
     if (!g.alive(v) || lost.contains(v)) continue;
     // Victims are kept pairwise non-adjacent (neighbors get blocked), so a
     // chosen victim's neighbors all survive — which already gives it a
@@ -232,6 +231,35 @@ std::vector<NodeId> sample_safe_victims(const graph::CsrView& g,
     victims.pop_back();
   }
   return victims;
+}
+
+std::vector<NodeId> sample_safe_victims(const graph::CsrView& g,
+                                        const std::vector<NodeId>& order,
+                                        std::size_t want) {
+  std::size_t i = 0;
+  return sample_safe_victims(
+      g,
+      [&order, &i](NodeId& v) {
+        if (i == order.size()) return false;
+        v = order[i++];
+        return true;
+      },
+      want);
+}
+
+std::vector<NodeId> sample_shuffled_victims(const graph::CsrView& g,
+                                            const std::vector<NodeId>& pool,
+                                            support::Rng& rng,
+                                            std::size_t want) {
+  support::LazyPermutation perm(pool.size());
+  return sample_safe_victims(
+      g,
+      [&pool, &rng, &perm](NodeId& v) {
+        if (perm.done()) return false;
+        v = pool[perm.next(rng)];
+        return true;
+      },
+      want);
 }
 
 sim::ChurnBatch Strategy::next_batch(const AdversaryView& view,
@@ -436,10 +464,8 @@ sim::ChurnBatch BurstChurn::next_batch(const AdversaryView& view,
   deletes = n > floor_n ? std::min(deletes, n - floor_n) : 0;
 
   if (deletes > 0) {
-    const auto& alive = view.alive_nodes();
-    order_.assign(alive.begin(), alive.end());
-    rng.shuffle(order_);
-    batch.victims = sample_safe_victims(view.live_csr(), order_, deletes);
+    batch.victims = sample_shuffled_victims(view.live_csr(),
+                                            view.alive_nodes(), rng, deletes);
   }
   const std::unordered_set<NodeId> dying(batch.victims.begin(),
                                          batch.victims.end());
@@ -469,10 +495,10 @@ sim::ChurnBatch FlashCrowd::next_batch(const AdversaryView& view,
   const std::size_t floor_n = delete_floor(min_n);
   const std::size_t deletes =
       n > floor_n ? std::min(batch_size, n - floor_n) : 0;
-  const auto& alive = view.alive_nodes();
-  order_.assign(alive.begin(), alive.end());
-  rng.shuffle(order_);
-  batch.victims = sample_safe_victims(view.live_csr(), order_, deletes);
+  if (deletes > 0) {
+    batch.victims = sample_shuffled_victims(view.live_csr(),
+                                            view.alive_nodes(), rng, deletes);
+  }
   return batch;
 }
 

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <vector>
 
 #include "graph/csr.h"
@@ -150,16 +151,36 @@ class Strategy {
   }
 };
 
+/// Where sample_safe_victims reads its candidates, in order: each call
+/// writes the next candidate to `v` and returns true, or returns false once
+/// the source is exhausted. The sampler pulls one candidate at a time and
+/// stops pulling as soon as it holds `want` victims (so with want == 0 it
+/// pulls nothing), and never calls again after a false. A lazily drawn
+/// source therefore pays only for the candidates actually read.
+using CandidateSource = std::function<bool(NodeId& v)>;
+
 /// Greedy §5-safe deletion sampler shared by the batch-native strategies:
-/// scans `order` and keeps alive victims that are pairwise non-adjacent and
-/// leave every survivor at least one edge (hence every victim keeps a
-/// surviving neighbor), then trims from the back until the survivors are
-/// connected. Returns at most `want` victims; possibly fewer (never unsafe).
-/// Row order in `g` is irrelevant: the degree test only counts ports
-/// (self-loops and multi-edges included).
+/// scans the candidates and keeps alive victims that are pairwise
+/// non-adjacent and leave every survivor at least one edge (hence every
+/// victim keeps a surviving neighbor), then trims from the back until the
+/// survivors are connected. Returns at most `want` victims; possibly fewer
+/// (never unsafe). Row order in `g` is irrelevant: the degree test only
+/// counts ports (self-loops and multi-edges included).
+[[nodiscard]] std::vector<NodeId> sample_safe_victims(
+    const graph::CsrView& g, const CandidateSource& next, std::size_t want);
+
+/// The sampler over a materialized order (the ranking strategies).
 [[nodiscard]] std::vector<NodeId> sample_safe_victims(
     const graph::CsrView& g, const std::vector<NodeId>& order,
     std::size_t want);
+
+/// The sampler over a uniformly random order of `pool`, drawn lazily
+/// (support::LazyPermutation): one rng.below per candidate read, so a draw
+/// costs O(candidates read), not O(|pool|). Victims equal those of the
+/// vector overload fed the whole permutation from an equally seeded rng.
+[[nodiscard]] std::vector<NodeId> sample_shuffled_victims(
+    const graph::CsrView& g, const std::vector<NodeId>& pool,
+    support::Rng& rng, std::size_t want);
 
 /// Uniform churn: insert with probability `insert_prob`, both endpoints
 /// uniform. The baseline workload.
@@ -268,7 +289,7 @@ class GreedySpectralDeletion final : public Strategy {
 
 /// Burst churn, batch-native: each batch is a random insert/delete mix
 /// (insert fraction drawn around `insert_frac`), with the delete side drawn
-/// through sample_safe_victims and the insert side capped at
+/// through sample_shuffled_victims and the insert side capped at
 /// sim::kMaxAttachPerNode per attach point — bursts deliberately satisfy
 /// the §5 preconditions so DEX's parallel path stays eligible.
 class BurstChurn final : public Strategy {
@@ -288,7 +309,6 @@ class BurstChurn final : public Strategy {
  private:
   double frac_;
   RandomChurn single_;
-  std::vector<NodeId> order_;  ///< the shuffled alive list, reused per draw
 };
 
 /// Flash crowd, batch-native: waves of pure insertion (newcomers spread
@@ -302,9 +322,6 @@ class FlashCrowd final : public Strategy {
   sim::ChurnBatch next_batch(const AdversaryView& view, support::Rng& rng,
                              std::size_t min_n, std::size_t max_n,
                              std::size_t batch_size) override;
-
- private:
-  std::vector<NodeId> order_;  ///< the shuffled alive list, reused per draw
 };
 
 /// Correlated mass failure, batch-native: picks a random epicenter and

@@ -11,7 +11,9 @@
 /// log without entangling it with the algorithm's future draws.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 namespace dex::support {
@@ -108,11 +110,49 @@ class Rng {
     return Rng(s);
   }
 
+  /// Equal states produce equal streams (lets a test count the draws a
+  /// call took by stepping a copy until it matches).
+  friend bool operator==(const Rng&, const Rng&) = default;
+
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
   std::array<std::uint64_t, 4> state_{};
+};
+
+/// A uniformly random permutation of the positions [0, n), drawn lazily by
+/// forward Fisher–Yates: the i-th next() draws j = i + rng.below(n - i),
+/// swaps positions i and j and returns what now sits at i. A caller that
+/// stops after k positions pays k below() calls and O(k) memory, not O(n);
+/// drawn to exhaustion it yields every position exactly once. Only the
+/// displaced positions are stored.
+class LazyPermutation {
+ public:
+  explicit LazyPermutation(std::size_t n) : n_(n) {}
+
+  [[nodiscard]] bool done() const { return i_ == n_; }
+
+  /// The next position of the permutation. Requires !done().
+  [[nodiscard]] std::size_t next(Rng& rng) {
+    const std::size_t j = i_ + static_cast<std::size_t>(rng.below(n_ - i_));
+    const std::size_t picked = at(j);
+    if (j != i_) moved_[j] = at(i_);
+    ++i_;
+    return picked;
+  }
+
+ private:
+  [[nodiscard]] std::size_t at(std::size_t pos) const {
+    const auto it = moved_.find(pos);
+    return it == moved_.end() ? pos : it->second;
+  }
+
+  std::size_t n_;
+  std::size_t i_ = 0;  ///< positions drawn so far
+  // det: looked up by position, never iterated, so hash order cannot reach
+  // the permutation.
+  std::unordered_map<std::size_t, std::size_t> moved_;  ///< pos -> occupant
 };
 
 }  // namespace dex::support

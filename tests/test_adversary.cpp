@@ -12,6 +12,7 @@
 #include "dex/network.h"
 #include "graph/bfs.h"
 #include "graph/spectral.h"
+#include "sim/overlay.h"
 #include "sim/scenario.h"
 
 namespace adv = dex::adversary;
@@ -48,6 +49,62 @@ void drive(H& h, adv::Strategy& strat, dex::support::Rng& rng, int steps,
   for (int t = 0; t < steps; ++t) {
     h.apply(strat.next(h.view, rng, min_n, max_n));
   }
+}
+
+/// Checks `victims` against the §5 preconditions on topology `g` with
+/// alive set `mask`: distinct alive victims, pairwise non-adjacent, every
+/// survivor keeps an edge (a self-loop counts, as in the sampler's port
+/// count), and the survivors stay connected.
+void expect_section5_safe(const dex::graph::Multigraph& g,
+                          const std::vector<bool>& mask,
+                          const std::vector<adv::NodeId>& victims) {
+  std::vector<bool> dying(mask.size(), false);
+  for (const auto v : victims) {
+    ASSERT_TRUE(mask[v]) << v;
+    ASSERT_FALSE(dying[v]) << "repeated victim " << v;
+    dying[v] = true;
+  }
+  for (const auto v : victims) {
+    for (const auto w : g.ports(v)) {
+      EXPECT_TRUE(w == v || !dying[w]) << "adjacent victims " << v << ", " << w;
+    }
+  }
+  auto after = mask;
+  for (adv::NodeId u = 0; u < mask.size(); ++u) {
+    if (!mask[u] || dying[u]) continue;
+    const auto row = g.ports(u);
+    EXPECT_TRUE(std::any_of(row.begin(), row.end(),
+                            [&dying](adv::NodeId w) { return !dying[w]; }))
+        << "survivor " << u << " loses every edge";
+  }
+  for (const auto v : victims) after[v] = false;
+  EXPECT_TRUE(dex::graph::is_connected(g, after));
+}
+
+/// The path 0 - 1 - ... - (n-1).
+dex::graph::Multigraph path_graph(std::size_t n) {
+  dex::graph::Multigraph g(n);
+  for (adv::NodeId u = 0; u + 1 < n; ++u) g.add_edge(u, u + 1);
+  return g;
+}
+
+/// Node 0 joined to each of the leaves 1..leaves.
+dex::graph::Multigraph star_graph(std::size_t leaves) {
+  dex::graph::Multigraph g(leaves + 1);
+  for (adv::NodeId u = 1; u <= leaves; ++u) g.add_edge(0, u);
+  return g;
+}
+
+/// The victims of sample_safe_victims over the whole LazyPermutation of
+/// `pool` drawn from Rng(seed), materialized first.
+std::vector<adv::NodeId> materialized_shuffle_victims(
+    const dex::graph::CsrView& g, const std::vector<adv::NodeId>& pool,
+    std::uint64_t seed, std::size_t want) {
+  dex::support::Rng rng(seed);
+  dex::support::LazyPermutation perm(pool.size());
+  std::vector<adv::NodeId> order;
+  while (!perm.done()) order.push_back(pool[perm.next(rng)]);
+  return adv::sample_safe_victims(g, order, want);
 }
 
 }  // namespace
@@ -258,6 +315,116 @@ TEST(AdversaryBatch, SampleSafeVictimsKeepsSurvivorsConnected) {
   }
 }
 
+TEST(AdversaryBatch, ShuffledSamplerMatchesMaterializedPermutation) {
+  // A lazy draw that stops early (DEX) and one that runs the source dry
+  // (the 6-path and the star) pick what a full permutation would.
+  dex::Params prm;
+  prm.seed = 107;
+  dex::DexNetwork net(64, prm);
+  const auto dex_graph = net.snapshot();
+  const std::vector<std::pair<dex::graph::Multigraph, std::vector<bool>>>
+      graphs = {{dex_graph, net.alive_mask()},
+                {path_graph(6), std::vector<bool>(6, true)},
+                {star_graph(5), std::vector<bool>(6, true)}};
+  for (const auto& [g, mask] : graphs) {
+    dex::graph::CsrView live;
+    live.build(g, mask);
+    std::vector<adv::NodeId> pool;
+    for (adv::NodeId u = 0; u < mask.size(); ++u) {
+      if (mask[u]) pool.push_back(u);
+    }
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      dex::support::Rng rng(seed);
+      const auto lazy = adv::sample_shuffled_victims(live, pool, rng, 8);
+      EXPECT_EQ(lazy, materialized_shuffle_victims(live, pool, seed, 8))
+          << "seed " << seed;
+    }
+  }
+}
+
+TEST(AdversaryBatch, SamplerReturnsFewerSafeVictimsOnFragileGraphs) {
+  for (const auto& g : {path_graph(6), star_graph(5)}) {
+    const std::vector<bool> mask(g.node_count(), true);
+    dex::graph::CsrView live;
+    live.build(g, mask);
+    std::vector<adv::NodeId> ascending(g.node_count());
+    for (adv::NodeId u = 0; u < ascending.size(); ++u) ascending[u] = u;
+    std::vector<std::vector<adv::NodeId>> draws = {
+        adv::sample_safe_victims(live, ascending, 6)};
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      dex::support::Rng rng(seed);
+      draws.push_back(adv::sample_shuffled_victims(live, ascending, rng, 6));
+    }
+    // Ascending order deletes the path's end (0) or four leaves of the
+    // star; a shuffled order may pick only interior path nodes, which the
+    // connectivity trim then drops, leaving none.
+    EXPECT_GE(draws.front().size(), 1u);
+    for (const auto& victims : draws) {
+      EXPECT_LT(victims.size(), 6u);
+      expect_section5_safe(g, mask, victims);
+    }
+  }
+}
+
+TEST(AdversaryBatch, BurstChurnBatchesMeetSection5Preconditions) {
+  for (const char* backend : {"dex-amortized", "lawsiu"}) {
+    SCOPED_TRACE(backend);
+    auto overlay = dex::sim::make_overlay(backend, 48, 108);
+    ASSERT_NE(overlay, nullptr);
+    adv::AdversaryView view(*overlay);
+    adv::BurstChurn strat(0.5);
+    dex::support::Rng rng(14);
+    std::size_t deleted = 0;
+    for (int step = 0; step < 50; ++step) {
+      SCOPED_TRACE(step);
+      const auto batch = strat.next_batch(view, rng, 24, 96, 8);
+      const auto mask = overlay->alive_mask();
+      expect_section5_safe(overlay->snapshot(), mask, batch.victims);
+      for (const auto a : batch.attach_to) {
+        EXPECT_TRUE(mask[a]);
+        EXPECT_EQ(std::count(batch.victims.begin(), batch.victims.end(), a),
+                  0);
+        EXPECT_LE(static_cast<std::size_t>(std::count(
+                      batch.attach_to.begin(), batch.attach_to.end(), a)),
+                  dex::sim::kMaxAttachPerNode);
+      }
+      deleted += batch.victims.size();
+      (void)overlay->apply(batch);
+      view.advance();
+    }
+    EXPECT_GT(deleted, 50u);
+  }
+}
+
+TEST(AdversaryBatch, BurstDrawTakesOrderBatchRngDraws) {
+  // One burst draw at n = 20,000 must read O(batch) random numbers: the
+  // batch's coin flips, one per candidate read, the attach points and rare
+  // rejections. Shuffling the whole alive list would take ~20,000.
+  constexpr std::size_t kN = 20000;
+  constexpr std::size_t kBatch = 32;
+  auto overlay = dex::sim::make_overlay("dex-amortized", kN, 109);
+  ASSERT_NE(overlay, nullptr);
+  adv::AdversaryView view(*overlay);
+  ASSERT_EQ(view.n(), kN);
+  adv::BurstChurn strat(0.5);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(seed);
+    dex::support::Rng rng(seed);
+    const dex::support::Rng before = rng;
+    const auto batch = strat.next_batch(view, rng, kN / 2, 2 * kN, kBatch);
+    EXPECT_GT(batch.victims.size(), 0u);
+    // Count the draws by stepping a copy until its state matches.
+    dex::support::Rng probe = before;
+    std::size_t draws = 0;
+    while (!(probe == rng) && draws < 4 * kN) {
+      (void)probe();
+      ++draws;
+    }
+    ASSERT_TRUE(probe == rng) << "no match within " << 4 * kN << " draws";
+    EXPECT_LE(draws, 4 * kBatch);
+  }
+}
+
 TEST(AdversaryBatch, FlashCrowdWavesInsertThenMakeRoom) {
   dex::Params prm;
   prm.seed = 104;
@@ -278,6 +445,11 @@ TEST(AdversaryBatch, FlashCrowdWavesInsertThenMakeRoom) {
   const auto full = strat.next_batch(view, rng, 8, 16, 12);
   EXPECT_TRUE(full.attach_to.empty());
   EXPECT_GT(full.victims.size(), 0u);
+  // At the cap and the floor at once nothing fits, and the draw takes no
+  // random numbers.
+  const dex::support::Rng before = rng;
+  EXPECT_TRUE(strat.next_batch(view, rng, 16, 16, 12).empty());
+  EXPECT_TRUE(rng == before);
 }
 
 TEST(AdversaryBatch, CorrelatedFailureRespectsPreconditionsAndFloor) {

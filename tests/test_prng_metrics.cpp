@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "metrics/stats.h"
 #include "metrics/table.h"
@@ -145,4 +148,47 @@ TEST(Prng, Mix64IsStable) {
   // Fixed value so DHT key placement is reproducible across platforms.
   EXPECT_EQ(dex::support::mix64(0), dex::support::mix64(0));
   EXPECT_NE(dex::support::mix64(1), dex::support::mix64(2));
+}
+
+namespace {
+
+/// Every position a LazyPermutation over [0, n) yields, drawn to exhaustion.
+std::vector<std::size_t> drain(std::size_t n, std::uint64_t seed) {
+  dex::support::Rng rng(seed);
+  dex::support::LazyPermutation perm(n);
+  std::vector<std::size_t> out;
+  while (!perm.done()) out.push_back(perm.next(rng));
+  return out;
+}
+
+}  // namespace
+
+TEST(LazyPermutation, ExhaustionYieldsEachPositionOnce) {
+  for (const std::size_t n : {0, 1, 2, 7, 1000}) {
+    SCOPED_TRACE(n);
+    auto out = drain(n, 17);
+    ASSERT_EQ(out.size(), n);
+    std::sort(out.begin(), out.end());
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], i);
+  }
+}
+
+TEST(LazyPermutation, DeterministicPerSeed) {
+  EXPECT_EQ(drain(1000, 5), drain(1000, 5));
+  EXPECT_NE(drain(1000, 5), drain(1000, 6));
+}
+
+TEST(LazyPermutation, FirstDrawIsUniform) {
+  // 8,000 seeds over n = 8: each position comes first Binomial(8000, 1/8)
+  // times, mean 1,000 and standard deviation ~29.6; the band is ±5 sd.
+  std::vector<int> first(8, 0);
+  for (std::uint64_t seed = 0; seed < 8000; ++seed) {
+    dex::support::Rng rng(seed);
+    dex::support::LazyPermutation perm(8);
+    ++first[perm.next(rng)];
+  }
+  for (const int c : first) {
+    EXPECT_GT(c, 850);
+    EXPECT_LT(c, 1150);
+  }
 }
