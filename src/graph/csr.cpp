@@ -62,6 +62,7 @@ void CsrView::ensure_capacity(NodeId id) {
   row_len_.resize(n, 0);
   alive_.resize(n, 0);
   stamp_.resize(n, 0);
+  if (!parent_.empty()) parent_.resize(n, kInvalidNode);
 }
 
 void CsrView::rewrite_row(NodeId u, const PortsFn& ports) {
@@ -129,6 +130,10 @@ void CsrView::apply_delta(const ViewDelta& d, const PortsFn& ports) {
     ++alive_count_;
     row_len_[u] = 0;
     touch_scratch_.push_back(u);
+    if (certified_) {  // a new root, outside the tree
+      parent_[u] = u;
+      pending_.push_back(u);
+    }
   }
 
   const auto touch = [&](NodeId u) {
@@ -136,12 +141,29 @@ void CsrView::apply_delta(const ViewDelta& d, const PortsFn& ports) {
     if (stamp_[u] == epoch_) return;
     stamp_[u] = epoch_;
     rewrite_row(u, ports);
-    if (certified_) pending_.push_back(u);
+    if (!certified_ || parent_[u] == u) return;
+    // A dead parent is gone from the fresh row too.
+    const auto row = neighbors(u);
+    if (std::find(row.begin(), row.end(), parent_[u]) != row.end()) return;
+    parent_[u] = u;  // the tree edge is gone: u roots an orphan fragment
+    pending_.push_back(u);
   };
   for (const NodeId u : touch_scratch_) touch(u);
   for (const NodeId u : d.dirty) touch(u);
-  // Past alive_count() pending sources the local check would cost as much
-  // as the full BFS it replaces.
+  if (certified_ && !alive(anchor_)) {
+    // Any surviving root can anchor, and the old anchor's orphaned children
+    // are among them.
+    const auto root = std::find_if(
+        pending_.begin(), pending_.end(),
+        [this](NodeId u) { return alive(u) && parent_[u] == u; });
+    if (root == pending_.end()) {
+      drop_certificate();  // nothing survives
+    } else {
+      anchor_ = *root;
+    }
+  }
+  // Dead orphans stay listed until the next true answer; past alive_count()
+  // entries the list is mostly waste.
   if (pending_.size() > alive_count_) drop_certificate();
 
   // Compact once the abandoned slack dominates the live payload; the
@@ -185,9 +207,11 @@ void csr_bfs_fill(const CsrView& g, NodeId src, std::vector<std::uint32_t>& dist
 
 namespace {
 
-/// QueryMark label of a removed id (ball indices stay far below it).
+/// QueryMark label of a removed id (fragment labels stay far below it).
 constexpr std::uint32_t kRemoved = ~std::uint32_t{0};
-/// End of a ball's queue in CsrView::next_.
+/// QueryMark label and ball of the anchor's side in a local query.
+constexpr std::uint32_t kAnchorSide = 0;
+/// End of a fragment set's queue in CsrView::next_.
 constexpr std::uint32_t kNoNext = ~std::uint32_t{0};
 
 }  // namespace
@@ -213,11 +237,12 @@ bool CsrView::connected_by_bfs(std::size_t survivors) const {
   NodeId start = 0;
   while (!alive(start) || mark_[start].epoch == query_epoch_) ++start;
   frontier_.assign(1, start);
-  mark_[start] = {query_epoch_, 0};
+  mark_[start] = {query_epoch_, start};
   for (std::size_t head = 0; head < frontier_.size(); ++head) {
-    for (const NodeId w : neighbors(frontier_[head])) {
+    const NodeId u = frontier_[head];
+    for (const NodeId w : neighbors(u)) {
       if (mark_[w].epoch == query_epoch_) continue;
-      mark_[w] = {query_epoch_, 0};
+      mark_[w] = {query_epoch_, u};
       frontier_.push_back(w);
     }
   }
@@ -226,42 +251,52 @@ bool CsrView::connected_by_bfs(std::size_t survivors) const {
 
 std::optional<bool> CsrView::connected_locally(
     std::span<const NodeId> removed) const {
+  if (!alive(anchor_) || mark_[anchor_].epoch == query_epoch_ ||
+      tree_work_ > alive_count_) {
+    return std::nullopt;  // the anchor is removed, or the budget is spent
+  }
   frontier_.clear();
   next_.clear();
   balls_.clear();
-  const auto add_source = [this](NodeId u) {
-    if (!alive(u) || mark_[u].epoch == query_epoch_) return;
+  hooks_.clear();
+  mark_[anchor_] = {query_epoch_, kAnchorSide};
+  balls_.push_back({kAnchorSide, kNoNext, kNoNext, 1, anchor_});
+  const auto add_top = [this](NodeId u) {
+    if (mark_[u].epoch == query_epoch_) return;  // removed, or listed twice
     const auto b = static_cast<std::uint32_t>(balls_.size());
     const auto at = static_cast<std::uint32_t>(frontier_.size());
     mark_[u] = {query_epoch_, b};
     frontier_.push_back(u);
     next_.push_back(kNoNext);
-    balls_.push_back({b, at, at, 1});
+    balls_.push_back({b, at, at, 1, u});
   };
-  add_source(anchor_);
-  for (const NodeId u : pending_) add_source(u);
+  for (const NodeId u : pending_) {
+    if (alive(u) && parent_[u] == u) add_top(u);
+  }
   for (const NodeId r : removed) {
     if (!alive(r)) continue;
-    for (const NodeId w : neighbors(r)) add_source(w);
+    for (const NodeId w : neighbors(r)) {
+      if (parent_[w] == r) add_top(w);
+    }
   }
-  if (balls_.empty()) return std::nullopt;
 
-  // Smallest ball first: a small ball grows until it touches another one,
-  // and the merged ball waits while the small ones catch up. In an expander
-  // each ball then stops once it meets the union of the others, instead of
-  // every ball growing to the radius at which the last two meet.
+  // Smallest set first: most fragments are a few nodes whose first
+  // neighbors already walk up to the anchor, and a big one waits until the
+  // small ones have joined it or the anchor's side.
   heap_.clear();
-  for (std::uint32_t b = 0; b < balls_.size(); ++b) heap_.emplace_back(1, b);
+  for (std::uint32_t b = 1; b < balls_.size(); ++b) heap_.emplace_back(1, b);
   std::size_t labels = balls_.size();
   while (labels > 1) {
+    if (tree_work_ > alive_count_) return std::nullopt;
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
     const auto [size, b] = heap_.back();
     heap_.pop_back();
     if (balls_[b].root != b || balls_[b].size != size) continue;  // stale
-    // A ball with nothing left to expand is a whole component of the
-    // survivors, and some other ball lies outside it.
+    // A set with nothing left to expand is a whole component of the
+    // survivors, and the anchor lies outside it.
     if (balls_[b].head == kNoNext) return false;
     grow_ball(b, labels);
+    if (balls_[b].root != b) continue;  // joined the anchor's side
     heap_.emplace_back(balls_[b].size, b);
     std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
   }
@@ -276,6 +311,38 @@ std::uint32_t CsrView::find_ball(std::uint32_t b) const {
   return b;
 }
 
+std::uint32_t CsrView::classify(NodeId w) const {
+  NodeId top = w;
+  while (mark_[top].epoch != query_epoch_) {
+    DEX_ASSERT_MSG(parent_[top] != top,
+                   "tree walk reached an unlisted root");
+    top = parent_[top];
+  }
+  const std::uint32_t label = mark_[top].label;
+  if (top == w) return label;
+  DEX_ASSERT_MSG(label != kRemoved, "tree walk left through a removed id");
+  // Label the walk. Its nodes join the fragment set's queue, unless the set
+  // has joined the anchor's side and needs no more expanding.
+  const std::uint32_t set = find_ball(label);
+  Ball& ball = balls_[set];
+  for (NodeId x = w; x != top; x = parent_[x]) {
+    ++tree_work_;
+    mark_[x] = {query_epoch_, label};
+    if (set == kAnchorSide) continue;
+    const auto idx = static_cast<std::uint32_t>(frontier_.size());
+    frontier_.push_back(x);
+    next_.push_back(kNoNext);
+    if (ball.head == kNoNext) {
+      ball.head = idx;
+    } else {
+      next_[ball.tail] = idx;
+    }
+    ball.tail = idx;
+    ++ball.size;
+  }
+  return label;
+}
+
 void CsrView::grow_ball(std::uint32_t b, std::size_t& labels) const {
   Ball& ball = balls_[b];
   const std::uint32_t limit = heap_.empty() ? ~std::uint32_t{0}
@@ -283,26 +350,20 @@ void CsrView::grow_ball(std::uint32_t b, std::size_t& labels) const {
   while (ball.head != kNoNext && ball.size <= limit) {
     const std::uint32_t at = ball.head;
     ball.head = next_[at];
-    for (const NodeId w : neighbors(frontier_[at])) {
-      QueryMark& m = mark_[w];
-      if (m.epoch != query_epoch_) {  // new: queue it in this ball
-        const auto idx = static_cast<std::uint32_t>(frontier_.size());
-        m = {query_epoch_, b};
-        frontier_.push_back(w);
-        next_.push_back(kNoNext);
-        if (ball.head == kNoNext) {
-          ball.head = idx;
-        } else {
-          next_[ball.tail] = idx;
-        }
-        ball.tail = idx;
-        ++ball.size;
-        continue;
-      }
-      if (m.label == kRemoved) continue;
-      const std::uint32_t other = find_ball(m.label);
+    const NodeId u = frontier_[at];
+    ++tree_work_;
+    for (const NodeId w : neighbors(u)) {
+      const std::uint32_t label = classify(w);
+      if (label == kRemoved) continue;
+      const std::uint32_t other = find_ball(label);
       if (other == b) continue;
-      // Absorb the other ball: its queue joins the end of this one.
+      hooks_.emplace_back(u, w);
+      --labels;
+      if (other == kAnchorSide) {  // joined: nothing more to expand here
+        ball.root = kAnchorSide;
+        return;
+      }
+      // Absorb the other set: its queue joins the end of this one.
       Ball& o = balls_[other];
       if (o.head != kNoNext) {
         if (ball.head == kNoNext) {
@@ -314,34 +375,76 @@ void CsrView::grow_ball(std::uint32_t b, std::size_t& labels) const {
       }
       ball.size += o.size;
       o.root = b;
-      if (--labels == 1) return;
     }
   }
 }
 
-void CsrView::certify_if_attached(std::span<const NodeId> removed) const {
-  NodeId kept = kInvalidNode;
+void CsrView::hang_fragments(std::span<const NodeId> removed) const {
+  // The hooks join the fragments and the anchor's side into one tree;
+  // walk it out from the anchor's side, so each fragment is hung from a
+  // node already on the certified tree's path to the anchor.
+  const std::size_t k = balls_.size();
+  hook_at_.assign(k + 1, 0);
+  for (const auto& [u, w] : hooks_) {
+    ++hook_at_[mark_[u].label + 1];
+    ++hook_at_[mark_[w].label + 1];
+  }
+  for (std::size_t f = 0; f < k; ++f) hook_at_[f + 1] += hook_at_[f];
+  hook_adj_.resize(2 * hooks_.size());
+  for (std::uint32_t h = 0; h < hooks_.size(); ++h) {
+    for (const NodeId x : {hooks_[h].first, hooks_[h].second}) {
+      hook_adj_[hook_at_[mark_[x].label]++] = h;
+    }
+  }
+  for (std::size_t f = k; f > 0; --f) hook_at_[f] = hook_at_[f - 1];
+  hook_at_[0] = 0;
+
+  heap_.assign(1, {kAnchorSide, kNoNext});
+  for (std::size_t i = 0; i < heap_.size(); ++i) {
+    const auto [f, via] = heap_[i];
+    for (std::uint32_t j = hook_at_[f]; j < hook_at_[f + 1]; ++j) {
+      const std::uint32_t h = hook_adj_[j];
+      if (h == via) continue;
+      // Hang fragment g at its end x of the hook: reverse the parents from
+      // x up to g's top, and make x's parent the hook's other end.
+      NodeId x = hooks_[h].first;
+      NodeId prev = hooks_[h].second;
+      if (mark_[x].label == f) std::swap(x, prev);
+      const std::uint32_t g = mark_[x].label;
+      const NodeId top = balls_[g].top;
+      for (;;) {
+        const NodeId up = parent_[x];
+        parent_[x] = prev;
+        if (x == top) break;
+        prev = x;
+        x = up;
+      }
+      heap_.emplace_back(g, h);
+    }
+  }
+  park_removed(removed);
+}
+
+void CsrView::adopt_bfs_tree(std::span<const NodeId> removed) const {
+  // Ids are never reused, so a maintained view's id space grows with every
+  // birth; room for twice the first size spares the early regrowths, each
+  // of which holds two copies of the array at once.
+  if (parent_.empty()) parent_.reserve(2 * node_count());
+  if (parent_.size() < node_count()) parent_.resize(node_count());
+  for (const NodeId u : frontier_) parent_[u] = mark_[u].label;
+  certified_ = true;
+  anchor_ = frontier_.front();
+  tree_work_ = 0;
+  park_removed(removed);
+}
+
+void CsrView::park_removed(std::span<const NodeId> removed) const {
+  pending_.clear();
   for (const NodeId r : removed) {
     if (!alive(r)) continue;
-    bool attached = false;
-    for (const NodeId w : neighbors(r)) {
-      if (mark_[w].epoch == query_epoch_ && mark_[w].label == kRemoved) {
-        continue;
-      }
-      attached = true;
-      kept = w;
-      break;
-    }
-    if (!attached) return;
+    parent_[r] = r;
+    pending_.push_back(r);
   }
-  if (kept == kInvalidNode) {  // nothing removed: any alive node anchors
-    kept = 0;
-    while (kept < node_count() && !alive(kept)) ++kept;
-    if (kept == node_count()) return;
-  }
-  certified_ = true;
-  anchor_ = kept;
-  pending_.clear();
 }
 
 bool CsrView::answered(std::span<const NodeId> removed) const {
@@ -370,19 +473,30 @@ bool survivors_connected(const CsrView& g, std::span<const NodeId> removed) {
   const std::size_t survivors = g.alive_count() - g.begin_query(removed);
   bool connected = true;
   if (survivors > 1) {
-    const std::optional<bool> local =
-        g.certified_ ? g.connected_locally(removed) : std::nullopt;
-    if (!local) {
-      connected = g.connected_by_bfs(survivors);
-    } else {
+    std::optional<bool> local;
+    if (g.certified_) {
+      const std::size_t work_before = g.tree_work_;
+      local = g.connected_locally(removed);
+      g.work_.local_work += g.tree_work_ - work_before;
+    }
+    if (local) {
       connected = *local;
+      ++g.work_.local;
+      if (connected) g.hang_fragments(removed);
       if (check) {
         check_against_bfs(connected,
                           "local connectivity check disagrees with the BFS");
       }
+    } else {
+      if (g.certified_) {
+        if (g.tree_work_ > g.alive_count()) ++g.work_.rebuilds;
+        g.begin_query(removed);  // drop the local attempt's labels
+      }
+      connected = g.connected_by_bfs(survivors);
+      ++g.work_.bfs;
+      if (connected) g.adopt_bfs_tree(removed);
     }
   }
-  if (connected) g.certify_if_attached(removed);
   g.last_removed_.assign(removed.begin(), removed.end());
   g.last_connected_ = connected;
   g.last_valid_ = true;

@@ -40,32 +40,55 @@
 ///
 /// The connectivity certificate. A view also remembers whether it is known
 /// to be connected, so survivors_connected can answer from the churn delta
-/// instead of a BFS over every node. The fact behind it: let H be a
-/// connected graph and H' be H after some nodes and edges are removed and
-/// some nodes attached. Call a survivor *touched* when its row changed or it
-/// was born. Then H' is connected iff its touched nodes and one fixed node
-/// of H (the anchor, while it survives) lie in one component C of H'. Any
-/// other component has no touched node, so it keeps its H adjacency and is
-/// closed in H; H is connected, so that component holds all of H, the
-/// anchor included — but the anchor lies in C. For a query, H' is the
-/// current view minus the removed ids, and the touched nodes are the
-/// pending list plus the kept neighbors of the removed ids. Lifecycle:
+/// instead of a BFS over every node. While certified it keeps a spanning
+/// forest, one parent id per alive node. A root is its own parent; any
+/// other node's parent is alive and in its row (the tree edge is in the
+/// view), and following parents always ends at a root. The roots are the
+/// anchor and the *orphans* in the pending list: ids born since, rows whose
+/// tree edge a patch removed, and removed ids a true answer left alive.
+///
+/// Why the local check is exact. Take a query with removed set R and follow
+/// the parents up from a survivor s: the walk reaches the anchor, or an
+/// orphan, or a tree child of R just before it would enter R. Call that
+/// node s's top. Survivors with the same top form one *piece*, joined by
+/// tree edges alone: the anchor's piece, and one *fragment* per top that is
+/// a surviving orphan or a surviving tree child of R. So the survivors are
+/// connected iff the non-tree edges join every fragment to the anchor's
+/// piece, and only fragments need growing. A fragment queues its top. Each
+/// neighbor of a node it expands is labelled by walking up the parents to
+/// the first labelled node (R, the anchor's side or a fragment); the walk's
+/// nodes take that label, and join that fragment's queue unless it already
+/// reached the anchor's side, since a fragment's tree children are among its
+/// nodes' neighbors. Fragments that meet join by union-find, smallest first.
+/// The answer is true once all of them have joined the anchor's side. It is
+/// false once a joined set has nothing left to expand: every neighbor of
+/// every node in it lies in the set or in R, so the set is a whole
+/// component of the survivors, and the anchor is outside it. Lifecycle:
 ///
 ///  * build() / build_from_ports() reset it to "unknown".
-///  * survivors_connected(R) certifies the view when its answer is true and
-///    every removed node keeps a surviving neighbor (then the view itself
-///    is connected): it records an anchor and empties the pending list.
-///  * While certified, apply_delta() appends every row it rewrites (born
-///    ids, dirty ids, neighbors of the dead) to the pending list. Once the
-///    list outgrows alive_count() the certificate is dropped — a full BFS
-///    is cheaper than growing balls from that many sources.
+///  * A full BFS that answers true keeps its BFS tree, rooted at its start
+///    node, and certifies the view; one that answers false changes nothing,
+///    nor does the trivial answer for at most one survivor.
+///  * A true local answer hangs each fragment back on the tree through the
+///    edge that joined it: the parents from that edge's endpoint up to the
+///    fragment's top are reversed. Either true answer then lists the alive
+///    removed ids as orphans, so the certificate holds whether they die in
+///    the next patch or survive it.
+///  * While certified, apply_delta() lists a born id, and a rewritten row
+///    whose tree edge is gone, as an orphan. When the anchor dies a
+///    surviving orphan takes over (every surviving root is one). Once the
+///    pending list outgrows alive_count() the certificate is dropped.
+///  * A removed anchor sends the query to the BFS. So does a spent work
+///    budget: the nodes expanded plus walk steps since the tree was built
+///    may not exceed alive_count(), and past it a BFS rebuilds the tree.
+///    Hanging fragments lets the tree grow deep; the budget bounds that
+///    decay, so a query costs at most about two full BFS passes.
 ///
 /// The view also remembers its last survivors_connected answer: the
 /// removed ids, in order, and the bool. Asking the same question again
 /// before the next build or patch costs O(|removed|) — the §5 sampler and
 /// DEX's batch preflight ask exactly the same one each step. The repeat
-/// leaves the certificate as it is: the first query already certified the
-/// view if it could.
+/// leaves the tree as it is.
 
 #include <cstdint>
 #include <functional>
@@ -167,6 +190,25 @@ class CsrView {
   /// comment), i.e. whether survivors_connected answers locally.
   [[nodiscard]] bool certified() const { return certified_; }
 
+  /// The root of the certified spanning tree (kInvalidNode when the view
+  /// is not certified). A query that removes it is answered by a full BFS.
+  [[nodiscard]] NodeId anchor() const { return anchor_; }
+
+  /// Deterministic work counters of survivors_connected on this view, since
+  /// it was constructed (builds do not reset them).
+  struct ConnectivityWork {
+    std::uint64_t bfs = 0;    ///< queries answered by a full BFS
+    std::uint64_t local = 0;  ///< queries answered from the tree
+    /// Nodes the local queries expanded plus their tree-walk steps (a
+    /// query the work budget cuts short adds its work here too).
+    std::uint64_t local_work = 0;
+    /// Full BFS runs on a certified view whose work budget was spent.
+    std::uint64_t rebuilds = 0;
+  };
+  [[nodiscard]] const ConnectivityWork& connectivity_work() const {
+    return work_;
+  }
+
  private:
   friend bool survivors_connected(const CsrView& g,
                                   std::span<const NodeId> removed);
@@ -175,21 +217,31 @@ class CsrView {
   /// with every alive id of `removed` marked removed. Returns how many
   /// alive ids were removed (duplicates count once).
   std::size_t begin_query(std::span<const NodeId> removed) const;
-  /// Full BFS over the kept nodes of the open query.
+  /// Full BFS over the kept nodes of the open query. Each reached node's
+  /// label is its BFS parent (the start's is itself), for adopt_bfs_tree.
   bool connected_by_bfs(std::size_t survivors) const;
-  /// Grows balls from the pending sources, the anchor and the kept
-  /// neighbors of `removed`; nullopt when there is no source (the caller
+  /// Grows the fragments of the open query (see the file comment); nullopt
+  /// when the anchor is removed or the work budget is spent (the caller
   /// falls back to the BFS).
   std::optional<bool> connected_locally(std::span<const NodeId> removed) const;
-  /// Expands ball `b` (a union-find root) one vertex at a time while it is
-  /// no larger than the smallest ball waiting in the heap, merging every
-  /// ball it touches into itself and counting `labels` down (it stops at 1).
+  /// Expands fragment set `b` (a union-find root) one node at a time while
+  /// it is no larger than the smallest set waiting in the heap, joining
+  /// every set it touches and counting `labels` down (it stops at 1, or
+  /// once `b` joins the anchor's side).
   void grow_ball(std::uint32_t b, std::size_t& labels) const;
   [[nodiscard]] std::uint32_t find_ball(std::uint32_t b) const;
-  /// Certifies the view when every alive removed id of the open query has
-  /// a kept neighbor (called only after a connected answer).
-  void certify_if_attached(std::span<const NodeId> removed) const;
-  /// Back to "unknown": no anchor, no pending sources.
+  /// The label of kept node `w`, walking up its parents to the first
+  /// labelled node and labelling every node on the way (see the file
+  /// comment). Returns kRemoved for a removed id.
+  std::uint32_t classify(NodeId w) const;
+  /// After a true local answer: hangs every fragment back on the tree
+  /// through the edge that joined it (hooks_), then parks `removed`.
+  void hang_fragments(std::span<const NodeId> removed) const;
+  /// After a true BFS answer: its BFS tree becomes the certified tree.
+  void adopt_bfs_tree(std::span<const NodeId> removed) const;
+  /// The pending list becomes the alive ids of `removed`, each its own root.
+  void park_removed(std::span<const NodeId> removed) const;
+  /// Back to "unknown": no anchor, no pending roots.
   void drop_certificate() const;
   /// Whether the last answer was to exactly `removed` (same ids, same
   /// order) on the view as it stands.
@@ -220,40 +272,59 @@ class CsrView {
   // Connectivity certificate and query scratch. survivors_connected takes
   // the view by const reference and keeps them up to date, so they are
   // mutable: a cache of a derived fact, never a change to the graph. Not
-  // safe for concurrent queries on one view.
+  // safe for concurrent queries on one view. Every buffer keeps its
+  // capacity across queries, builds and patches.
   mutable bool certified_ = false;
-  mutable NodeId anchor_ = kInvalidNode;  ///< a node of the certified graph
-  mutable std::vector<NodeId> pending_;   ///< rows rewritten since then
+  mutable NodeId anchor_ = kInvalidNode;  ///< the root of the anchor's tree
+  mutable std::vector<NodeId> pending_;   ///< orphan roots (may repeat)
+  /// Tree parent per id while certified (the root's is itself); allocated
+  /// by the first certificate and grown with the id space after it, stale
+  /// for dead ids.
+  mutable std::vector<NodeId> parent_;
+  /// Nodes expanded plus walk steps since the tree was built (the budget).
+  mutable std::size_t tree_work_ = 0;
+  mutable ConnectivityWork work_;
   /// The last survivors_connected query since the last build or patch.
   mutable bool last_valid_ = false;
   mutable bool last_connected_ = false;
   mutable std::vector<NodeId> last_removed_;
   /// Per-id query state: epoch == query_epoch_ means u was removed or
-  /// reached in the open query, told apart by label (the ball it joined,
-  /// or kRemoved). Side by side so a visit costs one cache line; allocated on
-  /// the first query, so no query clears O(n) memory.
+  /// labelled in the open query, told apart by label (the fragment it
+  /// belongs to, kAnchorSide, or kRemoved; a BFS parent in the BFS). Side by
+  /// side so a visit costs one cache line; allocated on the first query, so
+  /// no query clears O(n) memory.
   struct QueryMark {
     std::uint32_t epoch = 0;
     std::uint32_t label = 0;
   };
   mutable std::vector<QueryMark> mark_;
   mutable std::uint32_t query_epoch_ = 0;
-  /// Discovered ids in discovery order: the BFS queue, and for the local
-  /// check the storage of every ball's queue.
+  /// Labelled ids in labelling order: the BFS queue, and for the local
+  /// check the storage of every fragment set's queue.
   mutable std::vector<NodeId> frontier_;
-  /// frontier_ index of the next id in the same ball's queue (or kNoNext);
-  /// linked lists, so merging two balls' queues is O(1).
+  /// frontier_ index of the next id in the same set's queue (or kNoNext);
+  /// linked lists, so joining two sets' queues is O(1).
   mutable std::vector<std::uint32_t> next_;
+  /// One per fragment, indexed by label; ball 0 is the anchor's side.
   struct Ball {
     std::uint32_t root;  ///< union-find parent
     std::uint32_t head;  ///< frontier_ index of the next id to expand
     std::uint32_t tail;  ///< frontier_ index of the last id queued
-    std::uint32_t size;  ///< ids discovered, merged balls included
+    std::uint32_t size;  ///< ids labelled, joined fragments included
+    NodeId top;          ///< the fragment's top (the anchor for ball 0)
   };
   mutable std::vector<Ball> balls_;
-  /// Min-heap of (size, ball) — entries go stale when a ball grows or
-  /// merges, and are skipped when popped.
+  /// Min-heap of (size, ball) — entries go stale when a set grows or
+  /// joins another, and are skipped when popped. hang_fragments reuses it
+  /// as its queue of (fragment, hook it was hung by).
   mutable std::vector<std::pair<std::uint32_t, std::uint32_t>> heap_;
+  /// The edges (expanded node, classified neighbor) that joined two sets,
+  /// in joining order; a true answer has one per fragment.
+  mutable std::vector<std::pair<NodeId, NodeId>> hooks_;
+  /// hang_fragments' adjacency of the fragment tree: hook ids by label,
+  /// hook_adj_[hook_at_[f] .. hook_at_[f + 1]).
+  mutable std::vector<std::uint32_t> hook_at_;
+  mutable std::vector<std::uint32_t> hook_adj_;
 };
 
 /// BFS distances from `src` over the live view, written into `dist`
@@ -266,17 +337,18 @@ void csr_bfs_fill(const CsrView& g, NodeId src, std::vector<std::uint32_t>& dist
 /// Whether the alive nodes outside `removed` (ids; dead, out-of-range and
 /// repeated ids are ignored) are mutually reachable — the one connectivity
 /// check behind the §5-safe victim sampler, DEX's batch precondition and
-/// is_connected. On a certified view (see CsrView) it grows balls from the
-/// pending rows, the anchor and the kept neighbors of `removed`, smallest
-/// ball first, and joins two balls with union-find where they meet. It
-/// stops at one ball (connected) or at a ball with nothing left to expand
-/// (a whole component without the rest: not connected), so its cost
-/// follows the churn delta, not n. Otherwise it runs a full BFS. Counting
-/// the survivors costs O(|removed|). A true answer with every removed node
-/// attached to a survivor certifies the view. A repeat of the previous
-/// query on an unchanged view is answered from memory in O(|removed|). The
-/// answer is the same bool every way; DEX_CHECK_CSR=1 asserts every local
-/// or remembered answer against the full BFS.
+/// is_connected. On a certified view (see CsrView) it grows only the
+/// fragments the removal and the last patches cut off the view's spanning
+/// tree, classifying their neighbors by walking up the tree, and joins them
+/// with union-find, smallest first. It stops once every fragment has joined
+/// the anchor's side (connected) or at a joined set with nothing left to
+/// expand (a whole component without the anchor: not connected), so its
+/// cost follows the churn delta, not n. Otherwise it runs a full BFS, whose
+/// tree certifies the view when it answers true. Counting the survivors
+/// costs O(|removed|). A repeat of the previous query on an unchanged view
+/// is answered from memory in O(|removed|). The answer is the same bool
+/// every way; DEX_CHECK_CSR=1 asserts every local or remembered answer
+/// against the full BFS.
 [[nodiscard]] bool survivors_connected(const CsrView& g,
                                        std::span<const NodeId> removed = {});
 

@@ -425,6 +425,41 @@ TEST(AdversaryBatch, BurstDrawTakesOrderBatchRngDraws) {
   }
 }
 
+TEST(AdversaryBatch, BurstSafetyChecksStayNearTheCut) {
+  // The §5 check behind each burst draw at n = 20,000 answers from the
+  // maintained view's spanning tree: it expands only the fragments the
+  // removal and the last patch cut off the tree and walks up the tree from
+  // their neighbors. That is a few hundred nodes and walk steps per query,
+  // not the thousands of vertices that balls grown from every rewritten row
+  // queue before they meet.
+  constexpr std::size_t kN = 20000;
+  constexpr std::size_t kBatch = 32;
+  constexpr std::uint64_t kMaxWorkPerQuery = 1000;
+  auto overlay = dex::sim::make_overlay("dex-amortized", kN, 110);
+  ASSERT_NE(overlay, nullptr);
+  adv::AdversaryView view(*overlay);
+  adv::BurstChurn strat(0.5);
+  dex::support::Rng rng(6);
+  std::uint64_t local = 0;
+  for (int step = 0; step < 50; ++step) {
+    SCOPED_TRACE(step);
+    const auto before = view.live_csr().connectivity_work();
+    const auto batch = strat.next_batch(view, rng, kN / 2, 2 * kN, kBatch);
+    const auto after = view.live_csr().connectivity_work();
+    // A spent budget rebuilds the tree by BFS; that query is not local.
+    if (after.local > before.local && after.rebuilds == before.rebuilds) {
+      const std::uint64_t queries = after.local - before.local;
+      const std::uint64_t work = after.local_work - before.local_work;
+      EXPECT_LE(work, kMaxWorkPerQuery * queries);
+      local += queries;
+    }
+    (void)overlay->apply(batch);
+    view.advance();
+  }
+  // The first draw certifies the view by BFS; nearly all others are local.
+  EXPECT_GE(local, 45u);
+}
+
 TEST(AdversaryBatch, FlashCrowdWavesInsertThenMakeRoom) {
   dex::Params prm;
   prm.seed = 104;

@@ -215,14 +215,16 @@ TEST_P(IncrementalCsr, RowsEqualMaskedSnapshotRowsAsMultisets) {
   }
 }
 
-// The connectivity certificate (graph/csr.h) under burst churn: after
-// every step, random removal sets — and sets that cut one node off by
-// removing its whole neighborhood — are asked of the maintained view and of
-// a fresh rebuild. The rebuild has no certificate, so it answers by full
-// BFS; the maintained view answers locally whenever it holds one, from the
-// rows the step's delta rewrote plus the removed ids' neighbors. Every
-// 40th step rebuilds the maintained view as a full delta would, on top of
-// the backends' own full deltas (flooding's every step, DEX's type-2).
+// The spanning-tree certificate (graph/csr.h) under batch churn: after
+// every step, removal sets that stress it are asked of the maintained view
+// and of a fresh rebuild. The rebuild has no certificate, so it answers by
+// full BFS; the maintained view answers from its tree whenever it holds
+// one. The sets are random ids plus the tree's anchor, plus the ids of the
+// last true answer (left outside the tree; the batch spares them, so they
+// survive the patch), plus the ids born in the step, and a whole
+// neighborhood, which cuts its center off. Every 40th step rebuilds the
+// maintained view as a full delta would, on top of the backends' own full
+// deltas (flooding's every step, DEX's type-2).
 TEST_P(IncrementalCsr, LocalConnectivityAnswersEqualTheFullBfs) {
   const std::string backend = GetParam();
   auto overlay = dex::sim::make_overlay(backend, 48, /*seed=*/23);
@@ -238,9 +240,16 @@ TEST_P(IncrementalCsr, LocalConnectivityAnswersEqualTheFullBfs) {
   std::size_t full_steps = 0;
   std::size_t local_true = 0;
   std::size_t local_false = 0;
+  std::size_t with_anchor = 0;
+  std::size_t with_parked = 0;
+  std::vector<NodeId> parked;  // the removed ids of the last true answer
   std::vector<NodeId> removed;
   for (int t = 0; t < 240; ++t) {
-    overlay->apply(swinging_batch(*overlay, rng, t));
+    auto batch = swinging_batch(*overlay, rng, t);
+    std::erase_if(batch.victims, [&parked](NodeId v) {
+      return std::find(parked.begin(), parked.end(), v) != parked.end();
+    });
+    overlay->apply(batch);
     delta.clear();
     const bool drained = overlay->drain_view_delta(delta);
     if (drained && !delta.full && valid && t % 40 != 0) {
@@ -266,6 +275,17 @@ TEST_P(IncrementalCsr, LocalConnectivityAnswersEqualTheFullBfs) {
           removed.push_back(alive[rng.below(alive.size())]);
         }
       }
+      if (q == 2 && view.certified()) {
+        removed.push_back(view.anchor());
+        ++with_anchor;
+      }
+      if (q == 1 && !parked.empty() && view.certified()) {
+        removed.insert(removed.end(), parked.begin(), parked.end());
+        ++with_parked;
+      }
+      if (q == 0) {
+        removed.insert(removed.end(), delta.born.begin(), delta.born.end());
+      }
       // A fresh view per query: a true answer would certify it.
       CsrView ref;
       ref.build_from_ports(overlay->alive_mask(), ports);
@@ -276,11 +296,18 @@ TEST_P(IncrementalCsr, LocalConnectivityAnswersEqualTheFullBfs) {
           << backend << " step " << t << " query " << q
           << (local ? " (local)" : " (full BFS)");
       if (local) ++(want ? local_true : local_false);
+      if (want) parked = removed;
     }
   }
   EXPECT_GE(full_steps, 6u) << backend;
   EXPECT_GT(local_true, 200u) << backend;
   EXPECT_GT(local_false, 20u) << backend;
+  EXPECT_GT(with_anchor, 150u) << backend;
+  // Flooding keeps no journal, so every step rebuilds the view and no
+  // parked id outlives a patch.
+  if (backend != "flood") {
+    EXPECT_GT(with_parked, 150u) << backend;
+  }
 }
 
 // The alive list AdversaryView patches from the churn journal must equal

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <initializer_list>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -60,6 +61,18 @@ struct PatchableGraph {
     alive[u] = false;
     g::ViewDelta d;
     d.died.push_back(u);
+    view.apply_delta(d, ports());
+  }
+  /// Brings dead id u back: its old edges to alive nodes return, and it
+  /// gains edges to `targets`.
+  void revive(g::NodeId u, std::initializer_list<g::NodeId> targets) {
+    alive[u] = true;
+    g::ViewDelta d;
+    d.born.push_back(u);
+    for (const g::NodeId t : targets) graph.add_edge(u, t);
+    for (const g::NodeId w : graph.ports(u)) {
+      if (alive[w]) d.dirty.push_back(w);
+    }
     view.apply_delta(d, ports());
   }
   [[nodiscard]] g::CsrView::PortsFn ports() const {
@@ -264,8 +277,11 @@ TEST(Csr, SurvivorsConnectedHonorsTheRemovedIds) {
 }
 
 // Removal sets that disconnect, each asked of a freshly built view (full
-// BFS) and of a view that was certified connected and then patched
-// (local check from the pending rows and the removed ids' neighbors).
+// BFS) and of a view that was certified connected and then patched (local
+// check from the fragments the removal and the newcomer cut off the tree).
+// A false answer leaves the certificate standing, also when the removal
+// takes the anchor (the BFS start, node 0: the star's center) and the
+// answer comes from the full BFS.
 TEST(Csr, DisconnectingRemovalsOnBuiltAndCertifiedViews) {
   // Barbell: cliques {0..3} and {5..8} hung off the bridge node 4.
   g::Multigraph barbell(9);
@@ -319,8 +335,20 @@ TEST(Csr, DisconnectingRemovalsOnBuiltAndCertifiedViews) {
     }
     patched.attach({target});
     ASSERT_TRUE(patched.view.certified()) << tc.name;
+    const g::NodeId anchor = patched.view.anchor();
+    const bool takes_anchor =
+        std::find(tc.removed.begin(), tc.removed.end(), anchor) !=
+        tc.removed.end();
+    if (tc.name == std::string_view("star center")) {
+      EXPECT_TRUE(takes_anchor);
+    }
+    const auto before = patched.view.connectivity_work();
     EXPECT_FALSE(g::survivors_connected(patched.view, tc.removed)) << tc.name;
+    EXPECT_EQ(patched.view.connectivity_work().bfs - before.bfs,
+              takes_anchor ? 1u : 0u)
+        << tc.name;
     EXPECT_TRUE(patched.view.certified()) << tc.name;
+    EXPECT_EQ(patched.view.anchor(), anchor) << tc.name;
     EXPECT_TRUE(g::survivors_connected(patched.view)) << tc.name;
   }
 }
@@ -378,19 +406,27 @@ TEST(Csr, BuildDropsTheCertificate) {
   EXPECT_FALSE(g::survivors_connected(p.view));
 }
 
-// A true answer certifies only when every removed node keeps a surviving
-// neighbor: here node 3 is isolated, so the view itself is not connected.
-TEST(Csr, UnattachedRemovalDoesNotCertify) {
+// A true answer certifies the survivors, and the removed ids that stay
+// alive are orphans outside the tree: here node 3 is isolated, so the view
+// itself is not connected, and the local check finds 3 with nothing to
+// expand.
+TEST(Csr, UnattachedRemovalStaysOutsideTheTree) {
   g::Multigraph graph = g::make_path(3);
   graph.add_node();
   g::CsrView view;
   view.build(graph, {});
   EXPECT_TRUE(g::survivors_connected(view, ids({3})));
-  EXPECT_FALSE(view.certified());
+  EXPECT_TRUE(view.certified());
+  const auto before = view.connectivity_work();
   EXPECT_FALSE(g::survivors_connected(view));
+  EXPECT_EQ(view.connectivity_work().local, before.local + 1);
 }
 
-// Rewriting more rows than there are alive nodes drops the certificate.
+// Only rows that lose their tree edge are pending. The BFS tree of the
+// 8-cycle from node 0 is 0-1-2-3-4 and 0-7-6-5, so cutting (4, 5) orphans
+// nothing and each other cut orphans one row: four cuts of five leave four
+// orphans, and the certificate stands. Dead orphans stay listed, so once
+// killing nodes leaves fewer alive nodes than list entries, it drops.
 TEST(Csr, CertificateDropsOncePendingOutgrowsTheView) {
   PatchableGraph p(g::make_cycle(8));
   ASSERT_TRUE(g::survivors_connected(p.view));
@@ -398,10 +434,89 @@ TEST(Csr, CertificateDropsOncePendingOutgrowsTheView) {
   p.cut(2, 3);
   p.cut(4, 5);
   p.cut(6, 7);
-  ASSERT_TRUE(p.view.certified());  // 8 pending rows, 8 alive nodes
   p.cut(1, 2);
+  ASSERT_TRUE(p.view.certified());  // orphans 1, 3, 6 and 2
+  EXPECT_FALSE(g::survivors_connected(p.view));
+  EXPECT_TRUE(p.view.certified());
+  p.kill(1);
+  p.kill(2);
+  p.kill(3);  // orphans 4: 5 entries, 5 alive nodes
+  ASSERT_TRUE(p.view.certified());
+  p.kill(6);  // orphans 5: 6 entries, 4 alive nodes
   EXPECT_FALSE(p.view.certified());
   EXPECT_FALSE(g::survivors_connected(p.view));
+}
+
+// A long run on a small view: random kills, rebirths of dead ids,
+// newcomers and cut edges, each patched in, then removal sets asked of the
+// view and of a fresh build: random alive ids, sometimes with the anchor,
+// and sometimes the ids just reborn or born. At this size the work budget
+// (nodes expanded plus walk steps since the tree was built, against
+// alive_count()) runs out again and again, and every answer, local or
+// from the BFS that rebuilds the tree, equals the fresh one.
+TEST(Csr, TreeBudgetRebuildsKeepEveryAnswerExact) {
+  dex::support::Rng rng(29);
+  PatchableGraph p(g::make_random_regular(40, 4, rng));
+  std::size_t alive_n = 40;
+  const auto pick_alive = [&] {
+    g::NodeId u = 0;
+    do {
+      u = static_cast<g::NodeId>(rng.below(p.alive.size()));
+    } while (!p.alive[u]);
+    return u;
+  };
+  std::vector<g::NodeId> removed;
+  std::size_t true_answers = 0;
+  for (int t = 0; t < 3000; ++t) {
+    SCOPED_TRACE(t);
+    g::NodeId fresh = g::kInvalidNode;  // born or reborn in this patch
+    switch (rng.below(4)) {
+      case 0:
+        if (alive_n > 24) {
+          p.kill(pick_alive());
+          --alive_n;
+        }
+        break;
+      case 1: {
+        const g::NodeId u = static_cast<g::NodeId>(rng.below(p.alive.size()));
+        if (!p.alive[u]) {
+          p.revive(u, {pick_alive(), pick_alive()});
+          fresh = u;
+          ++alive_n;
+        }
+        break;
+      }
+      case 2:
+        if (alive_n < 56) {
+          p.attach({pick_alive(), pick_alive(), pick_alive()});
+          fresh = static_cast<g::NodeId>(p.alive.size() - 1);
+          ++alive_n;
+        }
+        break;
+      default: {
+        const g::NodeId u = pick_alive();
+        const auto row = p.view.neighbors(u);
+        if (row.size() > 4) p.cut(u, row[rng.below(row.size())]);
+        break;
+      }
+    }
+    for (int q = 0; q < 3; ++q) {
+      removed.clear();
+      const std::size_t k = rng.below(4);
+      for (std::size_t i = 0; i < k; ++i) removed.push_back(pick_alive());
+      if (q == 1 && p.view.certified()) removed.push_back(p.view.anchor());
+      if (q == 2 && fresh != g::kInvalidNode) removed.push_back(fresh);
+      g::CsrView ref;
+      ref.build_from_ports(p.alive, p.ports());
+      const bool want = g::survivors_connected(ref, removed);
+      ASSERT_EQ(g::survivors_connected(p.view, removed), want) << q;
+      true_answers += want ? 1 : 0;
+    }
+  }
+  const auto& work = p.view.connectivity_work();
+  EXPECT_GT(work.rebuilds, 1000u);
+  EXPECT_GT(work.local, 2000u);
+  EXPECT_GT(true_answers, 2000u);
 }
 
 // The remembered answer covers one view: a patch that disconnects (or

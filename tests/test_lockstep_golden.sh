@@ -4,7 +4,8 @@
 # The cases cover every backend, churn and burst under --batch-size 3
 # --burst 4, --gap-every, --warmup, the zipf/hotspot/uniform workloads, a
 # spread of single-event and batch-native strategies (every strategy that
-# reads the topology among them, under both next() and next_batch()), and a
+# reads the topology among them, under both next() and next_batch()), a
+# flash crowd held at its population cap, so its departure waves run, and a
 # phased --campaign with a load=2 phase, a rate= gate and quiet ranges, plus
 # a 300-node zipf case with 2048 keys, where AnchorHash placement
 # (sim/anchor_hash.h) runs over a 600-bucket anchor and batch churn frees
@@ -60,6 +61,11 @@ golden_case strategies --backend all \
 golden_case topology_strategies --backend all \
   --scenario spectral,greedy-spectral,spectral-batch,oracle-bust,flash-crowd \
   --n0 40 --steps 20 --seed 13 --batch-size 4 --burst 3 --gap-every 5
+# Flash-crowd from n0 = 24 under max_n 36: arrival waves reach the cap in
+# three steps, and from then on departure waves, whose victims pass the §5
+# connectivity check, alternate with arrivals.
+golden_case flash_crowd_cap --backend all --scenario flash-crowd --n0 24 \
+  --max-n 36 --steps 24 --seed 19 --batch-size 4 --gap-every 6
 golden_case placement_blocks --backend all --scenario churn,burst --n0 300 \
   --steps 30 --seed 17 --batch-size 4 --burst 3 --workload zipf \
   --ops-per-step 16 --keys 2048
